@@ -38,6 +38,7 @@ from .errors import (
     FastslowError,
     FredholmError,
     GridDomainError,
+    ManifestError,
     SimulationBlowupError,
     SingularOperatorError,
 )
@@ -49,6 +50,7 @@ from .mcengine import (
     brownian_sampler,
     check_exponential_inequality,
     count_trend_violations,
+    exponential_inequality_grid,
     frozen_martingale_sampler,
     gaussian_surrogate_sweep,
     negligibility_xi,
@@ -110,6 +112,7 @@ __all__ = [
     # errors
     "FastslowError",
     "ConfigError",
+    "ManifestError",
     "GridDomainError",
     "FredholmError",
     "SingularOperatorError",
@@ -187,6 +190,7 @@ __all__ = [
     "TailEstimate",
     "tail_probability",
     "gaussian_surrogate_sweep",
+    "exponential_inequality_grid",
     "check_exponential_inequality",
     "brownian_sampler",
     "stopped_brownian_sampler",

@@ -30,12 +30,12 @@ import yaml
 from . import __version__
 from .averaging import averaged_coefficients, write_averaged_csv
 from .deviations import negligibility_sweep, write_sweep_csv
-from .errors import ConfigError, FastslowError
+from .errors import ConfigError, FastslowError, ManifestError
 from .grids import RectGrid
 from .mcengine import (
     Event,
     brownian_sampler,
-    check_exponential_inequality,
+    exponential_inequality_grid,
     stopped_brownian_sampler,
     tail_probability,
     wilson_interval,
@@ -297,6 +297,9 @@ class OutputDir:
     def __init__(self, exp, subcommand):
         self.dir = exp.output_dir
         os.makedirs(self.dir, exist_ok=True)
+        self.manifest_path = os.path.join(self.dir, "manifest.json")
+        # fail before any work is done if the final merge would lose records
+        self._previous_outputs()
         self.exp = exp
         self.subcommand = subcommand
         self.files = []
@@ -309,16 +312,31 @@ class OutputDir:
         self.files.append(name)
         return os.path.join(self.dir, name)
 
-    def finalize(self):
-        manifest_path = os.path.join(self.dir, "manifest.json")
-        outputs = {}
+    def _previous_outputs(self):
+        """Records of the existing manifest; none when there is no file yet."""
         try:
-            with open(manifest_path, "r") as fh:
+            with open(self.manifest_path, "r") as fh:
                 previous = json.load(fh)
-            if previous.get("artifact") == _ARTIFACT:
-                outputs = dict(previous.get("outputs", {}))
-        except (OSError, json.JSONDecodeError):
-            pass
+        except FileNotFoundError:
+            return {}
+        except (OSError, ValueError) as err:
+            raise ManifestError(
+                f"cannot read {self.manifest_path} ({err}); its records would "
+                "be lost, so move it aside before writing into this directory"
+            ) from err
+        if not (
+            isinstance(previous, dict)
+            and previous.get("artifact") == _ARTIFACT
+            and isinstance(previous.get("outputs", {}), dict)
+        ):
+            raise ManifestError(
+                f"{self.manifest_path} is not a {_ARTIFACT} manifest; its records "
+                "would be lost, so move it aside before writing into this directory"
+            )
+        return dict(previous.get("outputs", {}))
+
+    def finalize(self):
+        outputs = self._previous_outputs()
         record = {
             "subcommand": self.subcommand,
             "config_sha256": _sha256_text(self.exp.text),
@@ -335,9 +353,18 @@ class OutputDir:
             "version": __version__,
             "outputs": outputs,
         }
-        with open(manifest_path, "w", newline="\n") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        # write beside the target and rename over it, so a crash mid-write
+        # never leaves a truncated manifest behind
+        tmp_path = f"{self.manifest_path}.{os.getpid()}.tmp"
+        try:
+            with open(tmp_path, "w", newline="\n") as fh:
+                json.dump(manifest, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+            os.replace(tmp_path, self.manifest_path)
+        except BaseException:
+            if os.path.exists(tmp_path):
+                os.unlink(tmp_path)
+            raise
         return manifest
 
 
@@ -667,21 +694,17 @@ def inequalities(config_path):
     out = OutputDir(exp, "inequalities")
     rows = []
     worst = 0.0
-    for alpha in alphas:
-        for B in Bs:
-            freq, bound = check_exponential_inequality(
-                sampler, alpha, B, exp.T, exp.N, exp.seed
-            )
-            lo, hi = wilson_interval(round(freq * exp.N), exp.N)
-            sigma = (hi - lo) / (2.0 * 1.959963984540054)
-            violated = int(freq > bound + 3.0 * sigma)
-            worst = max(worst, freq - bound)
-            rows.append(
-                [
-                    _fmt(alpha), _fmt(B), str(exp.N), _fmt(freq), _fmt(bound),
-                    _fmt(sigma), str(violated),
-                ]
-            )
+    for cell in exponential_inequality_grid(sampler, alphas, Bs, exp.T, exp.N, exp.seed):
+        lo, hi = wilson_interval(cell.hits, cell.N)
+        sigma = (hi - lo) / (2.0 * 1.959963984540054)
+        violated = int(cell.frequency > cell.bound + 3.0 * sigma)
+        worst = max(worst, cell.frequency - cell.bound)
+        rows.append(
+            [
+                _fmt(cell.alpha), _fmt(cell.B), str(cell.N), _fmt(cell.frequency),
+                _fmt(cell.bound), _fmt(sigma), str(violated),
+            ]
+        )
     _write_csv(
         out.path("inequalities.csv"),
         "alpha,B,N,frequency,bound,sigma,violated",

@@ -14,6 +14,10 @@ class ConfigError(FastslowError):
     """Malformed or rejected configuration input."""
 
 
+class ManifestError(FastslowError):
+    """An existing manifest.json cannot be read or is not this package's."""
+
+
 class GridDomainError(FastslowError):
     """A point fell outside a tabulated grid, or a grid is unusable."""
 

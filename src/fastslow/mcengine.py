@@ -13,6 +13,9 @@ There is no importance sampling.  Cells whose probability falls well below
 1/N stay censored; for the Gaussian-tail sweep, where the surrogate law is
 known exactly, ``gaussian_surrogate_sweep`` evaluates the tail in closed form
 instead of sampling it.
+
+An exponential-inequality grid is scored from one draw: the martingale sampler
+runs once, and every (alpha, B) cell is an integer hit count over those paths.
 """
 
 from __future__ import annotations
@@ -34,6 +37,8 @@ __all__ = [
     "wilson_interval",
     "tail_probability",
     "gaussian_surrogate_sweep",
+    "InequalityCell",
+    "exponential_inequality_grid",
     "check_exponential_inequality",
     "brownian_sampler",
     "stopped_brownian_sampler",
@@ -231,17 +236,37 @@ def gaussian_surrogate_sweep(Q, T, threshold, epsilon_list, kappa):
 # exponential martingale inequality
 # ---------------------------------------------------------------------------
 
-def check_exponential_inequality(martingale_sampler, alpha, B, T, N, seed):
-    """Empirical frequency of {sup_t |M_t| >= alpha and <M>_T <= B} against
-    the exponential bound 2 exp(-alpha^2 / (2B)).
+@dataclass(frozen=True)
+class InequalityCell:
+    """One (alpha, B) cell of an exponential-inequality grid: the integer
+    count of paths in {sup_t |M_t| >= alpha and <M>_T <= B}, its frequency
+    hits / N, and the bound 2 exp(-alpha^2 / (2B))."""
 
-    The sampler must return (running sup of |M|, terminal quadratic
-    variation) per path; a sampler that does not track the quadratic
-    variation cannot form the conjunction and is rejected.
+    alpha: float
+    B: float
+    N: int
+    hits: int
+    frequency: float
+    bound: float
+
+
+def exponential_inequality_grid(martingale_sampler, alphas, Bs, T, N, seed):
+    """Score every (alpha, B) cell of the exponential-inequality grid from one
+    draw of N martingale paths.
+
+    The sampler is called exactly once and must return (running sup of |M|,
+    terminal quadratic variation) per path; a sampler that does not track the
+    quadratic variation cannot form the conjunction and is rejected.  Cells
+    come back alpha-major, in the order of ``alphas`` then ``Bs``.
     """
-    if not (alpha > 0.0 and B > 0.0):
+    alphas = [float(a) for a in alphas]
+    Bs = [float(B) for B in Bs]
+    if not all(a > 0.0 for a in alphas) or not all(B > 0.0 for B in Bs):
         raise ConfigError("alpha and B must be positive")
-    sup_abs, qv = martingale_sampler(int(N), T, seed)
+    N = int(N)
+    if N < 1:
+        raise ConfigError(f"N must be at least 1 path, got {N}")
+    sup_abs, qv = martingale_sampler(N, T, seed)
     if qv is None:
         raise ConfigError(
             "sampler returned no quadratic variation; the bounded-bracket "
@@ -249,9 +274,21 @@ def check_exponential_inequality(martingale_sampler, alpha, B, T, N, seed):
         )
     sup_abs = np.asarray(sup_abs, float)
     qv = np.asarray(qv, float)
-    frequency = float(np.mean((sup_abs >= alpha) & (qv <= B)))
-    bound = 2.0 * math.exp(-(alpha * alpha) / (2.0 * B))
-    return frequency, bound
+    cells = []
+    for alpha in alphas:
+        reached = sup_abs >= alpha
+        for B in Bs:
+            hits = int(np.count_nonzero(reached & (qv <= B)))
+            bound = 2.0 * math.exp(-(alpha * alpha) / (2.0 * B))
+            cells.append(InequalityCell(alpha, B, N, hits, hits / N, bound))
+    return cells
+
+
+def check_exponential_inequality(martingale_sampler, alpha, B, T, N, seed):
+    """Empirical frequency of {sup_t |M_t| >= alpha and <M>_T <= B} against
+    the exponential bound 2 exp(-alpha^2 / (2B)): the 1 x 1 grid."""
+    (cell,) = exponential_inequality_grid(martingale_sampler, [alpha], [B], T, N, seed)
+    return cell.frequency, cell.bound
 
 
 def brownian_sampler(n_steps=1000):

@@ -27,6 +27,7 @@ the layer outside the returned window.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from itertools import product
 
@@ -483,6 +484,8 @@ class PoissonFamily:
     Evaluation outside the tabulated y-range is a hard error; the fast
     coordinate may optionally be clamped to the z-grid edge (rare excursions
     during Monte Carlo sweeps), counted by the caller via ``clamped_count``.
+    The count is updated under a lock, because ``--workers`` threads evaluate
+    one family concurrently.
     """
 
     def __init__(self, y_grid, z_grid, u, grad_u, densities=None, spec=None):
@@ -515,6 +518,7 @@ class PoissonFamily:
         self.d = z_grid.ndim
         self.l = y_grid.ndim
         self.clamped_count = 0
+        self._clamp_lock = threading.Lock()
 
     def _eval(self, table, z_pts, y_pts, clamp_z):
         z_pts = np.asarray(z_pts, float)
@@ -523,7 +527,9 @@ class PoissonFamily:
             lo = np.array([ax[0] for ax in self.z_grid.axes])
             hi = np.array([ax[-1] for ax in self.z_grid.axes])
             clipped = np.clip(z_pts, lo, hi)
-            self.clamped_count += int(np.sum(np.any(clipped != z_pts, axis=-1)))
+            n_clamped = int(np.sum(np.any(clipped != z_pts, axis=-1)))
+            with self._clamp_lock:
+                self.clamped_count += n_clamped
             z_pts = clipped
         if not np.all(self.y_grid.contains(y_pts)):
             raise GridDomainError(

@@ -26,8 +26,8 @@ from fastslow.mcengine import (
     Event,
     boundedness_Y,
     brownian_sampler,
-    check_exponential_inequality,
     count_trend_violations,
+    exponential_inequality_grid,
     gaussian_surrogate_sweep,
     negligibility_xi,
     tail_probability,
@@ -223,16 +223,18 @@ def test_criterion_5_mdp_scaling(ou):
 def test_criterion_6_exponential_inequality_grid():
     sampler = brownian_sampler(n_steps=1000)
     N = 100_000
+    cells = exponential_inequality_grid(
+        sampler, (0.5, 1.0, 2.0, 4.0), (0.5, 1.0, 2.0), 1.0, N, 17
+    )
+    assert len(cells) == 12
     violations = []
     worst = -math.inf
-    for alpha in (0.5, 1.0, 2.0, 4.0):
-        for B in (0.5, 1.0, 2.0):
-            freq, bound = check_exponential_inequality(sampler, alpha, B, 1.0, N, 17)
-            lo, hi = wilson_interval(round(freq * N), N)
-            sigma = (hi - lo) / (2.0 * _Z95)
-            worst = max(worst, freq - bound)
-            if freq > bound + 3.0 * sigma:
-                violations.append((alpha, B, freq, bound))
+    for cell in cells:
+        lo, hi = wilson_interval(cell.hits, N)
+        sigma = (hi - lo) / (2.0 * _Z95)
+        worst = max(worst, cell.frequency - cell.bound)
+        if cell.frequency > cell.bound + 3.0 * sigma:
+            violations.append((cell.alpha, cell.B, cell.frequency, cell.bound))
     ok = not violations
     detail = (
         f"12 cells at N=1e5, violations={violations or 0}, "

@@ -116,6 +116,26 @@ def test_manifest_merges_across_subcommands(runner, tmp_path):
     assert manifest["outputs"]["path.csv"]["subcommand"] == "simulate"
 
 
+@pytest.mark.parametrize("bad", ["{not json", "[]", '{"artifact": "other", "outputs": {}}'])
+def test_unreadable_manifest_fails_loudly(runner, tmp_path, bad):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "manifest.json").write_text(bad)
+    cfg_path = write_cfg(tmp_path, base_config(out))
+    result = runner.invoke(main, ["validate", str(cfg_path)])
+    assert result.exit_code == 3
+    assert "manifest.json" in text_of(result)
+    # refused before any work: the manifest is untouched and no CSV is written
+    assert [p.name for p in out.iterdir()] == ["manifest.json"]
+    assert (out / "manifest.json").read_text() == bad
+    # once moved aside, the next run starts a fresh manifest and leaves no
+    # temporary file behind
+    (out / "manifest.json").unlink()
+    assert runner.invoke(main, ["validate", str(cfg_path)]).exit_code == 0
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "validate.csv"]
+    assert set(json.loads((out / "manifest.json").read_text())["outputs"]) == {"validate.csv"}
+
+
 def test_density_empirical_histogram(runner, tmp_path):
     out = tmp_path / "out"
     cfg = base_config(

@@ -12,6 +12,7 @@ from fastslow import (
     brownian_sampler,
     check_exponential_inequality,
     count_trend_violations,
+    exponential_inequality_grid,
     frozen_martingale_sampler,
     gaussian_surrogate_sweep,
     negligibility_xi,
@@ -137,8 +138,57 @@ def test_sampler_without_bracket_is_rejected():
 
     with pytest.raises(ConfigError):
         check_exponential_inequality(bare, 1.0, 1.0, 1.0, 1000, 0)
+    with pytest.raises(ConfigError, match="no quadratic variation"):
+        exponential_inequality_grid(bare, [0.5, 1.0], [1.0, 2.0], 1.0, 1000, 0)
     with pytest.raises(ConfigError):
         check_exponential_inequality(brownian_sampler(), -1.0, 1.0, 1.0, 1000, 0)
+
+
+def _counting(sampler):
+    calls = []
+
+    def counted(N, T, seed):
+        calls.append((N, T, seed))
+        return sampler(N, T, seed)
+
+    return counted, calls
+
+
+@pytest.mark.parametrize(
+    "sampler",
+    [brownian_sampler(n_steps=200), stopped_brownian_sampler(0.5, n_steps=200)],
+    ids=["brownian", "stopped"],
+)
+def test_inequality_grid_draws_once_and_matches_per_cell_checks(sampler):
+    alphas, Bs = [0.5, 1.0, 2.0], [0.25, 0.5, 1.0]
+    counted, calls = _counting(sampler)
+    cells = exponential_inequality_grid(counted, alphas, Bs, 1.0, 3000, 5)
+    assert len(calls) == 1
+    assert [(c.alpha, c.B) for c in cells] == [(a, B) for a in alphas for B in Bs]
+    sup_abs, qv = sampler(3000, 1.0, 5)
+    for cell in cells:
+        assert isinstance(cell.hits, int) and cell.frequency == cell.hits / 3000
+        per_cell = check_exponential_inequality(sampler, cell.alpha, cell.B, 1.0, 3000, 5)
+        assert (cell.frequency, cell.bound) == per_cell
+        # the per-cell formula the grid replaces, on the same draw
+        assert cell.frequency == float(np.mean((sup_abs >= cell.alpha) & (qv <= cell.B)))
+
+
+@pytest.mark.parametrize(
+    "alphas, Bs, N",
+    [
+        ([1.0, 0.0], [1.0], 1000),
+        ([-0.5, 1.0], [1.0], 1000),
+        ([1.0], [2.0, -1.0], 1000),
+        ([1.0, 2.0], [0.0], 1000),
+        ([1.0], [1.0], 0),
+    ],
+)
+def test_inequality_grid_rejects_bad_input_before_sampling(alphas, Bs, N):
+    counted, calls = _counting(brownian_sampler(n_steps=10))
+    with pytest.raises(ConfigError, match="must be positive|at least 1 path"):
+        exponential_inequality_grid(counted, alphas, Bs, 1.0, N, 0)
+    assert calls == []
 
 
 def test_frozen_martingale_sampler_bracket(ou, ou_family):

@@ -1,3 +1,6 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -147,3 +150,27 @@ def test_family_z_clamping_is_counted(ou_family):
     assert ou_family.clamped_count == before + 1
     with pytest.raises(GridDomainError):
         ou_family.u_at(np.array([[7.0]]), np.array([[0.0]]))
+
+
+def test_family_clamp_count_is_exact_under_two_threads(ou_family):
+    """Two threads clamp through one family at a tiny switch interval; a
+    lost read-modify-write update would leave the total short."""
+    z = np.tile([[7.0], [-8.0], [0.0], [0.5]], (8, 1))         # 16 of 32 clamped
+    y = np.zeros((32, 1))
+    calls = 400
+
+    def work():
+        for _ in range(calls):
+            ou_family.grad_u_at(z, y, clamp_z=True)
+
+    before = ou_family.clamped_count
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            futures = [pool.submit(work) for _ in range(2)]
+            for fut in futures:
+                fut.result(timeout=60)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert ou_family.clamped_count == before + 2 * calls * 16
