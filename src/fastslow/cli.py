@@ -284,6 +284,27 @@ def _sha256_file(path):
         return hashlib.sha256(fh.read()).hexdigest()
 
 
+def _read_manifest(path):
+    """The manifest at path, or None when there is no file.
+
+    An unreadable, corrupt, non-object or foreign file raises ManifestError.
+    """
+    try:
+        with open(path, "r") as fh:
+            manifest = json.load(fh)
+    except FileNotFoundError:
+        return None
+    except (OSError, ValueError) as err:
+        raise ManifestError(f"cannot read {path} ({err})") from err
+    if not (
+        isinstance(manifest, dict)
+        and manifest.get("artifact") == _ARTIFACT
+        and isinstance(manifest.get("outputs", {}), dict)
+    ):
+        raise ManifestError(f"{path} is not a {_ARTIFACT} manifest")
+    return manifest
+
+
 class OutputDir:
     """Collects output files inside output_dir and finalizes the manifest.
 
@@ -315,25 +336,13 @@ class OutputDir:
     def _previous_outputs(self):
         """Records of the existing manifest; none when there is no file yet."""
         try:
-            with open(self.manifest_path, "r") as fh:
-                previous = json.load(fh)
-        except FileNotFoundError:
-            return {}
-        except (OSError, ValueError) as err:
+            previous = _read_manifest(self.manifest_path)
+        except ManifestError as err:
             raise ManifestError(
-                f"cannot read {self.manifest_path} ({err}); its records would "
-                "be lost, so move it aside before writing into this directory"
+                f"{err}; its records would be lost, so move it aside before "
+                "writing into this directory"
             ) from err
-        if not (
-            isinstance(previous, dict)
-            and previous.get("artifact") == _ARTIFACT
-            and isinstance(previous.get("outputs", {}), dict)
-        ):
-            raise ManifestError(
-                f"{self.manifest_path} is not a {_ARTIFACT} manifest; its records "
-                "would be lost, so move it aside before writing into this directory"
-            )
-        return dict(previous.get("outputs", {}))
+        return {} if previous is None else dict(previous.get("outputs", {}))
 
     def finalize(self):
         outputs = self._previous_outputs()
@@ -723,21 +732,14 @@ def inequalities(config_path):
 
 def _manifest_for(csv_path):
     directory = os.path.dirname(os.path.abspath(csv_path))
-    manifest_path = os.path.join(directory, "manifest.json")
-    try:
-        with open(manifest_path, "r") as fh:
-            manifest = json.load(fh)
-    except OSError as err:
-        raise ConfigError(f"no manifest next to {csv_path}: {err}") from err
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"unreadable manifest next to {csv_path}: {err}") from err
-    if manifest.get("artifact") != _ARTIFACT:
-        raise ConfigError(f"manifest next to {csv_path} is from a different artifact")
+    manifest = _read_manifest(os.path.join(directory, "manifest.json"))
+    if manifest is None:
+        raise ConfigError(f"no manifest next to {csv_path}")
     name = os.path.basename(csv_path)
     recorded = manifest.get("outputs", {}).get(name)
     if recorded is None:
         raise ConfigError(f"manifest next to {csv_path} does not list {name}")
-    if recorded.get("sha256") != _sha256_file(csv_path):
+    if not isinstance(recorded, dict) or recorded.get("sha256") != _sha256_file(csv_path):
         raise ConfigError(
             f"{name} does not match its manifest hash; the file was edited or "
             "belongs to a different run"

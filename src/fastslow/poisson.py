@@ -23,6 +23,16 @@ the domain at the user grid imposes a zero-flux condition *there*, whose
 boundary layer (size ~ exp(-L(L - |z|))/L for Gaussian-type weights) would
 pollute the outermost nodes of the answer.  Solving on a padded grid pushes
 the layer outside the returned window.
+
+A family over a y-grid (``solve_family``) reuses work across slow nodes.  In
+the paper the fast diffusion does not depend on the slow state; only H, F
+and G do.  So the frozen operator, its invariant density and its anchored LU
+factor are the same at every node, and only the right-hand side changes.
+Assembly reads b and a = sigma sigma^T only through their values at the grid
+nodes, so the family compares those sampled arrays with the previous node's,
+byte for byte.  When they match, the previous density and factor are reused;
+a model whose fast coefficients do depend on y still factors once per node.
+Only the most recent factor is kept.
 """
 
 from __future__ import annotations
@@ -33,12 +43,16 @@ from itertools import product
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import FredholmError, GridDomainError
 from .grids import GridField, RectGrid, corrected_cumtrapz, multilinear
 from .model import diffusion_matrix
-from .stationary import check_centering, invariant_density, stationary_log_weight_1d
+from .stationary import (
+    frozen_coefficients,
+    invariant_density,
+    sparse_lu,
+    stationary_log_weight_1d,
+)
 
 __all__ = [
     "PoissonSolution",
@@ -173,16 +187,12 @@ def _mirror(idx, n):
     return np.where(idx > n - 1, 2 * (n - 1) - idx, idx)
 
 
-def _assemble_generator(spec, y, grid):
-    """Sparse second-order discretization of L_y with mirrored boundary."""
+def _assemble_generator(a, bvec, grid):
+    """Sparse second-order discretization of L_y with mirrored boundary, given
+    a and b sampled at the grid nodes."""
     shape = grid.shape
     ndim = grid.ndim
     spacing = grid.spacing
-    pts = grid.points().reshape(-1, ndim)
-    y_arr = np.broadcast_to(np.atleast_1d(np.asarray(y, float)), (pts.shape[0], spec.l))
-    a = diffusion_matrix(spec, pts, y_arr).reshape(shape + (ndim, ndim))
-    bvec = np.asarray(spec.b(pts, y_arr), float).reshape(shape + (ndim,))
-
     index_grids = np.meshgrid(*[np.arange(n) for n in shape], indexing="ij")
     strides = np.array([int(np.prod(shape[k + 1 :])) for k in range(ndim)])
 
@@ -230,7 +240,44 @@ def _assemble_generator(spec, y, grid):
     return A
 
 
-def _grid_solve(spec, y, rhs, pi, pad):
+def _replace_row(A, i, row):
+    """CSR copy of A whose row i holds the nonzero entries of a dense row."""
+    cols = np.flatnonzero(row).astype(A.indices.dtype)
+    start, stop = A.indptr[i], A.indptr[i + 1]
+    indptr = A.indptr.copy()
+    indptr[i + 1 :] += cols.size - (stop - start)
+    indices = np.concatenate([A.indices[:start], cols, A.indices[stop:]])
+    data = np.concatenate([A.data[:start], row[cols], A.data[stop:]])
+    return sp.csr_matrix((data, indices, indptr), shape=A.shape)
+
+
+def _same_bytes(arrays, others):
+    return others is not None and all(
+        u.shape == v.shape and u.dtype == v.dtype and u.tobytes() == v.tobytes()
+        for u, v in zip(arrays, others)
+    )
+
+
+class _LastFactor:
+    """The most recent anchored generator factor and the exact inputs it was
+    built from: b and a on the solve grid, and the centering weights."""
+
+    def __init__(self):
+        self.inputs = None
+        self.anchor = None
+        self.lu = None
+
+    def anchored_lu(self, a, bvec, weights, grid):
+        inputs = (a, bvec, weights)
+        if not _same_bytes(inputs, self.inputs):
+            # centering constraint replaces the grid equation at the heaviest node
+            anchor = int(np.argmax(weights))
+            A = _replace_row(_assemble_generator(a, bvec, grid), anchor, weights)
+            self.inputs, self.anchor, self.lu = inputs, anchor, sparse_lu(A)
+        return self.anchor, self.lu
+
+
+def _grid_solve(spec, y, rhs, pi, pad, factors):
     user_grid = pi.grid
     if callable(rhs):
         padded = [_pad_axis(ax, pad) for ax in user_grid.axes]
@@ -242,18 +289,10 @@ def _grid_solve(spec, y, rhs, pi, pad):
     rhs_user = rhs_pad[window]
     _fredholm_check(rhs_user, pi)
 
-    A = _assemble_generator(spec, y, grid_pad)
-
-    # centering constraint replaces the grid equation at the heaviest node
+    a, bvec = frozen_coefficients(spec, y, grid_pad)
     weights = np.zeros(grid_pad.shape)
     weights[window] = user_grid.trapezoid_weights() * pi.values
-    anchor = int(np.argmax(weights))
-    A = A.tolil()
-    A.rows[anchor] = list(np.flatnonzero(weights))
-    A.data[anchor] = list(weights[weights > 0])
-    A = A.tocsc()
-
-    lu = spla.splu(A)
+    anchor, lu = factors.anchored_lu(a, bvec, weights.ravel(), grid_pad)
     u_cols = []
     grad_cols = []
     h_axes = grid_pad.spacing
@@ -278,10 +317,7 @@ def _interior_residual(spec, y, grid, u_vals, rhs_vals):
     """Apply the same central stencil on the user window, interior nodes only."""
     ndim = grid.ndim
     spacing = grid.spacing
-    pts = grid.points().reshape(-1, ndim)
-    y_arr = np.broadcast_to(np.atleast_1d(np.asarray(y, float)), (pts.shape[0], spec.l))
-    a = diffusion_matrix(spec, pts, y_arr).reshape(grid.shape + (ndim, ndim))
-    bvec = np.asarray(spec.b(pts, y_arr), float).reshape(grid.shape + (ndim,))
+    a, bvec = frozen_coefficients(spec, y, grid)
 
     Lu = np.zeros_like(u_vals)
     for k in range(ndim):
@@ -301,9 +337,13 @@ def _interior_residual(spec, y, grid, u_vals, rhs_vals):
     return float(np.max(res[interior]))
 
 
-def solve_poisson(spec, y, rhs, pi, method="auto", *, pad=DEFAULT_PAD):
+def solve_poisson(spec, y, rhs, pi, method="auto", *, pad=DEFAULT_PAD, factors=None):
     """Solve L_y u = -rhs, centered against pi.  rhs: callable (z, y) -> (..., p)
-    or node array on pi's grid (arrays disable internal padding)."""
+    or node array on pi's grid (arrays disable internal padding).
+
+    factors carries the grid route's last anchored LU across calls; only
+    ``solve_family`` passes it, to reuse the factor between slow nodes whose
+    frozen operator is the same."""
     if pi.grid.ndim != spec.d:
         raise GridDomainError("density grid dimension does not match the model")
     if method == "auto":
@@ -315,7 +355,9 @@ def solve_poisson(spec, y, rhs, pi, method="auto", *, pad=DEFAULT_PAD):
     elif method == "grid_solve":
         if spec.d > 2:
             raise GridDomainError("grid_solve supports d <= 2")
-        u_vals, grad, rhs_user = _grid_solve(spec, y, rhs, pi, pad)
+        u_vals, grad, rhs_user = _grid_solve(
+            spec, y, rhs, pi, pad, _LastFactor() if factors is None else factors
+        )
     else:
         raise GridDomainError(f"unknown Poisson method {method!r}")
 
@@ -552,14 +594,24 @@ class PoissonFamily:
 
 
 def solve_family(spec, y_grid, z_grid, rhs=None, method="auto", *, pad=DEFAULT_PAD):
-    """Tabulate the cell solution over a y-grid (rhs defaults to the model's H)."""
+    """Tabulate the cell solution over a y-grid (rhs defaults to the model's H).
+
+    The density and the grid route's LU factor are reused from the previous
+    node whenever b and a sample to the same bytes there (see the module
+    docstring); the tables equal per-node solves exactly."""
     rhs = spec.H if rhs is None else rhs
     y_nodes = y_grid.points().reshape(-1, y_grid.ndim)
     u_list, g_list, dens = [], [], []
+    factors = _LastFactor()
+    frozen = pi = None
     for y in y_nodes:
-        pi = invariant_density(spec, y, z_grid)
+        coefs = frozen_coefficients(spec, y, z_grid)
+        if _same_bytes(coefs, frozen):
+            pi = GridField(z_grid, pi.values, role="density", y=y)
+        else:
+            pi, frozen = invariant_density(spec, y, z_grid), coefs
         try:
-            sol = solve_poisson(spec, y, rhs, pi, method=method, pad=pad)
+            sol = solve_poisson(spec, y, rhs, pi, method=method, pad=pad, factors=factors)
         except FredholmError as err:
             raise FredholmError(f"at slow node y = {y}: {err}") from err
         u_list.append(sol.u.values)

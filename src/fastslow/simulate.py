@@ -104,8 +104,10 @@ class _NoiseSource:
 
     Layout per path and macro step: n_sub * d fast draws then l slow draws,
     all standard normal.  Draws are buffered in windows of as many macro
-    steps as fit the memory cap; chunked draws from a Generator reproduce
-    the un-chunked stream, so the window size never changes the numbers.
+    steps as fit the memory cap; the last window holds only the steps that
+    remain.  Chunked draws from a Generator reproduce the un-chunked stream,
+    so the window size never changes the numbers, and each path draws
+    exactly n_macro * chunk normals.
     """
 
     def __init__(self, seed, path_ids, n_macro, n_sub, d, l):
@@ -113,15 +115,16 @@ class _NoiseSource:
         self.gens = [path_generator(seed, pid) for pid in path_ids]
         B = len(self.gens)
         window = max(1, int(_BUFFER_LIMIT // max(1, B * self.chunk)))
+        self._n_macro = n_macro
         self._window = min(window, n_macro)
         self._buf = np.empty((B, self._window * self.chunk))
         self._base = None
 
     def macro_chunk(self, k):
         if self._base is None or not self._base <= k < self._base + self._window:
-            n = self._buf.shape[1]
+            n = min(self._window, self._n_macro - k) * self.chunk
             for i, g in enumerate(self.gens):
-                self._buf[i] = g.standard_normal(n)
+                g.standard_normal(out=self._buf[i, :n])
             self._base = k
         off = (k - self._base) * self.chunk
         return self._buf[:, off : off + self.chunk]

@@ -8,8 +8,17 @@ closed form up to normalization,
 evaluated with cumulative trapezoid quadrature and normalized so that the
 trapezoidal integral over the grid equals one.  For d = 2 the stationary
 equation is discretized in conservative finite-volume form (zero-flux
-boundary) and the null vector extracted by shifted inverse power iteration.
-The empirical route histograms the occupation of a single long trajectory.
+boundary) and the null vector extracted by shifted inverse power iteration;
+the shifted operator is factored once, and both inverse-iteration starts of
+the uniqueness check share that factor.  The empirical route histograms the
+occupation of a single long trajectory.
+
+The closed-form and finite-volume routes read b and a only through their
+values at the grid nodes, so the density is a pure function of those sampled
+arrays (``frozen_coefficients``).  In the paper the fast dynamics do not
+depend on the slow state, so a cell-problem family over a y-grid
+(``poisson.solve_family``) samples the same arrays at every node and reuses
+the density instead of solving for it again.
 """
 
 from __future__ import annotations
@@ -55,10 +64,28 @@ def _boundary_mass_check(field):
         )
 
 
-def _sample_zy(spec, y, grid):
-    pts = grid.points().reshape(-1, spec.d)
+def frozen_coefficients(spec, y, grid):
+    """a = sigma sigma^T and b of the frozen fast flow at the grid nodes,
+    shaped (*grid.shape, d, d) and (*grid.shape, d)."""
+    pts = grid.points().reshape(-1, grid.ndim)
     y_arr = np.broadcast_to(np.atleast_1d(np.asarray(y, float)), (pts.shape[0], spec.l))
-    return pts, y_arr
+    a = diffusion_matrix(spec, pts, y_arr).reshape(grid.shape + (spec.d, spec.d))
+    bvec = np.asarray(spec.b(pts, y_arr), float).reshape(grid.shape + (spec.d,))
+    return a, bvec
+
+
+def sparse_lu(A):
+    """SuperLU factor of a square sparse operator.
+
+    SciPy reports an exactly singular factor as a bare RuntimeError; it is
+    raised here as SingularOperatorError, so callers see a typed failure.
+    """
+    try:
+        return spla.splu(A.tocsc())
+    except RuntimeError as err:
+        if "singular" not in str(err):
+            raise
+        raise SingularOperatorError(f"sparse LU factorization failed: {err}") from err
 
 
 def stationary_log_weight_1d(spec, y, z_axis):
@@ -92,8 +119,9 @@ def invariant_density_1d(spec, y, grid):
 # 2-d finite-volume route
 # ---------------------------------------------------------------------------
 
-def _assemble_fv_adjoint(spec, y, grid):
-    """Sparse operator giving d(mass)/dt from node density values.
+def _assemble_fv_adjoint(a, bvec, grid):
+    """Sparse operator giving d(mass)/dt from node density values, given a
+    and b sampled at the grid nodes.
 
     Flux form with zero flow through the outer faces:
         J_x = b_x pi - (1/2) d_x(a_xx pi) - (1/2) d_y(a_xy pi)
@@ -103,9 +131,6 @@ def _assemble_fv_adjoint(spec, y, grid):
     """
     nx, ny = grid.shape
     hx, hy = grid.spacing
-    pts, y_arr = _sample_zy(spec, y, grid)
-    a = diffusion_matrix(spec, pts, y_arr).reshape(nx, ny, 2, 2)
-    bvec = np.asarray(spec.b(pts, y_arr), float).reshape(nx, ny, 2)
     a11, a12, a22 = a[..., 0, 0], a[..., 0, 1], a[..., 1, 1]
     bx, by = bvec[..., 0], bvec[..., 1]
     wx = np.full(nx, hx); wx[0] *= 0.5; wx[-1] *= 0.5
@@ -222,9 +247,9 @@ def _assemble_fv_adjoint(spec, y, grid):
     return A
 
 
-def _null_vector(A, seed_vec, scale, max_iter=200):
-    sigma = 1e-8 * scale
-    lu = spla.splu((A - sigma * sp.identity(A.shape[0], format="csc")).tocsc())
+def _null_vector(A, lu, seed_vec, scale, max_iter=200):
+    """Inverse iteration for the null vector of A; lu factors A shifted by a
+    small multiple of the identity."""
     x = seed_vec / np.linalg.norm(seed_vec)
     for _ in range(max_iter):
         x = lu.solve(x)
@@ -240,7 +265,7 @@ def _null_vector(A, seed_vec, scale, max_iter=200):
 def invariant_density_2d(spec, y, grid, *, check_uniqueness=True):
     if spec.d != 2 or grid.ndim != 2:
         raise GridDomainError("finite-volume route needs d = 2")
-    A = _assemble_fv_adjoint(spec, y, grid)
+    A = _assemble_fv_adjoint(*frozen_coefficients(spec, y, grid), grid)
     scale = float(np.max(np.abs(A)))
     n = A.shape[0]
 
@@ -252,12 +277,13 @@ def invariant_density_2d(spec, y, grid, *, check_uniqueness=True):
                 f"(second singular value {s[-2]:.2e} vs largest {s[0]:.2e})"
             )
 
-    x = _null_vector(A, np.ones(n), scale)
+    shifted_lu = sparse_lu(A - 1e-8 * scale * sp.identity(n, format="csc"))
+    x = _null_vector(A, shifted_lu, np.ones(n), scale)
     if x.sum() < 0:
         x = -x
     if check_uniqueness and n > 2600:
         rng = np.random.Generator(np.random.Philox(key=20_240_817))
-        x2 = _null_vector(A, rng.random(n) + 0.5, scale)
+        x2 = _null_vector(A, shifted_lu, rng.random(n) + 0.5, scale)
         if x2.sum() < 0:
             x2 = -x2
         a1 = x / np.sum(np.abs(x))

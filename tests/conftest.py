@@ -7,6 +7,7 @@ is safe.
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from fastslow import (
     RectGrid,
@@ -45,3 +46,17 @@ def ou_family(ou, y_grid, z_grid):
 @pytest.fixture(scope="session")
 def ou_avg(ou, y_grid, z_grid, ou_family):
     return averaged_coefficients(ou, y_grid, z_grid, family=ou_family)
+
+
+@pytest.fixture()
+def splu_sizes(monkeypatch):
+    """Size of every sparse LU factorization made during the test, in order."""
+    sizes = []
+    splu = spla.splu
+
+    def counting(A, *args, **kwargs):
+        sizes.append(A.shape[0])
+        return splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counting)
+    return sizes

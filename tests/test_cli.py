@@ -420,6 +420,28 @@ def test_compare_requires_manifest(runner, compared_run, tmp_path):
     assert "no manifest next to" in text_of(result)
 
 
+def test_compare_refuses_unusable_manifest(runner, compared_run):
+    """A manifest that is corrupt, not an object or foreign is a runtime
+    failure (exit 3), the same verdict the writing subcommands give."""
+    out = compared_run
+    args = ["compare", str(out / "rate.csv"), str(out / "mc.csv")]
+    good = (out / "manifest.json").read_text()
+    record = json.loads(good)
+    record["outputs"]["rate.csv"] = "not a record"
+    for bad in ["{not json", "[1, 2]", '{"artifact": "other", "outputs": {}}']:
+        (out / "manifest.json").write_text(bad)
+        result = runner.invoke(main, args)
+        assert result.exit_code == 3, bad
+        assert "manifest.json" in text_of(result)
+    # a malformed record inside a good manifest fails its hash check
+    (out / "manifest.json").write_text(json.dumps(record))
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert "does not match its manifest hash" in text_of(result)
+    (out / "manifest.json").write_text(good)
+    assert runner.invoke(main, args).exit_code == 0
+
+
 def test_compare_checks_file_roles(runner, compared_run):
     out = compared_run
     result = runner.invoke(main, ["compare", str(out / "mc.csv"), str(out / "mc.csv")])

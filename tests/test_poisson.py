@@ -4,7 +4,9 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+import fastslow.poisson as poisson
 from fastslow import (
+    GridField,
     ModelSpec,
     RectGrid,
     build_truncated_fluctuation,
@@ -13,7 +15,7 @@ from fastslow import (
     solve_family,
     solve_poisson,
 )
-from fastslow.errors import FredholmError, GridDomainError
+from fastslow.errors import FredholmError, GridDomainError, SingularOperatorError
 
 
 def test_linear_cell_problem_exact(ou, ou_pi, z_grid):
@@ -174,3 +176,84 @@ def test_family_clamp_count_is_exact_under_two_threads(ou_family):
     finally:
         sys.setswitchinterval(old_interval)
     assert ou_family.clamped_count == before + 2 * calls * 16
+
+
+# ---------------------------------------------------------------------------
+# reuse of the density and the anchored factor across slow nodes
+# ---------------------------------------------------------------------------
+
+def _shifted_two_dim():
+    """dz = -(z - y e1) dt + sqrt(2) dB: the fast flow moves with y, while the
+    observable z2 stays centered at every slow value."""
+    return ModelSpec(
+        d=2, l=1, p=1,
+        b=lambda z, y: -(z - np.concatenate([y, 0.0 * y], axis=-1)),
+        sigma=lambda z, y: np.broadcast_to(np.sqrt(2.0) * np.eye(2), z.shape[:-1] + (2, 2)),
+        F=lambda z, y: 0.0 * y,
+        G=lambda z, y: np.broadcast_to(np.eye(1), y.shape[:-1] + (1, 1)),
+        H=lambda z, y: z[..., 1:],
+        epsilon=0.1, kappa=0.25, z0=[0.0, 0.0], y0=[0.0],
+    )
+
+
+def _assert_family_is_per_node_solves(spec, family, y_grid, z_grid):
+    for i, y in enumerate(y_grid.points().reshape(-1, y_grid.ndim)):
+        pi = invariant_density(spec, y, z_grid)
+        sol = solve_poisson(spec, y, spec.H, pi)
+        np.testing.assert_array_equal(family.densities[i].values, pi.values)
+        np.testing.assert_array_equal(family.densities[i].y, y)
+        np.testing.assert_array_equal(family.u[i], sol.u.values)
+        np.testing.assert_array_equal(family.grad_u[i], sol.grad_u.values)
+
+
+@pytest.mark.parametrize("shifted", [False, True])
+def test_family_factors_once_per_distinct_fast_flow(splu_sizes, shifted):
+    from tests.test_stationary import _two_dim_linear
+
+    spec = _shifted_two_dim() if shifted else _two_dim_linear()
+    y_grid = RectGrid.from_bounds([(-1.0, 1.0, 5)])
+    z_grid = RectGrid.from_bounds([(-5.0, 5.0, 31)] * 2)
+    family = solve_family(spec, y_grid, z_grid)
+    # one density and one generator factor in total when b and sigma ignore
+    # y, one of each per node when they do not
+    n_factored = 5 if shifted else 1
+    assert splu_sizes.count(31 * 31) == n_factored
+    assert len(splu_sizes) == 2 * n_factored
+    _assert_family_is_per_node_solves(spec, family, y_grid, z_grid)
+
+
+def test_centering_row_splice_matches_lil_reference():
+    from tests.test_stationary import _two_dim_linear
+
+    spec = _two_dim_linear()
+    grid = RectGrid.from_bounds([(-2.0, 2.0, 9)] * 2)
+    A = poisson._assemble_generator(*poisson.frozen_coefficients(spec, [0.0], grid), grid)
+    weights = np.zeros(A.shape[0])
+    weights[[3, 17, 40, 41, 80]] = [0.25, 1.0, 2.0, 0.5, 0.125]
+    spliced = poisson._replace_row(A, 40, weights).tocsc()
+    reference = A.tolil()
+    reference.rows[40] = list(np.flatnonzero(weights))
+    reference.data[40] = list(weights[weights > 0])
+    reference = reference.tocsc()
+    for attr in ("indptr", "indices", "data"):
+        np.testing.assert_array_equal(getattr(spliced, attr), getattr(reference, attr))
+        assert getattr(spliced, attr).dtype == getattr(reference, attr).dtype
+
+
+def test_singular_generator_is_a_typed_error():
+    """A frozen flow that does not move makes the grid operator exactly
+    singular; the failure is a SingularOperatorError, not a bare RuntimeError."""
+    still = ModelSpec(
+        d=1, l=1, p=1,
+        b=lambda z, y: 0.0 * z,
+        sigma=lambda z, y: np.zeros(z.shape[:-1] + (1, 1)),
+        F=lambda z, y: 0.0 * y,
+        G=lambda z, y: np.broadcast_to(np.eye(1), y.shape[:-1] + (1, 1)),
+        H=lambda z, y: z,
+        epsilon=0.1, kappa=0.25,
+    )
+    grid = RectGrid.from_bounds([(-3.0, 3.0, 31)])
+    z = grid.axes[0]
+    pi = GridField(grid, np.exp(-0.5 * z**2) / np.sqrt(2.0 * np.pi), role="density")
+    with pytest.raises(SingularOperatorError, match="singular"):
+        solve_poisson(still, np.array([0.0]), np.zeros(grid.shape), pi, method="grid_solve")

@@ -111,11 +111,31 @@ def test_block_matches_single_paths(ou):
 
 def test_noise_window_size_does_not_change_draws(ou, monkeypatch):
     before = simulate_block(ou, 0.2, 0.01, 21, [0, 1])
-    monkeypatch.setattr(sim, "_BUFFER_LIMIT", 8)  # forces one macro step per refill
-    after = simulate_block(ou, 0.2, 0.01, 21, [0, 1])
-    np.testing.assert_array_equal(before.xi, after.xi)
-    np.testing.assert_array_equal(before.Y, after.Y)
-    np.testing.assert_array_equal(before.X, after.X)
+    drawn = []
+
+    def counting_generator(seed, path_id=0):
+        gen = path_generator(seed, path_id)
+
+        class Counting:
+            def standard_normal(self, *args, **kwargs):
+                out = gen.standard_normal(*args, **kwargs)
+                drawn.append(out.size)
+                return out
+
+        return Counting()
+
+    monkeypatch.setattr(sim, "path_generator", counting_generator)
+    n_macro, n_sub = 20, micro_substeps(0.01, ou.epsilon)
+    # 2 paths x 2 normals per macro step: limit 8 refills every step, limit 12
+    # every 3 steps, which does not divide the 20 macro steps
+    for limit in (8, 12):
+        drawn.clear()
+        monkeypatch.setattr(sim, "_BUFFER_LIMIT", limit)
+        after = simulate_block(ou, 0.2, 0.01, 21, [0, 1])
+        np.testing.assert_array_equal(before.xi, after.xi)
+        np.testing.assert_array_equal(before.Y, after.Y)
+        np.testing.assert_array_equal(before.X, after.X)
+        assert sum(drawn) == 2 * n_macro * (n_sub * ou.d + ou.l)
 
 
 def test_sup_statistics_match_recorded_path(ou):

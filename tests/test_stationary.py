@@ -70,6 +70,15 @@ def test_two_dim_solver_matches_product_normal():
     assert coarse / fine > 2.5  # second-order scheme: halving spacing ~quarters it
 
 
+def test_two_dim_uniqueness_check_factors_once(splu_sizes):
+    """Above 2600 nodes the uniqueness check runs a second inverse-iteration
+    start; both starts share one factor of the shifted operator."""
+    grid = RectGrid.from_bounds([(-5.0, 5.0, 53)] * 2)
+    pi = invariant_density_2d(_two_dim_linear(), np.array([0.0]), grid)
+    assert splu_sizes == [53 * 53]
+    assert pi.integrate() == pytest.approx(1.0, abs=1e-10)
+
+
 def test_two_dim_route_rejects_one_dim_model(ou):
     grid = RectGrid.from_bounds([(-5.0, 5.0, 21)] * 2)
     with pytest.raises(GridDomainError):
