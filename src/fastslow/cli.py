@@ -11,7 +11,12 @@ config (wall time lives only in the manifest), so identical runs are
 byte-identical at any worker count.
 
 Exit codes: 0 success, 2 configuration/usage error, 3 numerical failure
-(the originating module's message is printed verbatim).
+(the originating module's message is printed verbatim).  NumPy's
+``LinAlgError`` and ``MemoryError`` also exit 3, printed as one line
+``error: <Type>: <message>``; any other exception is a bug and surfaces as
+a traceback (exit 1).  An ``mdp-check`` cell that fails is NaN in
+``mc.csv``; its reason is kept in the manifest record under
+``failed_cells``.
 """
 
 from __future__ import annotations
@@ -388,6 +393,11 @@ def _guarded(fn):
         except FastslowError as err:
             click.echo(f"error: {err}", err=True)
             sys.exit(3)
+        except (np.linalg.LinAlgError, MemoryError) as err:
+            # numerical failures raised below the library's own error types:
+            # a singular dense matrix, or an allocation too large for memory
+            click.echo(f"error: {type(err).__name__}: {err}", err=True)
+            sys.exit(3)
 
     return wrapper
 
@@ -666,6 +676,9 @@ def mdp_check(config_path, workers):
         workers=workers,
     )
     write_tail_csv(cells, out.path("mc.csv"))
+    failed = [{"epsilon": c.epsilon, "error": c.error} for c in cells if c.error]
+    if failed:
+        out.extra["failed_cells"] = failed
     out.finalize()
     for c in cells:
         tag = " censored" if c.censored else ""

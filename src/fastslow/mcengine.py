@@ -25,7 +25,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
 
 from .deviations import CorrectorProbe, mdp_speed
 from .errors import ConfigError, FastslowError
@@ -219,7 +218,12 @@ def gaussian_surrogate_sweep(Q, T, threshold, epsilon_list, kappa):
 
     Closed form replaces sampling because the deeper cells of the sweep sit
     far below any reachable 1/N.  Returns (epsilon, p, scaled_log) triples.
+    The log tail is ``log_ndtr(-x)``, which stays finite where the tail
+    itself underflows to 0.  ``scipy.special`` is imported here, not at module
+    level, because no subcommand calls this and the CLI should not load it.
     """
+    from scipy.special import log_ndtr
+
     Q = float(Q)
     if Q <= 0.0 or T <= 0.0:
         raise ConfigError("surrogate needs Q > 0 and T > 0")
@@ -227,7 +231,7 @@ def gaussian_surrogate_sweep(Q, T, threshold, epsilon_list, kappa):
     for eps in epsilon_list:
         speed = float(eps) ** (1.0 - 2.0 * kappa)
         sd = math.sqrt(speed * Q * T)
-        log_p = float(norm.logsf(threshold / sd))
+        log_p = float(log_ndtr(-(threshold / sd)))
         rows.append((float(eps), math.exp(log_p), speed * log_p))
     return rows
 

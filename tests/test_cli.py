@@ -8,12 +8,16 @@ failure) with a readable message.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import yaml
 from click.testing import CliRunner
 
+import fastslow
 from fastslow.cli import main
 
 SQRT2 = 1.4142135623730951
@@ -219,6 +223,8 @@ def test_mdp_check_worker_invariance(runner, tmp_path):
     header = bytes_a.decode().splitlines()[0]
     assert header == "epsilon,N,hits,p_hat,ci_lo,ci_hi,scaled_log,censored"
     assert "p_hat=" in res_a.output
+    record = json.loads((tmp_path / "a" / "manifest.json").read_text())
+    assert "failed_cells" not in record["outputs"]["mc.csv"]
 
     # rerunning the same config must reproduce the file byte for byte
     res_again = runner.invoke(
@@ -357,6 +363,103 @@ def test_delta_reports_grid_exit_as_runtime_error(runner, tmp_path):
         "error: slow state left the tabulated y-grid; extend the tabulation range"
         in text_of(result)
     )
+
+
+def _raising(exc):
+    def callee(*args, **kwargs):
+        raise exc
+
+    return callee
+
+
+def test_linalg_error_exits_3_with_one_line(runner, tmp_path, monkeypatch):
+    # stands in for np.linalg.inv of a singular Qbar inside the minimizer
+    monkeypatch.setattr(
+        "fastslow.cli.minimize_endpoint",
+        _raising(np.linalg.LinAlgError("Singular matrix")),
+    )
+    cfg = base_config(tmp_path / "out", rate={"target": [1.0], "mesh_size": 16})
+    result = runner.invoke(main, ["rate", str(write_cfg(tmp_path, cfg))])
+    assert result.exit_code == 3
+    assert result.stderr == "error: LinAlgError: Singular matrix\n"
+
+
+def test_memory_error_exits_3_with_one_line(runner, tmp_path, monkeypatch):
+    # stands in for allocating the sample arrays of a huge N
+    monkeypatch.setattr(
+        "fastslow.cli.tail_probability",
+        _raising(MemoryError("Unable to allocate 7.28 TiB")),
+    )
+    cfg = base_config(tmp_path / "out", event={"threshold": 0.5})
+    result = runner.invoke(main, ["mdp-check", str(write_cfg(tmp_path, cfg))])
+    assert result.exit_code == 3
+    assert result.stderr == "error: MemoryError: Unable to allocate 7.28 TiB\n"
+
+
+def test_unexpected_exception_is_not_swallowed(runner, tmp_path, monkeypatch):
+    monkeypatch.setattr(
+        "fastslow.cli.validate_model", _raising(ValueError("a bug"))
+    )
+    result = runner.invoke(
+        main, ["validate", str(write_cfg(tmp_path, base_config(tmp_path / "out")))]
+    )
+    assert result.exit_code == 1
+    assert isinstance(result.exception, ValueError)
+    assert result.stderr == ""
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_mdp_check_keeps_failed_cell_reasons(runner, tmp_path):
+    """b(z) = 100 z is unstable: the micro steps grow z by 11x each, which
+    stays finite over 50 steps at eps = 0.1 and overflows over 500 steps at
+    eps = 0.01, so only the smaller epsilon fails."""
+    out = tmp_path / "out"
+    cfg = base_config(out, event={"threshold": 0.5})
+    cfg["scales"]["epsilon"] = [0.1, 0.01]
+    cfg["model"] = {
+        "inline": {
+            "d": 1,
+            "l": 1,
+            "p": 1,
+            "b": [[{"c": 100.0, "z": [1]}]],
+            "sigma": [[[{"c": SQRT2}]]],
+            "F": [[{"c": -1.0, "y": [1]}]],
+            "G": [[[{"c": 1.0}]]],
+            "H": [[{"c": 1.0, "z": [1]}]],
+        }
+    }
+    result = runner.invoke(
+        main, ["mdp-check", str(write_cfg(tmp_path, cfg))], catch_exceptions=False
+    )
+    assert result.exit_code == 0
+    rows = (out / "mc.csv").read_text().splitlines()
+    assert rows[1].split(",")[3] != "nan"
+    assert rows[2].split(",")[3:] == ["nan", "nan", "nan", "nan", "0"]
+    record = json.loads((out / "manifest.json").read_text())["outputs"]["mc.csv"]
+    (failed,) = record["failed_cells"]
+    assert failed["epsilon"] == 0.01
+    assert failed["error"].startswith("SimulationBlowupError: ")
+    assert f"failed ({failed['error']})" in result.output
+
+
+def test_cli_import_loads_only_sparse_and_linalg_from_scipy():
+    """Starting any subcommand imports fastslow.cli; of SciPy that needs only
+    the sparse cell solves (and the dense linalg they pull in)."""
+    src = os.path.dirname(os.path.dirname(fastslow.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = (
+        "import sys, fastslow.cli\n"
+        "print(' '.join(sorted({m.split('.')[1] for m in sys.modules\n"
+        "    if m.startswith('scipy.') and not m.split('.')[1].startswith('_')})))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True, timeout=120,
+    )
+    loaded = set(done.stdout.split())
+    assert "sparse" in loaded
+    assert loaded <= {"linalg", "sparse", "version"}
 
 
 # ---------------------------------------------------------------------------

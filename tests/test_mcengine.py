@@ -100,14 +100,18 @@ def test_failed_cell_isolates_its_epsilon(ou, y_grid, z_grid):
 def test_surrogate_sweep_matches_closed_form():
     from scipy.stats import norm
 
-    rows = gaussian_surrogate_sweep(2.0, 1.0, 1.0, [1e-2, 1e-3], 0.25)
+    rows = gaussian_surrogate_sweep(2.0, 1.0, 1.0, [1e-2, 1e-3, 1e-12], 0.25)
     for eps, p, s_log in rows:
         speed = eps**0.5
         sd = math.sqrt(speed * 2.0)
         assert p == pytest.approx(norm.sf(1.0 / sd), rel=1e-12)
-        assert s_log == pytest.approx(speed * norm.logsf(1.0 / sd), rel=1e-12)
+        assert s_log == speed * norm.logsf(1.0 / sd)
     # deeper cells climb toward the rate prediction -0.25 from below
-    assert rows[0][2] < rows[1][2] < -0.25
+    assert rows[0][2] < rows[1][2] < rows[2][2] < -0.25
+    # at eps = 1e-12 the tail itself underflows, its logarithm does not
+    eps, p, s_log = rows[2]
+    assert p == 0.0 == norm.sf(1.0 / math.sqrt(2.0 * eps**0.5))
+    assert math.isfinite(s_log)
 
 
 def test_surrogate_sweep_validates_inputs():

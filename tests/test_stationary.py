@@ -10,7 +10,7 @@ from fastslow import (
     invariant_density_2d,
     invariant_density_empirical,
 )
-from fastslow.errors import GridDomainError
+from fastslow.errors import GridDomainError, SingularOperatorError
 
 
 def _two_dim_linear():
@@ -71,12 +71,36 @@ def test_two_dim_solver_matches_product_normal():
 
 
 def test_two_dim_uniqueness_check_factors_once(splu_sizes):
-    """Above 2600 nodes the uniqueness check runs a second inverse-iteration
-    start; both starts share one factor of the shifted operator."""
+    """The uniqueness check runs a second inverse-iteration start; both
+    starts share one factor of the shifted operator."""
     grid = RectGrid.from_bounds([(-5.0, 5.0, 53)] * 2)
     pi = invariant_density_2d(_two_dim_linear(), np.array([0.0]), grid)
     assert splu_sizes == [53 * 53]
     assert pi.integrate() == pytest.approx(1.0, abs=1e-10)
+
+
+def _two_dim_decoupled():
+    """Fast flow dz1 = -z1 dt + sqrt(2) dB, dz2 = 0: nothing moves z2, so every
+    z2 column carries its own stationary density and the discrete null space
+    has one dimension per z2 node."""
+    return ModelSpec(
+        d=2, l=1, p=1,
+        b=lambda z, y: np.stack([-z[..., 0], 0.0 * z[..., 1]], axis=-1),
+        sigma=lambda z, y: np.broadcast_to(
+            np.diag([np.sqrt(2.0), 0.0]), z.shape[:-1] + (2, 2)
+        ),
+        F=lambda z, y: 0.0 * y,
+        G=lambda z, y: np.broadcast_to(np.eye(1), y.shape[:-1] + (1, 1)),
+        H=lambda z, y: z[..., :1],
+        epsilon=0.1, kappa=0.25, z0=[0.0, 0.0], y0=[0.0],
+    )
+
+
+@pytest.mark.parametrize("n", [41, 53])
+def test_two_dim_degenerate_null_space_is_rejected(n):
+    grid = RectGrid.from_bounds([(-5.0, 5.0, n)] * 2)
+    with pytest.raises(SingularOperatorError, match="null"):
+        invariant_density_2d(_two_dim_decoupled(), np.array([0.0]), grid)
 
 
 def test_two_dim_route_rejects_one_dim_model(ou):
