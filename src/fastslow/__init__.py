@@ -13,26 +13,20 @@ from .averaging import (
     averaged_coefficients,
     default_z_grid,
     homogenization_defect,
-    q_field,
     simulate_averaged,
-    time_average_defect,
     write_averaged_csv,
 )
 from .deviations import (
-    CertificateReport,
     CorrectorProbe,
     DeltaReport,
     SweepCell,
     TermStat,
     corrector_path,
-    dissipation_field,
-    lyapunov_certificate,
     mdp_speed,
     negligibility_sweep,
     write_sweep_csv,
 )
 from .errors import (
-    CertificateError,
     ConfigError,
     ConvergenceError,
     FastslowError,
@@ -51,7 +45,6 @@ from .mcengine import (
     check_exponential_inequality,
     count_trend_violations,
     exponential_inequality_grid,
-    frozen_martingale_sampler,
     gaussian_surrogate_sweep,
     negligibility_xi,
     stopped_brownian_sampler,
@@ -69,12 +62,8 @@ from .model import (
     validate_model,
 )
 from .poisson import (
-    FluctuationSplit,
-    GrowthReport,
     PoissonFamily,
     PoissonSolution,
-    build_truncated_fluctuation,
-    growth_probe,
     solve_family,
     solve_poisson,
 )
@@ -91,9 +80,7 @@ from .simulate import (
     PathSample,
     micro_substeps,
     path_generator,
-    rho_T,
     simulate_block,
-    simulate_frozen,
     simulate_pair,
     write_path_csv,
 )
@@ -118,7 +105,6 @@ __all__ = [
     "SingularOperatorError",
     "SimulationBlowupError",
     "ConvergenceError",
-    "CertificateError",
     # grids
     "RectGrid",
     "GridField",
@@ -135,9 +121,7 @@ __all__ = [
     # simulation
     "PathSample",
     "simulate_pair",
-    "simulate_frozen",
     "simulate_block",
-    "rho_T",
     "path_generator",
     "micro_substeps",
     "write_path_csv",
@@ -150,19 +134,13 @@ __all__ = [
     # cell problem
     "PoissonSolution",
     "PoissonFamily",
-    "FluctuationSplit",
-    "GrowthReport",
     "solve_poisson",
     "solve_family",
-    "build_truncated_fluctuation",
-    "growth_probe",
     # averaging
     "AveragedModel",
     "averaged_coefficients",
     "simulate_averaged",
     "homogenization_defect",
-    "time_average_defect",
-    "q_field",
     "default_z_grid",
     "write_averaged_csv",
     # corrector deviations
@@ -173,9 +151,6 @@ __all__ = [
     "SweepCell",
     "negligibility_sweep",
     "mdp_speed",
-    "dissipation_field",
-    "CertificateReport",
-    "lyapunov_certificate",
     "write_sweep_csv",
     # rate function
     "DiscretePath",
@@ -194,7 +169,6 @@ __all__ = [
     "check_exponential_inequality",
     "brownian_sampler",
     "stopped_brownian_sampler",
-    "frozen_martingale_sampler",
     "negligibility_xi",
     "boundedness_Y",
     "count_trend_violations",

@@ -25,20 +25,25 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, GridDomainError, SimulationBlowupError, SingularOperatorError
-from .grids import GridField, RectGrid, multilinear
+from .grids import RectGrid, multilinear
 from .model import diffusion_matrix
 from .poisson import DEFAULT_PAD, solve_family
-from .simulate import PathSample, _macro_mesh, path_generator, simulate_block
+from .simulate import (
+    DefectIntegral,
+    PathSample,
+    _macro_mesh,
+    micro_substeps,
+    path_generator,
+    simulate_block,
+)
 from .stationary import invariant_density
 
 __all__ = [
-    "q_field",
     "AveragedModel",
     "averaged_coefficients",
     "simulate_averaged",
     "DefectCell",
     "homogenization_defect",
-    "time_average_defect",
     "write_averaged_csv",
 ]
 
@@ -55,16 +60,6 @@ def default_z_grid(d):
 def _q_values(grad_u, a):
     """(grad u) a (grad u)^T with grad_u (..., p, d) and a (..., d, d)."""
     return np.einsum("...pi,...ij,...qj->...pq", grad_u, a, grad_u)
-
-
-def q_field(spec, y, sol):
-    """Node-wise effective-covariance integrand Q(z, y) of a cell solution."""
-    grid = sol.grid
-    pts = grid.points().reshape(-1, grid.ndim)
-    y_rep = np.broadcast_to(np.atleast_1d(np.asarray(y, float)), (pts.shape[0], spec.l))
-    a = diffusion_matrix(spec, pts, y_rep).reshape(grid.shape + (spec.d, spec.d))
-    Q = _q_values(sol.grad_u.values, a)
-    return GridField(grid, Q, role="q_field", y=np.atleast_1d(np.asarray(y, float)))
 
 
 def _psd_sqrt(mats):
@@ -295,28 +290,17 @@ def homogenization_defect(
     cells = []
     for eps in epsilon_list:
         spec_e = spec.with_epsilon(float(eps))
-        run = simulate_block(
-            spec_e, T, h, seed, list(range(N)), c_fast=c_fast, defect_fn=V
-        )
+        probe = DefectIntegral(V, h / micro_substeps(h, spec_e.epsilon, c_fast))
+        simulate_block(spec_e, T, h, seed, list(range(N)), c_fast=c_fast, probes=(probe,))
         cells.append(
             DefectCell(
                 epsilon=float(eps),
                 n_paths=N,
-                median=float(np.median(run.sup_defect)),
-                q90=float(np.quantile(run.sup_defect, 0.9)),
+                median=float(np.median(probe.sup)),
+                q90=float(np.quantile(probe.sup, 0.9)),
             )
         )
     return cells
-
-
-def time_average_defect(spec, fn, T, h, seed, path_ids, *, reference=0.0, c_fast=0.1):
-    """Distance between the running time average of fn(xi, Y) along coupled
-    paths and a reference value (e.g. the quadrature average against pi).
-
-    Returns the per-path value of |(1/T) int fn ds - reference|, shaped
-    (B, ...) like fn's output."""
-    res = simulate_block(spec, T, h, seed, path_ids, c_fast=c_fast, defect_fn=fn)
-    return np.abs(res.defect / T - np.asarray(reference, float))
 
 
 def write_averaged_csv(model, path):

@@ -108,16 +108,19 @@ def _poly_entry(terms, d, l, where):
         compiled.append((c, zp, yp))
 
     def entry(z, y):
-        out = 0.0
-        for c, zp, yp in compiled:
-            val = c
-            for k, pw in enumerate(zp):
-                if pw:
-                    val = val * z[..., k] ** pw
-            for k, pw in enumerate(yp):
-                if pw:
-                    val = val * y[..., k] ** pw
-            out = out + val
+        # an overflowing path is a SimulationBlowupError of its cell, raised by
+        # the kernel's finiteness check, so NumPy's warning would only be noise
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = 0.0
+            for c, zp, yp in compiled:
+                val = c
+                for k, pw in enumerate(zp):
+                    if pw:
+                        val = val * z[..., k] ** pw
+                for k, pw in enumerate(yp):
+                    if pw:
+                        val = val * y[..., k] ** pw
+                out = out + val
         return out
 
     return entry

@@ -16,11 +16,9 @@ where the remainder collects three small pieces:
 
 Everything here evaluates that decomposition on simulated paths: a replay of
 a recorded trajectory (``corrector_path``), a streaming probe that rides the
-batch kernel without storing paths (``CorrectorProbe``), a sweep measuring
+batch kernel without storing paths (``CorrectorProbe``), and a sweep measuring
 how fast sup |Delta| — and each term separately — becomes negligible on the
-deviation scale (``negligibility_sweep``), and an exponential-moment
-certificate for the fast flow from an explicit Lyapunov function
-(``lyapunov_certificate``).
+deviation scale (``negligibility_sweep``).
 """
 
 from __future__ import annotations
@@ -30,11 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CertificateError, ConfigError
+from .errors import ConfigError
 from .grids import RectGrid
-from .model import diffusion_matrix
 from .poisson import solve_family
-from .simulate import micro_substeps, simulate_block
+from .simulate import Probe, micro_substeps, simulate_block
 
 __all__ = [
     "DeltaReport",
@@ -45,9 +42,6 @@ __all__ = [
     "negligibility_sweep",
     "write_sweep_csv",
     "mdp_speed",
-    "dissipation_field",
-    "CertificateReport",
-    "lyapunov_certificate",
 ]
 
 
@@ -160,10 +154,10 @@ def corrector_path(sample, family, spec=None):
     )
 
 
-class CorrectorProbe:
+class CorrectorProbe(Probe):
     """Streaming corrector statistics over a batch of paths.
 
-    Plugs into the batch kernel's ``delta_probe`` slot and accumulates, per
+    A probe of the batch kernel (see simulate) that accumulates, per
     path and without storing trajectories: the martingale and its bracket,
     the three remainder terms with their running sups, the running sup of
     |Delta|, and the worst node-wise defect of the decomposition identity.
@@ -199,19 +193,17 @@ class CorrectorProbe:
         self.sup_noise = np.zeros(B)
         self.identity_residual = np.zeros(B)
         self.delta_T = np.zeros((B, p))
-        self._Y_left = Y.copy()
 
-    def macro(self, k, xi, Y, dW):
+    def macro(self, k, xi, Y, dB, dW):
         adv, trace, dy_u, G = _slow_generator_terms(
             self.spec, self.family, xi, Y, self.clamp_z
         )
         self.drift_sum += self.h * (adv + self._s_trace * trace)
         self.noise_sum += np.einsum("...pl,...lj,...j->...p", dy_u, G, dW)
-        self._Y_left = Y.copy()
 
-    def micro(self, k, j, z, dB_j):
-        g = self.family.grad_u_at(z, self._Y_left, clamp_z=self.clamp_z)
-        sig = np.asarray(self.spec.sigma(z, self._Y_left), float)
+    def micro(self, k, j, z, Y, dB_j):
+        g = self.family.grad_u_at(z, Y, clamp_z=self.clamp_z)
+        sig = np.asarray(self.spec.sigma(z, Y), float)
         sig = np.broadcast_to(sig, z.shape[:-1] + (self.spec.d, self.spec.d))
         self.M += np.einsum("...pi,...ij,...j->...p", g, sig, dB_j)
         a = np.einsum("...ij,...kj->...ik", sig, sig)
@@ -235,9 +227,6 @@ class CorrectorProbe:
         track(self.sup_noise, noise)
         track(self.identity_residual, delta - formula)
         self.delta_T = delta
-
-    def finish(self):
-        pass
 
 
 @dataclass
@@ -314,9 +303,7 @@ def negligibility_sweep(
         spec_e = spec.with_epsilon(float(eps))
         speed = mdp_speed(spec_e)
         probe = CorrectorProbe(spec_e, family, h, c_fast=c_fast)
-        simulate_block(
-            spec_e, T, h, seed, list(range(N)), c_fast=c_fast, delta_probe=probe
-        )
+        simulate_block(spec_e, T, h, seed, list(range(N)), c_fast=c_fast, probes=(probe,))
         cells.append(
             SweepCell(
                 epsilon=float(eps),
@@ -355,134 +342,3 @@ def write_sweep_csv(cells, path):
                     )
                     + "\n"
                 )
-
-
-# ---------------------------------------------------------------------------
-# Lyapunov certificate for exponential moments of the fast flow
-# ---------------------------------------------------------------------------
-
-def _lyapunov_gradients(z):
-    """v(z) = ||z||^2 / (1 + ||z||): value, gradient, Hessian (closed form).
-
-    g(r) = (2 + r) / (1 + r)^2 gives grad v = g z and
-    Hess v = g I + (g'(r)/r) z z^T, with the removable limit 2 I at z = 0.
-    """
-    z = np.asarray(z, float)
-    r = np.linalg.norm(z, axis=-1)
-    d = z.shape[-1]
-    g = (2.0 + r) / (1.0 + r) ** 2
-    gp = -(3.0 + r) / (1.0 + r) ** 3
-    v = r * r / (1.0 + r)
-    grad = g[..., None] * z
-    eye = np.eye(d)
-    outer = np.where(
-        r[..., None, None] > 0.0,
-        (gp / np.where(r > 0.0, r, 1.0))[..., None, None]
-        * np.einsum("...i,...j->...ij", z, z),
-        0.0,
-    )
-    hess = g[..., None, None] * eye + outer
-    return v, grad, hess
-
-
-def dissipation_field(spec, z, y):
-    """D v = L_y v + (1/2) |sigma^T grad v|^2 for the frozen generator."""
-    _, grad, hess = _lyapunov_gradients(z)
-    a = diffusion_matrix(spec, z, y)
-    b = np.asarray(spec.b(z, y), float)
-    second = 0.5 * np.einsum("...ij,...ij->...", a, hess)
-    advect = np.einsum("...i,...i->...", b, grad)
-    extra = 0.5 * np.einsum("...i,...ij,...j->...", grad, a, grad)
-    return second + advect + extra
-
-
-@dataclass
-class CertificateReport:
-    """Dissipation certificate at one frozen slow value.
-
-    K is the sup of D v over the grid; r_circ the smallest scanned radius
-    beyond which K < eta * (K - D v) everywhere.  K <= 0 certifies trivially
-    (r_circ = 0).  dv_field holds D v per node for inspection.
-    """
-
-    K: float
-    r_circ: float
-    eta: float
-    ok: bool
-    dv_field: np.ndarray
-    radii: np.ndarray
-    profile: np.ndarray
-    message: str = ""
-
-
-def lyapunov_certificate(spec, y, grid, eta, *, n_bins=24, strict=True):
-    """Certify dissipation of the frozen fast flow at slow value y.
-
-    Evaluates D v node-wise on the grid with the analytic derivatives of
-    v(z) = ||z||^2/(1 + ||z||).  Preconditions the radial max-profile of D v
-    to be nonincreasing over the outer fifth of scanned radii (evidence the
-    grid contains the turnover); then reports the smallest grid radius r_circ
-    with K < eta * inf_{||z|| > r_circ} (K - D v).  With strict=False a failed
-    precondition or missing radius yields ok=False instead of raising.
-    """
-    if grid.ndim != spec.d:
-        raise ConfigError("certificate grid must match the fast dimension")
-    if not 0.0 < eta:
-        raise ConfigError("eta must be positive")
-    pts = grid.points().reshape(-1, spec.d)
-    y_rep = np.broadcast_to(np.atleast_1d(np.asarray(y, float)), (pts.shape[0], spec.l))
-    dv = dissipation_field(spec, pts, y_rep)
-    dv_field = dv.reshape(grid.shape)
-    K = float(dv.max())
-
-    radii = np.linalg.norm(pts, axis=-1)
-    edges = np.linspace(0.0, radii.max(), n_bins + 1)
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    profile = np.full(n_bins, np.nan)
-    for j in range(n_bins):
-        hi = edges[j + 1] if j < n_bins - 1 else np.inf
-        mask = (radii >= edges[j]) & (radii < hi)
-        if np.any(mask):
-            profile[j] = dv[mask].max()
-
-    def fail(msg):
-        if strict:
-            raise CertificateError(msg, K=K, dv_field=dv_field)
-        return CertificateReport(
-            K=K, r_circ=math.nan, eta=eta, ok=False,
-            dv_field=dv_field, radii=centers, profile=profile, message=msg,
-        )
-
-    if K <= 0.0:
-        return CertificateReport(
-            K=K, r_circ=0.0, eta=eta, ok=True,
-            dv_field=dv_field, radii=centers, profile=profile,
-            message="dissipative everywhere; certificate holds trivially",
-        )
-
-    filled = np.flatnonzero(~np.isnan(profile))
-    outer = filled[filled >= int(0.8 * n_bins)]
-    tol = 1e-8 * max(1.0, abs(K))
-    if outer.size < 2 or np.any(np.diff(profile[outer]) > tol):
-        return fail(
-            "dissipation profile does not decrease over the outer radii of the "
-            "grid; widen the grid or fix the model"
-        )
-
-    r_circ = None
-    for j in range(n_bins):
-        mask = radii > edges[j]
-        if not np.any(mask):
-            break
-        if K < eta * (K - dv[mask].max()):
-            r_circ = float(edges[j])
-            break
-    if r_circ is None:
-        return fail(
-            "no scanned radius achieves the dissipation margin; widen the grid "
-            "(coercivity not visible on this box)"
-        )
-    return CertificateReport(
-        K=K, r_circ=r_circ, eta=eta, ok=True,
-        dv_field=dv_field, radii=centers, profile=profile,
-    )

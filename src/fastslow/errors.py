@@ -46,12 +46,3 @@ class ConvergenceError(FastslowError):
         super().__init__(message)
         self.last_value = last_value
         self.last_grad_norm = last_grad_norm
-
-
-class CertificateError(FastslowError):
-    """No drift-coercivity radius visible on the supplied grid."""
-
-    def __init__(self, message, K=None, dv_field=None):
-        super().__init__(message)
-        self.K = K
-        self.dv_field = dv_field

@@ -28,7 +28,7 @@ import numpy as np
 
 from .deviations import CorrectorProbe, mdp_speed
 from .errors import ConfigError, FastslowError
-from .simulate import path_generator, simulate_block
+from .simulate import SupX, SupXi, SupY, path_generator, simulate_block
 
 __all__ = [
     "Event",
@@ -41,7 +41,6 @@ __all__ = [
     "check_exponential_inequality",
     "brownian_sampler",
     "stopped_brownian_sampler",
-    "frozen_martingale_sampler",
     "negligibility_xi",
     "boundedness_Y",
     "count_trend_violations",
@@ -186,22 +185,20 @@ def tail_probability(
         speed = mdp_speed(spec_e)
 
         def count(ids, spec_e=spec_e):
-            kwargs = {}
-            probe = None
+            probes = ()
             if event.functional == "sup_x":
-                kwargs["track_sup_x"] = True
+                probes = (SupX(),)
             elif event.functional == "sup_delta":
-                probe = CorrectorProbe(spec_e, family, h, c_fast=c_fast)
-                kwargs["delta_probe"] = probe
+                probes = (CorrectorProbe(spec_e, family, h, c_fast=c_fast),)
             run = simulate_block(
-                spec_e, event.T, h, seed, list(ids), c_fast=c_fast, **kwargs
+                spec_e, event.T, h, seed, list(ids), c_fast=c_fast, probes=probes
             )
             if event.functional == "terminal_x":
                 vals = run.X[:, event.component]
             elif event.functional == "sup_x":
-                vals = run.sup_x[:, event.component]
+                vals = probes[0].value[:, event.component]
             else:
-                vals = probe.sup_delta
+                vals = probes[0].sup_delta
             return int(np.count_nonzero(vals > event.threshold))
 
         try:
@@ -336,45 +333,6 @@ def stopped_brownian_sampler(qv_cap, n_steps=1000):
     return sample
 
 
-def frozen_martingale_sampler(spec, family, y, h, *, component=0, qv_cap=None):
-    """Martingale sum_j grad_u(z_j)' sigma(z_j, y) dB_j along the frozen fast
-    flow at slow value y, with its predictable bracket sum_j h |sigma' grad_u|^2.
-
-    This is the discrete object whose tails the exponential inequality
-    controls; optionally stopped when the bracket reaches qv_cap.
-    """
-    y_vec = np.atleast_1d(np.asarray(y, float))
-
-    def sample(N, T, seed):
-        n = int(round(T / h))
-        gen = path_generator(seed)
-        z = np.broadcast_to(spec.z0, (N, spec.d)).copy()
-        y_arr = np.broadcast_to(y_vec, (N, spec.l))
-        M = np.zeros(N)
-        qv = np.zeros(N)
-        sup_abs = np.zeros(N)
-        sq_h = math.sqrt(h)
-        for _ in range(n):
-            dW = sq_h * gen.standard_normal((N, spec.d))
-            g_u = family.grad_u_at(z, np.broadcast_to(y_vec, (N, y_vec.size)))[
-                :, component, :
-            ]
-            sig = np.asarray(spec.sigma(z, y_arr), float)
-            integrand = np.einsum("ni,nij->nj", g_u, sig)
-            alive = (
-                qv < qv_cap if qv_cap is not None else np.ones(N, dtype=bool)
-            )
-            M = M + np.where(alive, np.einsum("nj,nj->n", integrand, dW), 0.0)
-            qv = qv + np.where(alive, h * np.einsum("nj,nj->n", integrand, integrand), 0.0)
-            np.maximum(sup_abs, np.abs(M), out=sup_abs)
-            z = z + h * np.asarray(spec.b(z, y_arr), float) + np.einsum(
-                "nij,nj->ni", np.asarray(spec.sigma(z, y_arr), float), dW
-            )
-        return sup_abs, qv
-
-    return sample
-
-
 # ---------------------------------------------------------------------------
 # negligibility sweeps
 # ---------------------------------------------------------------------------
@@ -413,10 +371,9 @@ def negligibility_xi(
         scale = float(eps) ** l_exp
 
         def count(ids, spec_e=spec_e, scale=scale):
-            run = simulate_block(
-                spec_e, T, h, seed, list(ids), c_fast=c_fast, track_sup_xi=True
-            )
-            return int(np.count_nonzero(scale * run.sup_xi**p_exp > eta))
+            sup_xi = SupXi()
+            simulate_block(spec_e, T, h, seed, list(ids), c_fast=c_fast, probes=(sup_xi,))
+            return int(np.count_nonzero(scale * sup_xi.value**p_exp > eta))
 
         try:
             hits = int(_run_batches(count, N, batch, workers))
@@ -446,10 +403,9 @@ def boundedness_Y(
     speed = mdp_speed(spec)
 
     def count(ids):
-        run = simulate_block(
-            spec, T, h, seed, list(ids), c_fast=c_fast, track_sup_y=True
-        )
-        return (run.sup_y[:, None] > C_arr[None, :]).sum(axis=0)
+        sup_y = SupY()
+        simulate_block(spec, T, h, seed, list(ids), c_fast=c_fast, probes=(sup_y,))
+        return (sup_y.value[:, None] > C_arr[None, :]).sum(axis=0)
 
     hits_per_C = _run_batches(count, N, batch, workers)
     return [

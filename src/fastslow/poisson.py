@@ -57,9 +57,6 @@ from .stationary import (
 __all__ = [
     "PoissonSolution",
     "solve_poisson",
-    "build_truncated_fluctuation",
-    "FluctuationSplit",
-    "growth_probe",
     "PoissonFamily",
     "solve_family",
 ]
@@ -373,145 +370,6 @@ def solve_poisson(spec, y, rhs, pi, method="auto", *, pad=DEFAULT_PAD, factors=N
         residual=residual,
         centering_defect=defect,
         y=y_arr,
-    )
-
-
-# ---------------------------------------------------------------------------
-# smooth truncation of a fluctuation field
-# ---------------------------------------------------------------------------
-
-@dataclass
-class FluctuationSplit:
-    """V = core + remainder: core is compactly supported and exactly centered,
-    remainder carries the far tail.  Unpacks as the pair (core, remainder)."""
-
-    core: GridField
-    remainder: GridField
-    c_n: np.ndarray
-    n: float
-
-    def __iter__(self):
-        return iter((self.core, self.remainder))
-
-
-def _smoothstep_down(s):
-    """1 -> 0 as s goes 0 -> 1, C^1 (cubic)."""
-    s = np.clip(s, 0.0, 1.0)
-    return 1.0 - s * s * (3.0 - 2.0 * s)
-
-
-def _shell_bump(s):
-    """C^1 bump supported on 0 < s < 1, peak one."""
-    s = np.clip(s, 0.0, 1.0)
-    return 16.0 * (s * (1.0 - s)) ** 2
-
-
-def build_truncated_fluctuation(V, pi, n):
-    """Split a pi-centered field into a cutoff core (re-centered exactly) and
-    a tail remainder.
-
-    The core is chi_n * V + c_n * psi_n with chi_n a cubic cutoff equal to one
-    on ||z|| <= n and zero beyond n+1, psi_n a fixed bump in the transition
-    shell, and the vector c_n chosen per component so that the core is exactly
-    centered.  Requires |int V pi| <= 1e-6 (else the split cannot be centered)
-    and the shell n < ||z|| < n+1 inside the grid.
-    """
-    grid = pi.grid
-    if callable(V):
-        pts = grid.points().reshape(-1, grid.ndim)
-        y_arr = (
-            np.broadcast_to(pi.y, (pts.shape[0], pi.y.size)) if pi.y is not None else None
-        )
-        raw = np.asarray(V(pts, y_arr), float)
-        if raw.ndim == 1:
-            raw = raw[:, None]
-        vals = raw.reshape(grid.shape + (raw.shape[-1],))
-    else:
-        vals = np.asarray(V, float)
-        if vals.shape == grid.shape:
-            vals = vals[..., None]
-
-    base = np.atleast_1d(grid.integrate(vals * pi.values[..., None]))
-    if np.max(np.abs(base)) > _FREDHOLM_TOL:
-        raise FredholmError(
-            f"field mean {np.max(np.abs(base)):.3e} exceeds {_FREDHOLM_TOL:g}; "
-            "center it before splitting"
-        )
-
-    radii = np.linalg.norm(grid.points(), axis=-1)
-    if n + 1.0 > radii.max() + 1e-12:
-        raise GridDomainError(
-            f"transition shell ({n}, {n + 1}) exceeds the grid (max radius "
-            f"{radii.max():.3f})"
-        )
-    chi = _smoothstep_down(radii - n)
-    psi = _shell_bump(radii - n)
-    psi_mass = float(grid.integrate(psi * pi.values))
-    if psi_mass <= 1e-300:
-        raise GridDomainError("shell bump carries no invariant mass on this grid")
-
-    core_uncentered = chi[..., None] * vals
-    moment = np.atleast_1d(grid.integrate(core_uncentered * pi.values[..., None]))
-    c_n = -moment / psi_mass
-    core = core_uncentered + psi[..., None] * c_n
-    remainder = vals - core
-    return FluctuationSplit(
-        core=GridField(grid, core, role="fluctuation", y=pi.y),
-        remainder=GridField(grid, remainder, role="fluctuation", y=pi.y),
-        c_n=c_n,
-        n=float(n),
-    )
-
-
-# ---------------------------------------------------------------------------
-# growth probe across slow values
-# ---------------------------------------------------------------------------
-
-@dataclass
-class GrowthReport:
-    y_values: np.ndarray
-    sup_u: np.ndarray
-    sup_grad_u: np.ndarray
-    sup_dy_u: float
-    fitted_degree: int
-
-
-def growth_probe(solutions, y_values):
-    """Diagnose how the cell solution and its slow-derivative grow.
-
-    solutions: PoissonSolution at each of >= 3 increasing scalar y values on
-    a shared z-grid.  Reports sup norms and the fitted polynomial degree of
-    ||d_y u|| as a function of ||z|| (log-log slope over the outer half of
-    the radius range, rounded; zero when the derivative is negligible).
-    """
-    y_values = np.asarray(y_values, float).ravel()
-    if len(solutions) < 3 or y_values.size != len(solutions):
-        raise GridDomainError("growth probe needs >= 3 tabulated slow values")
-    grid = solutions[0].grid
-    u_stack = np.stack([s.u.values for s in solutions])      # (ny, *shape, p)
-    sup_u = np.max(np.abs(u_stack), axis=tuple(range(1, u_stack.ndim)))
-    sup_g = np.array(
-        [float(np.max(np.abs(s.grad_u.values))) for s in solutions]
-    )
-    dy = np.gradient(u_stack, y_values, axis=0)
-    dy_mag = np.max(np.abs(dy), axis=(0, -1))                # (*shape,)
-    sup_dy = float(dy_mag.max())
-    radii = np.linalg.norm(grid.points(), axis=-1)
-    if sup_dy < 1e-8:
-        degree = 0
-    else:
-        r_lo = 0.5 * radii.max()
-        mask = radii >= r_lo
-        x = np.log1p(radii[mask])
-        yv = np.log(np.maximum(dy_mag[mask], 1e-300))
-        slope = np.polyfit(x, yv, 1)[0]
-        degree = max(0, int(round(slope)))
-    return GrowthReport(
-        y_values=y_values,
-        sup_u=sup_u,
-        sup_grad_u=sup_g,
-        sup_dy_u=sup_dy,
-        fitted_degree=degree,
     )
 
 

@@ -18,6 +18,29 @@ blocks, how many worker threads run, or how large the total sample is.  Within
 a path the draw order is fixed: for each macro step, first the n_sub * d fast
 increments, then the l slow increments.  Chunked draws from a numpy Generator
 reproduce the un-chunked stream, which the tests assert.
+
+Probes
+------
+The kernel keeps only the current states.  Every other statistic of the
+paths (a running sup, a time integral, the corrector decomposition, a full
+record) is read off by a probe, an object with four hooks that the kernel
+calls with the very states and increments it steps with:
+
+    start(xi, Y, X)           the initial states, before the first step;
+    macro(k, xi, Y, dB, dW)   macro step k: its left-endpoint states, its fast
+                              increments dB (B, n_sub, d) and its slow ones
+                              dW (B, l);
+    micro(k, j, z, Y, dB_j)   micro step j of macro step k: the left-endpoint
+                              fast state, the frozen Y and the increment;
+    node(k, xi, Y, X)         macro node k >= 1, once its states are finite.
+
+The left-endpoint micro states and the macro nodes are every fast state the
+kernel visits.  The kernel never writes into an array it has handed to a
+probe, so a probe may keep it, and a probe must not write into it either.
+``Probe`` gives no-op hooks; the probes here are the running sups of |xi|,
+|Y|_1 and |X| (``SupXi``, ``SupY``, ``SupX``), a defect integral
+(``DefectIntegral``) and a recorder (``Recorder``).  ``deviations`` adds the
+corrector decomposition (``CorrectorProbe``).
 """
 
 from __future__ import annotations
@@ -33,9 +56,7 @@ from .errors import ConfigError, SimulationBlowupError
 __all__ = [
     "PathSample",
     "simulate_pair",
-    "simulate_frozen",
     "simulate_block",
-    "rho_T",
     "path_generator",
     "micro_substeps",
     "write_path_csv",
@@ -144,39 +165,121 @@ def _check_finite(arr, k, h, what):
         )
 
 
-def simulate_block(
-    spec,
-    T,
-    h,
-    seed,
-    path_ids,
-    *,
-    c_fast=0.1,
-    record=False,
-    track_sup_xi=False,
-    track_sup_y=False,
-    track_sup_x=False,
-    defect_fn=None,
-    delta_probe=None,
-):
+class Probe:
+    """Base of the kernel's probes: every hook is a no-op, so a probe
+    overrides only the hooks its statistic needs."""
+
+    def start(self, xi, Y, X):
+        pass
+
+    def macro(self, k, xi, Y, dB, dW):
+        pass
+
+    def micro(self, k, j, z, Y, dB_j):
+        pass
+
+    def node(self, k, xi, Y, X):
+        pass
+
+
+class SupXi(Probe):
+    """Running sup of the Euclidean norm of the fast state over every state
+    the kernel visits: ``value`` (B,)."""
+
+    def start(self, xi, Y, X):
+        self.value = np.linalg.norm(xi, axis=-1)
+
+    def micro(self, k, j, z, Y, dB_j):
+        np.maximum(self.value, np.linalg.norm(z, axis=-1), out=self.value)
+
+    def node(self, k, xi, Y, X):
+        np.maximum(self.value, np.linalg.norm(xi, axis=-1), out=self.value)
+
+
+class SupY(Probe):
+    """Running sup over macro nodes of the l1 norm of Y: ``value`` (B,)."""
+
+    def start(self, xi, Y, X):
+        self.value = np.abs(Y).sum(axis=-1)
+
+    def node(self, k, xi, Y, X):
+        np.maximum(self.value, np.abs(Y).sum(axis=-1), out=self.value)
+
+
+class SupX(Probe):
+    """Running sup over macro nodes of |X_c| per component: ``value`` (B, p)."""
+
+    def start(self, xi, Y, X):
+        self.value = np.abs(X)
+
+    def node(self, k, xi, Y, X):
+        np.maximum(self.value, np.abs(X), out=self.value)
+
+
+class DefectIntegral(Probe):
+    """Time integral of fn(z, Y), left-endpoint values on the micro mesh of
+    step h_sub (the kernel's): ``value`` (B, ...) at the horizon, and ``sup``
+    (B,), the running sup over macro nodes of its Frobenius norm."""
+
+    def __init__(self, fn, h_sub):
+        self.fn = fn
+        self.h_sub = h_sub
+
+    def start(self, xi, Y, X):
+        self.value = np.asarray(self.fn(xi, Y), float) * 0.0
+        self.sup = np.zeros(xi.shape[0])
+
+    def micro(self, k, j, z, Y, dB_j):
+        self.value = self.value + self.h_sub * np.asarray(self.fn(z, Y), float)
+
+    def node(self, k, xi, Y, X):
+        flat = self.value.reshape(self.sup.size, -1)
+        np.maximum(self.sup, np.linalg.norm(flat, axis=-1), out=self.sup)
+
+
+class Recorder(Probe):
+    """Every macro-node state and every increment of each path in the block,
+    as path-major arrays: xi (B, N+1, d), Y (B, N+1, l), X (B, N+1, p),
+    dB (B, N, n_sub, d) and dW (B, N, l)."""
+
+    def start(self, xi, Y, X):
+        self._xi, self._Y, self._X = [xi], [Y], [X]
+        self._dB, self._dW = [], []
+
+    def macro(self, k, xi, Y, dB, dW):
+        self._dB.append(dB)
+        self._dW.append(dW)
+
+    def node(self, k, xi, Y, X):
+        self._xi.append(xi)
+        self._Y.append(Y)
+        self._X.append(X)
+
+    xi = property(lambda self: _path_major(self._xi))
+    Y = property(lambda self: _path_major(self._Y))
+    X = property(lambda self: _path_major(self._X))
+    dB = property(lambda self: _path_major(self._dB))
+    dW = property(lambda self: _path_major(self._dW))
+
+
+def _path_major(rows):
+    """Per-step (B, ...) arrays as one (B, n_steps, ...) view.  One
+    concatenate is several times faster than np.stack over thousands of
+    small arrays, which matters for long single-path records."""
+    flat = np.concatenate(rows)
+    return flat.reshape((len(rows),) + rows[0].shape).swapaxes(0, 1)
+
+
+def simulate_block(spec, T, h, seed, path_ids, *, c_fast=0.1, probes=()):
     """Advance a block of paths of the coupled pair through one shared kernel.
 
-    Statistic taps (all optional, evaluated without storing trajectories):
-
-    track_sup_xi  — running sup of the Euclidean norm of the fast state,
-                    sampled at every micro node;
-    track_sup_y   — running sup over macro nodes of the l1 norm of Y;
-    track_sup_x   — running sup over macro nodes of |X_c| per component;
-    defect_fn     — callable (z, y) -> (..., q): its time integral is
-                    accumulated on the micro mesh and the running sup of the
-                    Frobenius norm of the integral is tracked per path;
-    delta_probe   — object with ``start``/``macro``/``micro``/``node``/
-                    ``finish`` hooks (see deviations) fed the same
-                    left-endpoint states and increments as the kernel.
-
-    Returns a namespace with terminal states and any requested statistics;
-    with record=True (single path only) also the full macro trajectory and
-    stored increments.
+    Returns a namespace with the macro mesh ``times``, the micro-step count
+    ``n_sub`` and the terminal states ``xi`` (B, d), ``Y`` (B, l) and ``X``
+    (B, p).  Nothing else is stored.  Each of ``probes`` is called in order
+    with ``start(xi, Y, X)`` once, ``macro(k, xi, Y, dB, dW)`` at the left end
+    of macro step k, ``micro(k, j, z, Y, dB_j)`` before each micro step and
+    ``node(k + 1, xi, Y, X)`` at the finite right end (see the module
+    docstring).
     """
     eps, kappa = spec.epsilon, spec.kappa
     d, l, p = spec.d, spec.l, spec.p
@@ -184,8 +287,6 @@ def simulate_block(
     n_sub = micro_substeps(h, eps, c_fast)
     h_sub = h / n_sub
     B = len(path_ids)
-    if record and B != 1:
-        raise ConfigError("record=True is for single paths")
 
     noise = _NoiseSource(seed, path_ids, n_macro, n_sub, d, l)
     sq_sub, sq_h = math.sqrt(h_sub), math.sqrt(h)
@@ -196,25 +297,8 @@ def simulate_block(
     xi = np.broadcast_to(spec.z0, (B, d)).copy()
     Y = np.broadcast_to(spec.y0, (B, l)).copy()
     X = np.zeros((B, p))
-
-    out = SimpleNamespace(times=times, n_sub=n_sub)
-    if track_sup_xi:
-        sup_xi = np.linalg.norm(xi, axis=-1)
-    if track_sup_y:
-        sup_y = np.abs(Y).sum(axis=-1)
-    if track_sup_x:
-        sup_x = np.zeros((B, p))
-    if defect_fn is not None:
-        defect = np.asarray(defect_fn(xi, Y), float) * 0.0
-        sup_defect = np.zeros(B)
-    if record:
-        rec_xi = np.empty((n_macro + 1, d)); rec_xi[0] = xi[0]
-        rec_Y = np.empty((n_macro + 1, l)); rec_Y[0] = Y[0]
-        rec_X = np.empty((n_macro + 1, p)); rec_X[0] = X[0]
-        rec_dB = np.empty((n_macro, n_sub, d))
-        rec_dW = np.empty((n_macro, l))
-    if delta_probe is not None:
-        delta_probe.start(xi, Y, X)
+    for probe in probes:
+        probe.start(xi, Y, X)
 
     for k in range(n_macro):
         chunk = noise.macro_chunk(k)
@@ -227,74 +311,41 @@ def simulate_block(
         G_left = spec.G(xi, Y)
         X_new = X + x_gain * H_left
         Y_new = Y + h * F_left + y_gain * np.einsum("...ij,...j->...i", G_left, dW)
+        for probe in probes:
+            probe.macro(k, xi, Y, dB, dW)
 
-        if delta_probe is not None:
-            delta_probe.macro(k, xi, Y, dW)
-
-        # fast sub-stepping with Y frozen at the macro-left value; the defect
-        # integral accumulates left-endpoint values on the micro mesh
+        # fast sub-stepping with Y frozen at the macro-left value
         z = xi
         for j in range(n_sub):
-            if defect_fn is not None:
-                defect = defect + h_sub * np.asarray(defect_fn(z, Y), float)
-            if delta_probe is not None:
-                delta_probe.micro(k, j, z, dB[:, j])
+            dB_j = dB[:, j]
+            for probe in probes:
+                probe.micro(k, j, z, Y, dB_j)
             drift = np.asarray(spec.b(z, Y), float)
             sig = spec.sigma(z, Y)
             z = z + (h_sub * inv_eps) * drift + inv_sqeps * np.einsum(
-                "...ij,...j->...i", sig, dB[:, j]
+                "...ij,...j->...i", sig, dB_j
             )
-            if track_sup_xi:
-                np.maximum(sup_xi, np.linalg.norm(z, axis=-1), out=sup_xi)
-        if defect_fn is not None:
-            flat = defect.reshape(B, -1)
-            np.maximum(sup_defect, np.linalg.norm(flat, axis=-1), out=sup_defect)
 
         xi, Y, X = z, Y_new, X_new
         _check_finite(xi, k + 1, h, "fast state")
         _check_finite(Y, k + 1, h, "slow state")
+        for probe in probes:
+            probe.node(k + 1, xi, Y, X)
 
-        if track_sup_y:
-            np.maximum(sup_y, np.abs(Y).sum(axis=-1), out=sup_y)
-        if track_sup_x:
-            np.maximum(sup_x, np.abs(X), out=sup_x)
-        if delta_probe is not None:
-            delta_probe.node(k + 1, xi, Y, X)
-        if record:
-            rec_xi[k + 1] = xi[0]
-            rec_Y[k + 1] = Y[0]
-            rec_X[k + 1] = X[0]
-            rec_dB[k] = dB[0]
-            rec_dW[k] = dW[0]
-
-    out.xi, out.Y, out.X = xi, Y, X
-    if track_sup_xi:
-        out.sup_xi = sup_xi
-    if track_sup_y:
-        out.sup_y = sup_y
-    if track_sup_x:
-        out.sup_x = sup_x
-    if defect_fn is not None:
-        out.defect = defect
-        out.sup_defect = sup_defect
-    if record:
-        out.rec = (rec_xi, rec_Y, rec_X, rec_dB, rec_dW)
-    if delta_probe is not None:
-        delta_probe.finish()
-    return out
+    return SimpleNamespace(times=times, n_sub=n_sub, xi=xi, Y=Y, X=X)
 
 
 def simulate_pair(spec, T, h, seed, *, path_id=0, c_fast=0.1):
     """Simulate one trajectory of the coupled (fast, slow, integral) system."""
-    run = simulate_block(spec, T, h, seed, [path_id], c_fast=c_fast, record=True)
-    rec_xi, rec_Y, rec_X, rec_dB, rec_dW = run.rec
+    rec = Recorder()
+    run = simulate_block(spec, T, h, seed, [path_id], c_fast=c_fast, probes=(rec,))
     return PathSample(
         times=run.times,
-        xi=rec_xi,
-        Y=rec_Y,
-        X=rec_X,
-        dB=rec_dB,
-        dW=rec_dW,
+        xi=rec.xi[0],
+        Y=rec.Y[0],
+        X=rec.X[0],
+        dB=rec.dB[0],
+        dW=rec.dW[0],
         epsilon=spec.epsilon,
         kappa=spec.kappa,
         seed=int(seed),
@@ -339,39 +390,6 @@ def frozen_block(spec, y, T, h, seed, path_ids, *, z_init=None, keep_states=Fals
         _check_finite(z, k + kk, h, "frozen fast state")
         k += kk
     return SimpleNamespace(times=times, z=z, states=states)
-
-
-def simulate_frozen(spec, y, T, h, seed, *, path_id=0):
-    """One recorded trajectory of the frozen fast flow at slow value y."""
-    run = frozen_block(spec, y, T, h, seed, [path_id], keep_states=True)
-    n = run.times.size - 1
-    y_arr = np.broadcast_to(np.atleast_1d(np.asarray(y, float)), (spec.l,))
-    return PathSample(
-        times=run.times,
-        xi=run.states[:, 0, :],
-        Y=np.tile(y_arr, (n + 1, 1)),
-        X=np.zeros((n + 1, spec.p)),
-        dB=None,
-        dW=np.zeros((n, spec.l)),
-        epsilon=spec.epsilon,
-        kappa=spec.kappa,
-        seed=int(seed),
-        path_id=int(path_id),
-        h=h,
-        n_sub=1,
-        model_name=spec.name,
-    )
-
-
-def rho_T(path_a, path_b):
-    """Path distance: sup over shared mesh nodes of the summed coordinate gaps
-    of (X, Y).  Both paths must live on the same macro mesh."""
-    if path_a.times.shape != path_b.times.shape or not np.allclose(
-        path_a.times, path_b.times, rtol=0.0, atol=1e-12
-    ):
-        raise ConfigError("rho_T needs paths on a shared time mesh")
-    gap = np.abs(path_a.X - path_b.X).sum(axis=1) + np.abs(path_a.Y - path_b.Y).sum(axis=1)
-    return float(gap.max())
 
 
 def write_path_csv(path, sample):

@@ -11,6 +11,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ import yaml
 from click.testing import CliRunner
 
 import fastslow
-from fastslow.cli import main
+from fastslow.cli import _build_inline_model, main
 
 SQRT2 = 1.4142135623730951
 
@@ -408,26 +409,41 @@ def test_unexpected_exception_is_not_swallowed(runner, tmp_path, monkeypatch):
     assert result.stderr == ""
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+# b(z) = 100 z is unstable: the micro steps grow z by 11x each, which stays
+# finite over 50 steps at eps = 0.1 and overflows over 500 steps at eps = 0.01,
+# so only the smaller epsilon fails
+UNSTABLE_INLINE = {
+    "d": 1,
+    "l": 1,
+    "p": 1,
+    "b": [[{"c": 100.0, "z": [1]}]],
+    "sigma": [[[{"c": SQRT2}]]],
+    "F": [[{"c": -1.0, "y": [1]}]],
+    "G": [[[{"c": 1.0}]]],
+    "H": [[{"c": 1.0, "z": [1]}]],
+}
+
+
+def test_inline_overflow_fails_its_cell_without_a_warning():
+    """The inline evaluator overflows on the unstable path; the cell fails
+    with its typed reason and NumPy prints no RuntimeWarning."""
+    spec = _build_inline_model(UNSTABLE_INLINE, 0.1, 0.25, 1.0)
+    event = fastslow.Event("terminal_x", 0.5, 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        cells = fastslow.tail_probability(spec, event, [0.1, 0.01], 1000, 0.01, 7)
+    assert cells[0].error == "" and np.isfinite(cells[0].p_hat)
+    assert cells[1].error.startswith("SimulationBlowupError: ")
+    assert np.isnan(cells[1].p_hat)
+
+
 def test_mdp_check_keeps_failed_cell_reasons(runner, tmp_path):
-    """b(z) = 100 z is unstable: the micro steps grow z by 11x each, which
-    stays finite over 50 steps at eps = 0.1 and overflows over 500 steps at
-    eps = 0.01, so only the smaller epsilon fails."""
+    """Only the eps = 0.01 cell of the unstable model fails, and its reason
+    reaches the manifest."""
     out = tmp_path / "out"
     cfg = base_config(out, event={"threshold": 0.5})
     cfg["scales"]["epsilon"] = [0.1, 0.01]
-    cfg["model"] = {
-        "inline": {
-            "d": 1,
-            "l": 1,
-            "p": 1,
-            "b": [[{"c": 100.0, "z": [1]}]],
-            "sigma": [[[{"c": SQRT2}]]],
-            "F": [[{"c": -1.0, "y": [1]}]],
-            "G": [[[{"c": 1.0}]]],
-            "H": [[{"c": 1.0, "z": [1]}]],
-        }
-    }
+    cfg["model"] = {"inline": UNSTABLE_INLINE}
     result = runner.invoke(
         main, ["mdp-check", str(write_cfg(tmp_path, cfg))], catch_exceptions=False
     )

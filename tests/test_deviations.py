@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,19 +8,14 @@ from fastslow import (
     ModelSpec,
     RectGrid,
     corrector_path,
-    dissipation_field,
-    get_benchmark,
-    lyapunov_certificate,
     mdp_speed,
     negligibility_sweep,
     simulate_block,
-    simulate_frozen,
     simulate_pair,
     solve_family,
     write_sweep_csv,
 )
-from fastslow.deviations import _lyapunov_gradients
-from fastslow.errors import CertificateError, ConfigError
+from fastslow.errors import ConfigError
 
 
 def test_mdp_speed_arithmetic(ou):
@@ -64,16 +61,16 @@ def test_zero_observable_zeroes_every_term(ou, y_grid, z_grid):
 
 
 def test_replay_requires_recorded_increments(ou, ou_family):
-    frozen = simulate_frozen(ou, np.array([0.0]), 0.2, 0.01, 1)
+    sample = dataclasses.replace(simulate_pair(ou, 0.2, 0.01, 1), dB=None)
     with pytest.raises(ConfigError):
-        corrector_path(frozen, ou_family)
+        corrector_path(sample, ou_family)
 
 
 def test_probe_agrees_with_replay(ou, ou_family):
     sample = simulate_pair(ou, 0.5, 0.01, 23)
     rep = corrector_path(sample, ou_family)
     probe = CorrectorProbe(ou, ou_family, 0.01)
-    simulate_block(ou, 0.5, 0.01, 23, [0], delta_probe=probe)
+    simulate_block(ou, 0.5, 0.01, 23, [0], probes=(probe,))
     assert probe.sup_delta[0] == pytest.approx(np.max(np.abs(rep.delta)), abs=1e-12)
     assert probe.delta_T[0, 0] == pytest.approx(rep.delta[-1, 0], abs=1e-12)
     assert probe.qv[0, 0, 0] == pytest.approx(rep.qv[0, 0], abs=1e-10)
@@ -84,7 +81,7 @@ def test_martingale_is_centered_over_paths(ou, ou_family):
     """The reconstructed martingale should average to zero across paths;
     a systematic bias would poison every deviation estimate downstream."""
     probe = CorrectorProbe(ou, ou_family, 0.01)
-    simulate_block(ou, 1.0, 0.01, 77, list(range(400)), delta_probe=probe)
+    simulate_block(ou, 1.0, 0.01, 77, list(range(400)), probes=(probe,))
     m = probe.M[:, 0]
     se = m.std(ddof=1) / np.sqrt(m.size)
     assert abs(m.mean()) < 4.0 * se
@@ -129,78 +126,3 @@ def test_write_sweep_csv_layout(tmp_path, ou, ou_family):
     assert lines[0] == "epsilon,statistic,N,hits,p_hat,scaled_log,censored"
     assert len(lines) == 1 + 4  # four statistics per epsilon
     assert lines[1].split(",")[1] == "delta"
-
-
-def test_dissipation_field_against_finite_differences(ou):
-    def v(z):
-        return z**2 / (1.0 + np.abs(z))
-
-    fd = 1e-5
-    for z0 in (-2.3, 0.4, 1.7):
-        vp = (v(z0 + fd) - v(z0 - fd)) / (2 * fd)
-        vpp = (v(z0 + fd) - 2 * v(z0) + v(z0 - fd)) / fd**2
-        # D v = (a/2) v'' + b v' + (1/2) a (v')^2 with a = 2, b = -z
-        expect = vpp - z0 * vp + vp**2
-        got = dissipation_field(ou, np.array([[z0]]), np.array([[0.0]]))
-        assert got[0] == pytest.approx(expect, abs=1e-4)
-
-
-def test_lyapunov_gradient_helper_consistency():
-    z = np.array([[0.7], [-1.2]])
-    val, grad, hess = _lyapunov_gradients(z)
-    fd = 1e-6
-    for i, zi in enumerate(z[:, 0]):
-        num = (
-            (zi + fd) ** 2 / (1 + abs(zi + fd)) - (zi - fd) ** 2 / (1 + abs(zi - fd))
-        ) / (2 * fd)
-        assert grad[i, 0] == pytest.approx(num, abs=1e-6)
-    assert val.shape == (2,) and hess.shape == (2, 1, 1)
-
-
-def test_certificate_for_restoring_drift(ou, z_grid):
-    rep = lyapunov_certificate(ou, np.array([0.0]), z_grid, 1.0)
-    assert rep.ok
-    assert rep.K == pytest.approx(2.0, abs=1e-3)
-    assert 0.0 < rep.r_circ < 5.0
-    assert rep.dv_field.shape == z_grid.shape
-
-
-def test_certificate_radius_shrinks_with_stronger_drift(ou, z_grid):
-    strong = ModelSpec(
-        d=1, l=1, p=1,
-        b=lambda z, y: -2.0 * z,
-        sigma=ou.sigma, F=ou.F, G=ou.G, H=ou.H,
-        epsilon=0.1, kappa=0.25, z0=[0.0], y0=[0.0],
-    )
-    weak_rep = lyapunov_certificate(ou, np.array([0.0]), z_grid, 1.0)
-    strong_rep = lyapunov_certificate(strong, np.array([0.0]), z_grid, 1.0)
-    assert strong_rep.ok
-    assert strong_rep.r_circ <= weak_rep.r_circ
-
-
-def test_certificate_trivial_when_nothing_moves(ou, z_grid):
-    still = ModelSpec(
-        d=1, l=1, p=1,
-        b=lambda z, y: 0.0 * z,
-        sigma=lambda z, y: np.zeros(z.shape[:-1] + (1, 1)),
-        F=ou.F, G=ou.G, H=lambda z, y: 0.0 * z,
-        epsilon=0.1, kappa=0.25, z0=[0.0], y0=[0.0],
-    )
-    rep = lyapunov_certificate(still, np.array([0.0]), z_grid, 1.0)
-    assert rep.ok and rep.K <= 0.0 and rep.r_circ == 0.0
-
-
-def test_certificate_failure_modes(ou, z_grid):
-    repelling = ModelSpec(
-        d=1, l=1, p=1,
-        b=lambda z, y: +z,
-        sigma=ou.sigma, F=ou.F, G=ou.G, H=ou.H,
-        epsilon=0.1, kappa=0.25, z0=[0.0], y0=[0.0],
-    )
-    with pytest.raises(CertificateError):
-        lyapunov_certificate(repelling, np.array([0.0]), z_grid, 1.0)
-    soft = lyapunov_certificate(repelling, np.array([0.0]), z_grid, 1.0, strict=False)
-    assert not soft.ok
-    assert soft.message != ""
-    with pytest.raises(ConfigError):
-        lyapunov_certificate(ou, np.array([0.0]), z_grid, -1.0)

@@ -13,7 +13,6 @@ from fastslow import (
     check_exponential_inequality,
     count_trend_violations,
     exponential_inequality_grid,
-    frozen_martingale_sampler,
     gaussian_surrogate_sweep,
     negligibility_xi,
     stopped_brownian_sampler,
@@ -193,25 +192,6 @@ def test_inequality_grid_rejects_bad_input_before_sampling(alphas, Bs, N):
     with pytest.raises(ConfigError, match="must be positive|at least 1 path"):
         exponential_inequality_grid(counted, alphas, Bs, 1.0, N, 0)
     assert calls == []
-
-
-def test_frozen_martingale_sampler_bracket(ou, ou_family):
-    """For the linear benchmark the integrand is the constant sqrt(2), so the
-    bracket is exactly 2T whenever the cap is off."""
-    sampler = frozen_martingale_sampler(ou, ou_family, [0.0], 0.01)
-    sup_abs, qv = sampler(200, 1.0, 9)
-    assert sup_abs.shape == (200,)
-    np.testing.assert_allclose(qv, 2.0, rtol=1e-6)
-    again_sup, again_qv = sampler(200, 1.0, 9)
-    np.testing.assert_array_equal(sup_abs, again_sup)
-    freq, bound = check_exponential_inequality(sampler, 3.0, 2.5, 1.0, 2000, 9)
-    assert freq <= bound
-
-
-def test_frozen_martingale_sampler_stopping(ou, ou_family):
-    capped = frozen_martingale_sampler(ou, ou_family, [0.0], 0.01, qv_cap=1.0)
-    _, qv = capped(200, 1.0, 9)
-    assert np.all(qv <= 1.0 + 0.02 + 1e-12)  # one step of overshoot at most
 
 
 def test_negligibility_xi_hypothesis_guards(ou):

@@ -9,8 +9,6 @@ from fastslow import (
     GridField,
     ModelSpec,
     RectGrid,
-    build_truncated_fluctuation,
-    growth_probe,
     invariant_density,
     solve_family,
     solve_poisson,
@@ -73,62 +71,6 @@ def test_array_rhs_matches_callable(ou, ou_pi, z_grid):
     interior = np.abs(z_grid.axes[0]) <= 5.0
     assert np.max(np.abs(call.u.values - arr.u.values)[interior]) < 2e-3
     assert np.max(np.abs(arr.centering_defect)) < 1e-8
-
-
-def test_truncation_split_reassembles(ou, ou_pi):
-    split = build_truncated_fluctuation(lambda z, y: z, ou_pi, 2.0)
-    core, remainder = split
-    grid = ou_pi.grid
-    total = core.values + remainder.values
-    np.testing.assert_allclose(total[:, 0], grid.axes[0], atol=1e-12)
-    # core is exactly centered; remainder lives outside the cutoff ball
-    assert abs(grid.integrate(core.values[:, 0] * ou_pi.values)) < 1e-12
-    inside = np.abs(grid.axes[0]) <= 2.0
-    np.testing.assert_allclose(remainder.values[inside, 0], 0.0, atol=1e-12)
-
-
-def test_truncation_split_guards(ou, ou_pi):
-    with pytest.raises(FredholmError):
-        build_truncated_fluctuation(lambda z, y: z + 1.0, ou_pi, 2.0)
-    with pytest.raises(GridDomainError):
-        build_truncated_fluctuation(lambda z, y: z, ou_pi, 6.5)
-
-
-def test_growth_probe_flat_in_y(ou, z_grid):
-    ys = np.array([-1.0, 0.0, 1.0])
-    sols = []
-    for y in ys:
-        pi = invariant_density(ou, np.array([y]), z_grid)
-        sols.append(solve_poisson(ou, np.array([y]), ou.H, pi))
-    report = growth_probe(sols, ys)
-    assert report.sup_dy_u < 1e-8
-    assert report.fitted_degree == 0
-    assert report.sup_u.shape == (3,)
-
-
-def test_growth_probe_sees_linear_slow_dependence(ou, z_grid):
-    """With observable (1 + y^2) z the cell solution is (1 + y^2) z, whose
-    slow derivative 2 y z grows linearly in the fast variable."""
-    spec = ModelSpec(
-        d=1, l=1, p=1,
-        b=ou.b, sigma=ou.sigma, F=ou.F, G=ou.G,
-        H=lambda z, y: (1.0 + y**2) * z,
-        epsilon=0.1, kappa=0.25, z0=[0.0], y0=[0.0],
-    )
-    ys = np.array([0.5, 1.0, 1.5, 2.0])
-    sols = []
-    for y in ys:
-        pi = invariant_density(spec, np.array([y]), z_grid)
-        sols.append(solve_poisson(spec, np.array([y]), spec.H, pi))
-    report = growth_probe(sols, ys)
-    assert report.sup_dy_u > 1.0
-    assert report.fitted_degree == 1
-
-
-def test_growth_probe_needs_three_values(ou, ou_pi):
-    sol = solve_poisson(ou, np.array([0.0]), ou.H, ou_pi)
-    with pytest.raises(GridDomainError):
-        growth_probe([sol, sol], np.array([0.0, 1.0]))
 
 
 def test_family_interpolates_exactly_for_linear_solution(ou_family):

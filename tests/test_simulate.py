@@ -1,19 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fastslow.simulate as sim
 from fastslow import (
+    CorrectorProbe,
     ModelSpec,
-    get_benchmark,
     micro_substeps,
     path_generator,
-    rho_T,
     simulate_block,
-    simulate_frozen,
     simulate_pair,
     write_path_csv,
 )
 from fastslow.errors import ConfigError, SimulationBlowupError
+from fastslow.simulate import DefectIntegral, Recorder, SupX, SupXi, SupY
 
 
 def test_micro_substeps_counts():
@@ -60,7 +61,7 @@ def test_simulate_pair_deterministic(ou):
     np.testing.assert_array_equal(a.xi, b.xi)
     np.testing.assert_array_equal(a.Y, b.Y)
     np.testing.assert_array_equal(a.X, b.X)
-    assert rho_T(a, c) > 0.0
+    assert not np.array_equal(a.X, c.X)
 
 
 def test_recorded_increments_reconstruct_path(ou):
@@ -100,13 +101,14 @@ def test_x_is_left_riemann_sum_of_scaled_h(ou):
 
 
 def test_block_matches_single_paths(ou):
-    block = simulate_block(ou, 0.2, 0.01, 9, [0, 1, 2], track_sup_y=True)
+    sup_y = SupY()
+    block = simulate_block(ou, 0.2, 0.01, 9, [0, 1, 2], probes=(sup_y,))
     for i, pid in enumerate([0, 1, 2]):
         single = simulate_pair(ou, 0.2, 0.01, 9, path_id=pid)
         np.testing.assert_array_equal(block.xi[i], single.xi[-1])
         np.testing.assert_array_equal(block.Y[i], single.Y[-1])
         np.testing.assert_array_equal(block.X[i], single.X[-1])
-        assert block.sup_y[i] == pytest.approx(np.abs(single.Y).sum(axis=1).max())
+        assert sup_y.value[i] == np.abs(single.Y).sum(axis=1).max()
 
 
 def test_noise_window_size_does_not_change_draws(ou, monkeypatch):
@@ -138,21 +140,93 @@ def test_noise_window_size_does_not_change_draws(ou, monkeypatch):
         assert sum(drawn) == 2 * n_macro * (n_sub * ou.d + ou.l)
 
 
+def _micro_states(spec, path):
+    """Every fast state of a recorded path, replayed from its stored dB with
+    the kernel's update arithmetic: (N * n_sub + 1, d)."""
+    eps, h_sub = path.epsilon, path.h_fast
+    inv_eps, inv_sqeps = 1.0 / eps, 1.0 / np.sqrt(eps)
+    states = [path.xi[0]]
+    for k in range(path.n_steps):
+        z, y = path.xi[k], path.Y[k]
+        for j in range(path.n_sub):
+            z = (
+                z
+                + (h_sub * inv_eps) * np.asarray(spec.b(z, y), float)
+                + inv_sqeps * (np.asarray(spec.sigma(z, y), float) @ path.dB[k, j])
+            )
+            states.append(z)
+    return np.array(states)
+
+
 def test_sup_statistics_match_recorded_path(ou):
-    run = simulate_block(
-        ou, 0.3, 0.01, 13, [0],
-        record=True, track_sup_xi=True, track_sup_y=True, track_sup_x=True,
-    )
-    rec_xi, rec_Y, rec_X, _, _ = run.rec
-    assert run.sup_x[0, 0] == pytest.approx(np.abs(rec_X).max())
-    assert run.sup_y[0] == pytest.approx(np.abs(rec_Y).sum(axis=1).max())
-    # sup over micro nodes dominates the macro-node sup
-    assert run.sup_xi[0] >= np.linalg.norm(rec_xi, axis=1).max() - 1e-14
+    eps = 0.02  # five micro steps per macro step, so micro nodes lie between nodes
+    spec = ou.with_epsilon(eps)
+    sup_xi, sup_y, sup_x, rec = SupXi(), SupY(), SupX(), Recorder()
+    simulate_block(spec, 0.3, 0.01, 13, [0], probes=(sup_xi, sup_y, sup_x, rec))
+    path = simulate_pair(spec, 0.3, 0.01, 13)
+    assert path.n_sub == 5
+    micro = _micro_states(spec, path)
+    np.testing.assert_array_equal(micro[:: path.n_sub], path.xi)
+    assert sup_xi.value[0] == np.linalg.norm(micro, axis=1).max()
+    assert sup_y.value[0] == np.abs(rec.Y[0]).sum(axis=1).max()
+    assert sup_x.value[0, 0] == np.abs(rec.X[0]).max()
 
 
-def test_record_requires_single_path(ou):
-    with pytest.raises(ConfigError):
-        simulate_block(ou, 0.1, 0.01, 1, [0, 1], record=True)
+def test_recorder_block_matches_single_paths(ou):
+    rec = Recorder()
+    simulate_block(ou, 0.2, 0.01, 9, [4, 0, 7], probes=(rec,))
+    for i, pid in enumerate([4, 0, 7]):
+        single = simulate_pair(ou, 0.2, 0.01, 9, path_id=pid)
+        for name in ("xi", "Y", "X", "dB", "dW"):
+            np.testing.assert_array_equal(getattr(rec, name)[i], getattr(single, name))
+
+
+def _all_probes(spec, family, h):
+    h_sub = h / micro_substeps(h, spec.epsilon)
+    return {
+        "sup_xi": (SupXi(), lambda p: [p.value]),
+        "sup_y": (SupY(), lambda p: [p.value]),
+        "sup_x": (SupX(), lambda p: [p.value]),
+        "defect": (DefectIntegral(spec.H, h_sub), lambda p: [p.value, p.sup]),
+        "record": (Recorder(), lambda p: [p.xi, p.Y, p.X, p.dB, p.dW]),
+        "corrector": (
+            CorrectorProbe(spec, family, h),
+            lambda p: [p.M, p.qv, p.sup_delta, p.identity_residual, p.delta_T],
+        ),
+    }
+
+
+@given(
+    ids=st.lists(st.integers(0, 50), min_size=1, max_size=8, unique=True),
+    cut=st.integers(0, 8),
+    chosen=st.sets(
+        st.sampled_from(["sup_xi", "sup_y", "sup_x", "defect", "record", "corrector"])
+    ),
+)
+@settings(max_examples=20, deadline=None)
+def test_probes_and_cuts_do_not_change_paths(ou_family, ids, cut, chosen):
+    """Per-path results do not depend on how the block is cut or on which
+    probes ride along: the uncut, probe-free run and one uncut run with every
+    probe are the reference for each piece of a random cut."""
+    spec = ou_family.spec.with_epsilon(0.05)
+    T, h, seed = 0.05, 0.01, 3
+    bare = simulate_block(spec, T, h, seed, ids)
+    full = _all_probes(spec, ou_family, h)
+    ref = simulate_block(spec, T, h, seed, ids, probes=[p for p, _ in full.values()])
+    for name in ("xi", "Y", "X"):
+        np.testing.assert_array_equal(getattr(ref, name), getattr(bare, name))
+    for rows in (slice(0, cut), slice(cut, None)):
+        piece = ids[rows]
+        if not piece:
+            continue
+        probes = {k: v for k, v in _all_probes(spec, ou_family, h).items() if k in chosen}
+        run = simulate_block(spec, T, h, seed, piece, probes=[p for p, _ in probes.values()])
+        for name in ("xi", "Y", "X"):
+            np.testing.assert_array_equal(getattr(run, name), getattr(bare, name)[rows])
+        for key, (probe, results) in probes.items():
+            ref_probe, _ = full[key]
+            for got, want in zip(results(probe), results(ref_probe)):
+                np.testing.assert_array_equal(got, want[rows])
 
 
 def test_blowup_raises_with_location():
@@ -171,12 +245,13 @@ def test_blowup_raises_with_location():
     assert err.value.time is not None
 
 
-def test_frozen_flow_is_deterministic_and_fast_free(ou):
-    a = simulate_frozen(ou, np.array([0.7]), 1.0, 0.01, 2)
-    b = simulate_frozen(ou, np.array([0.7]), 1.0, 0.01, 2)
-    np.testing.assert_array_equal(a.xi, b.xi)
-    np.testing.assert_array_equal(a.Y, np.full_like(a.Y, 0.7))
-    np.testing.assert_array_equal(a.X, np.zeros_like(a.X))
+def test_frozen_flow_is_deterministic(ou):
+    a = sim.frozen_block(ou, np.array([0.7]), 1.0, 0.01, 2, [0, 1], keep_states=True)
+    b = sim.frozen_block(ou, np.array([0.7]), 1.0, 0.01, 2, [0, 1], keep_states=True)
+    c = sim.frozen_block(ou, np.array([0.7]), 1.0, 0.01, 3, [0, 1], keep_states=True)
+    np.testing.assert_array_equal(a.states, b.states)
+    np.testing.assert_array_equal(a.z, a.states[-1])
+    assert not np.array_equal(a.states, c.states)
 
 
 def test_frozen_flow_reaches_stationary_moments(ou):
@@ -186,13 +261,6 @@ def test_frozen_flow_reaches_stationary_moments(ou):
     z = run.z[:, 0]
     assert abs(z.mean()) < 4.0 / np.sqrt(2000)
     assert z.var() == pytest.approx(1.0, abs=0.12)
-
-
-def test_rho_t_mesh_mismatch(ou):
-    a = simulate_pair(ou, 0.2, 0.01, 1)
-    b = simulate_pair(ou, 0.2, 0.02, 1)
-    with pytest.raises(ConfigError):
-        rho_T(a, b)
 
 
 def test_write_path_csv_round_trip(tmp_path, ou):
