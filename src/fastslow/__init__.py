@@ -13,8 +13,6 @@ from .averaging import (
     averaged_coefficients,
     default_z_grid,
     homogenization_defect,
-    simulate_averaged,
-    write_averaged_csv,
 )
 from .deviations import (
     CorrectorProbe,
@@ -24,7 +22,6 @@ from .deviations import (
     corrector_path,
     mdp_speed,
     negligibility_sweep,
-    write_sweep_csv,
 )
 from .errors import (
     ConfigError,
@@ -42,7 +39,6 @@ from .mcengine import (
     TailEstimate,
     boundedness_Y,
     brownian_sampler,
-    check_exponential_inequality,
     count_trend_violations,
     exponential_inequality_grid,
     gaussian_surrogate_sweep,
@@ -50,7 +46,6 @@ from .mcengine import (
     stopped_brownian_sampler,
     tail_probability,
     wilson_interval,
-    write_tail_csv,
 )
 from .model import (
     BENCHMARKS,
@@ -70,11 +65,8 @@ from .poisson import (
 from .ratefn import (
     ActionValue,
     DiscretePath,
-    HalfSpaceEvent,
     action,
-    mdp_prediction,
     minimize_endpoint,
-    write_rate_path_csv,
 )
 from .simulate import (
     PathSample,
@@ -82,7 +74,6 @@ from .simulate import (
     path_generator,
     simulate_block,
     simulate_pair,
-    write_path_csv,
 )
 from .stationary import (
     check_centering,
@@ -124,7 +115,6 @@ __all__ = [
     "simulate_block",
     "path_generator",
     "micro_substeps",
-    "write_path_csv",
     # stationary densities
     "invariant_density",
     "invariant_density_1d",
@@ -139,10 +129,8 @@ __all__ = [
     # averaging
     "AveragedModel",
     "averaged_coefficients",
-    "simulate_averaged",
     "homogenization_defect",
     "default_z_grid",
-    "write_averaged_csv",
     # corrector deviations
     "DeltaReport",
     "corrector_path",
@@ -151,27 +139,21 @@ __all__ = [
     "SweepCell",
     "negligibility_sweep",
     "mdp_speed",
-    "write_sweep_csv",
     # rate function
     "DiscretePath",
     "ActionValue",
-    "HalfSpaceEvent",
     "action",
     "minimize_endpoint",
-    "mdp_prediction",
-    "write_rate_path_csv",
     # Monte Carlo engine
     "Event",
     "TailEstimate",
     "tail_probability",
     "gaussian_surrogate_sweep",
     "exponential_inequality_grid",
-    "check_exponential_inequality",
     "brownian_sampler",
     "stopped_brownian_sampler",
     "negligibility_xi",
     "boundedness_Y",
     "count_trend_violations",
     "wilson_interval",
-    "write_tail_csv",
 ]

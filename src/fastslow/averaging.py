@@ -7,44 +7,27 @@ cell solution for the functional's integrand, the limiting objects are
     Abar(y) = int G G^T pi_y(dz)                      slow noise covariance
     Fbar(y) = int F pi_y(dz)                          slow drift
 
-tabulated here on a rectangular y-grid and interpolated multilinearly.  The
-averaged surrogate system replaces the coupled pair by
-
-    dYbar = Fbar(Ybar) dt + s Abar(Ybar)^{1/2} dW,
-    dXbar = s Qbar(Ybar)^{1/2} dBtilde,
-
-with s the slow-noise amplitude (epsilon^(1/2 - kappa) by default, or any
-override, e.g. 1.0 for the unit-scale Gaussian limit).
+tabulated here on a rectangular y-grid and interpolated multilinearly.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, GridDomainError, SimulationBlowupError, SingularOperatorError
+from .errors import ConfigError, SingularOperatorError
 from .grids import RectGrid, multilinear
 from .model import diffusion_matrix
 from .poisson import DEFAULT_PAD, solve_family
-from .simulate import (
-    DefectIntegral,
-    PathSample,
-    _macro_mesh,
-    micro_substeps,
-    path_generator,
-    simulate_block,
-)
+from .simulate import DefectIntegral, micro_substeps, simulate_block
 from .stationary import invariant_density
 
 __all__ = [
     "AveragedModel",
     "averaged_coefficients",
-    "simulate_averaged",
     "DefectCell",
     "homogenization_defect",
-    "write_averaged_csv",
 ]
 
 _EIG_FLOOR = 1e-10
@@ -62,12 +45,6 @@ def _q_values(grad_u, a):
     return np.einsum("...pi,...ij,...qj->...pq", grad_u, a, grad_u)
 
 
-def _psd_sqrt(mats):
-    w, V = np.linalg.eigh(mats)
-    w = np.clip(w, 0.0, None)
-    return np.einsum("...ij,...j,...kj->...ik", V, np.sqrt(w), V)
-
-
 @dataclass
 class AveragedModel:
     """Averaged coefficient tables over a slow-variable grid.
@@ -75,22 +52,19 @@ class AveragedModel:
     Qbar: (*y_shape, p, p); Abar: (*y_shape, l, l); Fbar: (*y_shape, l).
     min_eig_* are the smallest eigenvalues across the whole table — the
     nonsingularity margin quoted by diagnostics and required (> 1e-10) by
-    anything taking an inverse or a square root.
+    anything taking an inverse.
     """
 
     y_grid: RectGrid
     Qbar: np.ndarray
     Abar: np.ndarray
     Fbar: np.ndarray
-    source: str = ""
     min_eig_Q: float = field(init=False)
     min_eig_A: float = field(init=False)
 
     def __post_init__(self):
         self.min_eig_Q = float(np.min(np.linalg.eigvalsh(self.Qbar)))
         self.min_eig_A = float(np.min(np.linalg.eigvalsh(self.Abar)))
-        self._sqrt_Q = _psd_sqrt(self.Qbar)
-        self._sqrt_A = _psd_sqrt(self.Abar)
 
     @property
     def nonsingularity_margin(self):
@@ -112,12 +86,6 @@ class AveragedModel:
 
     def F_at(self, y):
         return multilinear(self.y_grid, self.Fbar, np.asarray(y, float))
-
-    def sqrt_Q_at(self, y):
-        return multilinear(self.y_grid, self._sqrt_Q, np.asarray(y, float))
-
-    def sqrt_A_at(self, y):
-        return multilinear(self.y_grid, self._sqrt_A, np.asarray(y, float))
 
     def _require_margin(self, which):
         margin = self.min_eig_Q if which == "Q" else self.min_eig_A
@@ -185,62 +153,6 @@ def averaged_coefficients(spec, y_grid, z_grid=None, *, method="auto", pad=None,
         Qbar=Qb.reshape(y_grid.shape + (spec.p, spec.p)),
         Abar=Ab.reshape(y_grid.shape + (spec.l, spec.l)),
         Fbar=Fb.reshape(y_grid.shape + (spec.l,)),
-        source=spec.name,
-    )
-
-
-def simulate_averaged(avg, epsilon, kappa, T, h, seed, *, y0, path_id=0, noise_scale=None):
-    """Euler path of the averaged surrogate (no fast component).
-
-    Draw order per macro step: l slow increments then p proxy increments, from
-    the same keyed stream family as the full simulator (distinct seeds keep
-    the two uncorrelated).  Leaving the tabulated y-grid is a hard error
-    carrying the exit time — no extrapolation.
-    """
-    n, times = _macro_mesh(T, h)
-    s = epsilon ** (0.5 - kappa) if noise_scale is None else float(noise_scale)
-    gen = path_generator(seed, path_id)
-    sq_h = math.sqrt(h)
-    l, p = avg.l, avg.p
-    Y = np.empty((n + 1, l))
-    X = np.empty((n + 1, p))
-    Y[0] = np.atleast_1d(np.asarray(y0, float))
-    X[0] = 0.0
-    if not np.all(avg.y_grid.contains(Y[0])):
-        raise GridDomainError("y0 lies outside the tabulated coefficient grid")
-    dW = np.empty((n, l))
-    for k in range(n):
-        draws = gen.standard_normal(l + p)
-        dW[k] = draws[:l] * sq_h
-        dV = draws[l:] * sq_h
-        y = Y[k]
-        Y[k + 1] = y + h * avg.F_at(y) + s * avg.sqrt_A_at(y) @ dW[k]
-        X[k + 1] = X[k] + s * avg.sqrt_Q_at(y) @ dV
-        if not np.all(np.isfinite(Y[k + 1])):
-            raise SimulationBlowupError(
-                f"averaged slow state blew up at step {k + 1}",
-                time_index=k + 1,
-                time=(k + 1) * h,
-            )
-        if not np.all(avg.y_grid.contains(Y[k + 1])):
-            raise GridDomainError(
-                f"averaged slow state left the coefficient grid at "
-                f"t = {(k + 1) * h:.6g}; no extrapolation is performed"
-            )
-    return PathSample(
-        times=times,
-        xi=None,
-        Y=Y,
-        X=X,
-        dB=None,
-        dW=dW,
-        epsilon=float(epsilon),
-        kappa=float(kappa),
-        seed=int(seed),
-        path_id=int(path_id),
-        h=h,
-        n_sub=1,
-        model_name=f"averaged:{avg.source}",
     )
 
 
@@ -301,22 +213,3 @@ def homogenization_defect(
             )
         )
     return cells
-
-
-def write_averaged_csv(model, path):
-    """Tabulated averaged coefficients, one row per y node (C order):
-    y_1..y_l, Qbar_11..Qbar_pp, Abar_11..Abar_ll, Fbar_1..Fbar_l."""
-    l, p = model.l, model.p
-    cols = [f"y_{i + 1}" for i in range(model.y_grid.ndim)]
-    cols += [f"Qbar_{i + 1}{j + 1}" for i in range(p) for j in range(p)]
-    cols += [f"Abar_{i + 1}{j + 1}" for i in range(l) for j in range(l)]
-    cols += [f"Fbar_{i + 1}" for i in range(l)]
-    nodes = model.y_grid.points().reshape(-1, model.y_grid.ndim)
-    Q = model.Qbar.reshape(-1, p * p)
-    A = model.Abar.reshape(-1, l * l)
-    F = model.Fbar.reshape(-1, l)
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(cols) + "\n")
-        for i in range(nodes.shape[0]):
-            row = np.concatenate([nodes[i], Q[i], A[i], F[i]])
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")

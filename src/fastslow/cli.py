@@ -33,8 +33,8 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .averaging import averaged_coefficients, write_averaged_csv
-from .deviations import negligibility_sweep, write_sweep_csv
+from .averaging import averaged_coefficients
+from .deviations import negligibility_sweep
 from .errors import ConfigError, FastslowError, ManifestError
 from .grids import RectGrid
 from .mcengine import (
@@ -44,12 +44,11 @@ from .mcengine import (
     stopped_brownian_sampler,
     tail_probability,
     wilson_interval,
-    write_tail_csv,
 )
 from .model import get_benchmark, validate_model, ModelSpec
 from .poisson import solve_poisson
-from .ratefn import HalfSpaceEvent, minimize_endpoint, write_rate_path_csv
-from .simulate import simulate_pair, write_path_csv
+from .ratefn import minimize_endpoint
+from .simulate import simulate_pair
 from .stationary import invariant_density
 
 _ARTIFACT = "fastslow"
@@ -126,42 +125,31 @@ def _poly_entry(terms, d, l, where):
     return entry
 
 
-def _poly_vector(table, d, l, n_out, where):
-    if not isinstance(table, list) or len(table) != n_out:
-        raise ConfigError(f"{where} must list {n_out} component entries")
-    entries = [_poly_entry(row, d, l, f"{where}[{i}]") for i, row in enumerate(table)]
-
-    def fn(z, y):
-        z = np.asarray(z, float)
-        y = np.asarray(y, float)
-        base = np.broadcast(z[..., 0], y[..., 0])
-        out = np.empty(base.shape + (n_out,))
-        for i, e in enumerate(entries):
-            out[..., i] = e(z, y)
-        return out
-
-    return fn
-
-
-def _poly_matrix(table, d, l, n_rows, n_cols, where):
-    if not isinstance(table, list) or len(table) != n_rows:
-        raise ConfigError(f"{where} must list {n_rows} rows")
+def _poly_table(table, d, l, shape, where):
+    """Compile a table of entries into fn(z, y) -> (..., *shape): a list of
+    n component entries for shape (n,), or of n rows of m column entries for
+    shape (n, m).  Entries are evaluated in row-major order."""
+    what = ("component entries",) if len(shape) == 1 else ("rows", "column entries")
     entries = []
-    for i, row in enumerate(table):
-        if not isinstance(row, list) or len(row) != n_cols:
-            raise ConfigError(f"{where}[{i}] must list {n_cols} column entries")
-        entries.append(
-            [_poly_entry(cell, d, l, f"{where}[{i}][{j}]") for j, cell in enumerate(row)]
-        )
+
+    def walk(node, index, where):
+        if len(index) == len(shape):
+            entries.append(((Ellipsis,) + index, _poly_entry(node, d, l, where)))
+            return
+        n = shape[len(index)]
+        if not isinstance(node, list) or len(node) != n:
+            raise ConfigError(f"{where} must list {n} {what[len(index)]}")
+        for i, child in enumerate(node):
+            walk(child, index + (i,), f"{where}[{i}]")
+
+    walk(table, (), where)
 
     def fn(z, y):
         z = np.asarray(z, float)
         y = np.asarray(y, float)
-        base = np.broadcast(z[..., 0], y[..., 0])
-        out = np.empty(base.shape + (n_rows, n_cols))
-        for i in range(n_rows):
-            for j in range(n_cols):
-                out[..., i, j] = entries[i][j](z, y)
+        out = np.empty(np.broadcast(z[..., 0], y[..., 0]).shape + shape)
+        for index, e in entries:
+            out[index] = e(z, y)
         return out
 
     return fn
@@ -180,11 +168,11 @@ def _build_inline_model(block, epsilon, kappa, m):
         d=d,
         l=l,
         p=p,
-        b=_poly_vector(block["b"], d, l, d, f"{where}.b"),
-        sigma=_poly_matrix(block["sigma"], d, l, d, d, f"{where}.sigma"),
-        F=_poly_vector(block["F"], d, l, l, f"{where}.F"),
-        G=_poly_matrix(block["G"], d, l, l, l, f"{where}.G"),
-        H=_poly_vector(block["H"], d, l, p, f"{where}.H"),
+        b=_poly_table(block["b"], d, l, (d,), f"{where}.b"),
+        sigma=_poly_table(block["sigma"], d, l, (d, d), f"{where}.sigma"),
+        F=_poly_table(block["F"], d, l, (l,), f"{where}.F"),
+        G=_poly_table(block["G"], d, l, (l, l), f"{where}.G"),
+        H=_poly_table(block["H"], d, l, (p,), f"{where}.H"),
         epsilon=epsilon,
         kappa=kappa,
         m=m,
@@ -406,6 +394,8 @@ def _guarded(fn):
 
 
 def _write_csv(path, header, rows):
+    """The one place an output CSV is opened: a header line, then one line
+    per row of already formatted fields."""
     with open(path, "w", newline="\n") as fh:
         fh.write(header + "\n")
         for row in rows:
@@ -414,6 +404,15 @@ def _write_csv(path, header, rows):
 
 def _fmt(value):
     return repr(float(value))
+
+
+def _columns(prefix, n):
+    return [f"{prefix}_{i + 1}" for i in range(n)]
+
+
+def _write_table(path, columns, data):
+    """A table of floats, one line per row of data, each value as _fmt."""
+    _write_csv(path, ",".join(columns), ([_fmt(v) for v in row] for row in data))
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +466,12 @@ def simulate(config_path):
     sample = simulate_pair(
         exp.spec, exp.T, exp.h, exp.seed, path_id=int(block.get("path_id", 0))
     )
-    write_path_csv(out.path("path.csv"), sample)
+    _write_table(
+        out.path("path.csv"),
+        ["t"] + _columns("xi", exp.spec.d) + _columns("Y", exp.spec.l)
+        + _columns("X", exp.spec.p),
+        np.hstack([sample.times[:, None], sample.xi, sample.Y, sample.X]),
+    )
     out.finalize()
     click.echo(f"simulate: {sample.n_steps} steps -> {out.dir}")
 
@@ -494,13 +498,10 @@ def density(config_path):
         )
     else:
         pi = invariant_density(exp.spec, y, exp.z_grid, method=method)
-    pts = pi.grid.points().reshape(-1, pi.grid.ndim)
-    vals = pi.values.reshape(-1)
-    header = ",".join([f"z_{k + 1}" for k in range(pi.grid.ndim)] + ["pi"])
-    _write_csv(
+    _write_table(
         out.path("density.csv"),
-        header,
-        ([_fmt(c) for c in pt] + [_fmt(v)] for pt, v in zip(pts, vals)),
+        _columns("z", pi.grid.ndim) + ["pi"],
+        np.column_stack([pi.grid.points().reshape(-1, pi.grid.ndim), pi.values.reshape(-1)]),
     )
     out.finalize()
     click.echo(f"density: mass={float(pi.grid.integrate(pi.values)):.6f} -> {out.dir}")
@@ -521,18 +522,11 @@ def poisson(config_path):
     pts = sol.grid.points().reshape(-1, sol.grid.ndim)
     u = sol.u.values.reshape(len(pts), -1)
     grad = sol.grad_u.values.reshape(len(pts), -1)
-    header = ",".join(
-        [f"z_{k + 1}" for k in range(sol.grid.ndim)]
-        + [f"u_{i + 1}" for i in range(u.shape[1])]
-        + [f"grad_u_{i + 1}" for i in range(grad.shape[1])]
-    )
-    _write_csv(
+    _write_table(
         out.path("poisson.csv"),
-        header,
-        (
-            [_fmt(c) for c in pt] + [_fmt(v) for v in uu] + [_fmt(v) for v in gg]
-            for pt, uu, gg in zip(pts, u, grad)
-        ),
+        _columns("z", sol.grid.ndim) + _columns("u", u.shape[1])
+        + _columns("grad_u", grad.shape[1]),
+        np.hstack([pts, u, grad]),
     )
     out.extra["residual"] = float(sol.residual)
     out.extra["centering_defect"] = float(np.max(np.abs(sol.centering_defect)))
@@ -552,7 +546,20 @@ def average(config_path):
     exp.block("average", allowed=set())
     out = OutputDir(exp, "average")
     avg = exp.averaged_model()
-    write_averaged_csv(avg, out.path("averaged.csv"))
+    p, l = avg.p, avg.l
+    _write_table(
+        out.path("averaged.csv"),
+        _columns("y", avg.y_grid.ndim)
+        + [f"Qbar_{i + 1}{j + 1}" for i in range(p) for j in range(p)]
+        + [f"Abar_{i + 1}{j + 1}" for i in range(l) for j in range(l)]
+        + _columns("Fbar", l),
+        np.hstack([
+            avg.y_grid.points().reshape(-1, avg.y_grid.ndim),
+            avg.Qbar.reshape(-1, p * p),
+            avg.Abar.reshape(-1, l * l),
+            avg.Fbar.reshape(-1, l),
+        ]),
+    )
     out.finalize()
     click.echo(
         f"average: {avg.y_grid.n_nodes} y-nodes, "
@@ -580,18 +587,33 @@ def delta(config_path):
         y_grid=exp.y_grid,
         z_grid=exp.z_grid,
     )
-    write_sweep_csv(cells, out.path("delta.csv"))
+    _write_csv(
+        out.path("delta.csv"),
+        "epsilon,statistic,N,hits,p_hat,scaled_log,censored",
+        (
+            [_fmt(c.epsilon), name, str(c.n_paths), str(t.n_hits), _fmt(t.p_hat),
+             _fmt(t.scaled_log), str(int(t.censored))]
+            for c in cells
+            for name, t in (
+                ("delta", c.delta), ("boundary", c.boundary),
+                ("drift", c.drift), ("slow_noise", c.slow_noise),
+            )
+        ),
+    )
     out.finalize()
     click.echo(f"delta: {len(cells)} epsilon cells -> {out.dir}")
 
 
-def _rate_event(block, p):
+def _rate_event(block, p, l):
+    """The terminal target of the rate minimization: the X vector of a
+    'target', or the half-space constraint (C, [level]) of a terminal_x
+    'event' on the stacked (X_T, Y_T)."""
     event = block.get("event")
     target = block.get("target")
     if (event is None) == (target is None):
         raise ConfigError("rate needs exactly one of 'event' or 'target'")
     if target is not None:
-        return None, np.asarray(_as_float_list(target, "rate.target"))
+        return np.asarray(_as_float_list(target, "rate.target"))
     event = _require_mapping(event, "rate.event")
     _check_keys(event, "rate.event", allowed={"functional", "threshold", "component"},
                 required=("threshold",))
@@ -603,9 +625,15 @@ def _rate_event(block, p):
     comp = int(event.get("component", 0))
     if not 0 <= comp < p:
         raise ConfigError(f"event component {comp} outside 0..{p - 1}")
-    normal = np.zeros(p)
-    normal[comp] = 1.0
-    return HalfSpaceEvent(normal=normal, level=float(event["threshold"])), None
+    level = float(event["threshold"])
+    if level < 0.0:
+        raise ConfigError(
+            "half-space level below zero is reached at zero cost; "
+            "the prediction is 0 and no minimizer path exists"
+        )
+    C = np.zeros((1, p + l))
+    C[0, comp] = 1.0
+    return C, np.array([level])
 
 
 @main.command()
@@ -621,21 +649,15 @@ def rate(config_path):
     y0 = np.asarray(
         _as_float_list(block.get("y0", [0.0] * exp.spec.l), "rate.y0")
     )
+    target = _rate_event(block, exp.spec.p, exp.spec.l)
     out = OutputDir(exp, "rate")
     avg = exp.averaged_model()
-    half_space, target = _rate_event(block, exp.spec.p)
-    if half_space is not None:
-        if 0.0 > half_space.level:
-            raise ConfigError(
-                "half-space level below zero is reached at zero cost; "
-                "the prediction is 0 and no minimizer path exists"
-            )
-        C = np.concatenate([half_space.normal, np.zeros(exp.spec.l)])[None, :]
-        constraint = (C, np.array([half_space.level]))
-    else:
-        constraint = target
-    path, value = minimize_endpoint(avg, exp.T, constraint, mesh_size, y0=y0)
-    write_rate_path_csv(path, out.path("rate_path.csv"))
+    path, value = minimize_endpoint(avg, exp.T, target, mesh_size, y0=y0)
+    _write_table(
+        out.path("rate_path.csv"),
+        ["t"] + _columns("X", avg.p) + _columns("Y", avg.l),
+        np.hstack([path.times[:, None], path.X, path.Y]),
+    )
     _write_csv(
         out.path("rate.csv"),
         "J_star,T,mesh_size",
@@ -678,7 +700,15 @@ def mdp_check(config_path, workers):
         exp.seed,
         workers=workers,
     )
-    write_tail_csv(cells, out.path("mc.csv"))
+    _write_csv(
+        out.path("mc.csv"),
+        "epsilon,N,hits,p_hat,ci_lo,ci_hi,scaled_log,censored",
+        (
+            [_fmt(c.epsilon), str(c.N), str(c.hits), _fmt(c.p_hat), _fmt(c.ci_lo),
+             _fmt(c.ci_hi), _fmt(c.scaled_log), str(int(c.censored))]
+            for c in cells
+        ),
+    )
     failed = [{"epsilon": c.epsilon, "error": c.error} for c in cells if c.error]
     if failed:
         out.extra["failed_cells"] = failed

@@ -40,7 +40,6 @@ __all__ = [
     "TermStat",
     "SweepCell",
     "negligibility_sweep",
-    "write_sweep_csv",
     "mdp_speed",
 ]
 
@@ -318,27 +317,3 @@ def negligibility_sweep(
             )
         )
     return cells
-
-
-def write_sweep_csv(cells, path):
-    """One row per (epsilon, statistic): epsilon, statistic, N, hits, p_hat,
-    scaled_log, censored."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write("epsilon,statistic,N,hits,p_hat,scaled_log,censored\n")
-        for c in cells:
-            for name in ("delta", "boundary", "drift", "slow_noise"):
-                t = getattr(c, name)
-                fh.write(
-                    ",".join(
-                        [
-                            repr(float(c.epsilon)),
-                            name,
-                            str(c.n_paths),
-                            str(t.n_hits),
-                            repr(float(t.p_hat)),
-                            repr(float(t.scaled_log)),
-                            str(int(t.censored)),
-                        ]
-                    )
-                    + "\n"
-                )

@@ -38,13 +38,11 @@ __all__ = [
     "gaussian_surrogate_sweep",
     "InequalityCell",
     "exponential_inequality_grid",
-    "check_exponential_inequality",
     "brownian_sampler",
     "stopped_brownian_sampler",
     "negligibility_xi",
     "boundedness_Y",
     "count_trend_violations",
-    "write_tail_csv",
 ]
 
 _Z95 = 1.959963984540054
@@ -285,13 +283,6 @@ def exponential_inequality_grid(martingale_sampler, alphas, Bs, T, N, seed):
     return cells
 
 
-def check_exponential_inequality(martingale_sampler, alpha, B, T, N, seed):
-    """Empirical frequency of {sup_t |M_t| >= alpha and <M>_T <= B} against
-    the exponential bound 2 exp(-alpha^2 / (2B)): the 1 x 1 grid."""
-    (cell,) = exponential_inequality_grid(martingale_sampler, [alpha], [B], T, N, seed)
-    return cell.frequency, cell.bound
-
-
 def brownian_sampler(n_steps=1000):
     """Sampler of standard Brownian paths; predictable bracket <W>_t = t."""
 
@@ -427,29 +418,3 @@ def count_trend_violations(cells, *, tol=0.0):
         if b.scaled_log > a.scaled_log + tol:
             bad += 1
     return bad
-
-
-def write_tail_csv(cells, file):
-    """Sweep rows: (epsilon or C), N, hits, p_hat, ci_lo, ci_hi, scaled_log,
-    censored."""
-    by_C = any(c.C is not None for c in cells)
-    key = "C" if by_C else "epsilon"
-    with open(file, "w", newline="\n") as fh:
-        fh.write(f"{key},N,hits,p_hat,ci_lo,ci_hi,scaled_log,censored\n")
-        for c in cells:
-            lead = c.C if by_C else c.epsilon
-            fh.write(
-                ",".join(
-                    [
-                        repr(float(lead)),
-                        str(c.N),
-                        str(c.hits),
-                        repr(float(c.p_hat)),
-                        repr(float(c.ci_lo)),
-                        repr(float(c.ci_hi)),
-                        repr(float(c.scaled_log)),
-                        str(int(c.censored)),
-                    ]
-                )
-                + "\n"
-            )

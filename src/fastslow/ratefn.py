@@ -14,10 +14,9 @@ violating the start condition is the one case with J = +infinity.
 terminal pair (X_T, Y_T), enforced exactly through a nullspace
 parametrization, by projected gradient descent with Barzilai-Borwein steps
 and an Armijo backtracking safeguard.  The infimum over a terminal
-half-space {c . X_T > r} sits on the boundary for this convex action, which
-is how ``mdp_prediction`` reduces event probabilities to one equality-
-constrained minimization.  Predictions are finite-horizon: the action is
-evaluated on [0, T] only, relying on zero-cost continuation beyond T.
+half-space {c . X_T > r} sits on the boundary for this convex action.
+Predictions are finite-horizon: the action is evaluated on [0, T] only,
+relying on zero-cost continuation beyond T.
 """
 
 from __future__ import annotations
@@ -32,11 +31,8 @@ from .errors import ConfigError, ConvergenceError, GridDomainError
 __all__ = [
     "DiscretePath",
     "ActionValue",
-    "HalfSpaceEvent",
     "action",
     "minimize_endpoint",
-    "mdp_prediction",
-    "write_rate_path_csv",
 ]
 
 _IC_TOL = 1e-12
@@ -55,14 +51,6 @@ class DiscretePath:
 class ActionValue:
     J: float
     per_interval: np.ndarray
-
-
-@dataclass(frozen=True)
-class HalfSpaceEvent:
-    """Terminal event {normal . X_T > level}."""
-
-    normal: np.ndarray
-    level: float
 
 
 def _interval_costs(avg, times, X, Y):
@@ -290,37 +278,3 @@ def minimize_endpoint(
     Xn, Yn = unpack(theta)
     path = DiscretePath(times=times, X=Xn, Y=Yn)
     return path, action(path, avg, y0=y0)
-
-
-def mdp_prediction(avg, T, event, *, y0, mesh_size=128, tol=1e-8, max_iter=100_000):
-    """Predicted scaled log-probability decay (the action infimum) for a
-    terminal half-space event on X.  Finite-horizon: J is restricted to
-    [0, T] and the boundary minimizer is used (convexity)."""
-    normal = np.atleast_1d(np.asarray(event.normal, float))
-    if normal.shape != (avg.p,):
-        raise ConfigError(f"event normal must have {avg.p} components")
-    if 0.0 > float(event.level):
-        return 0.0          # the zero-cost orbit already lies in the event
-    C = np.concatenate([normal, np.zeros(avg.l)])[None, :]
-    _, value = minimize_endpoint(
-        avg,
-        T,
-        (C, np.array([float(event.level)])),
-        mesh_size,
-        y0=y0,
-        tol=tol,
-        max_iter=max_iter,
-    )
-    return value.J
-
-
-def write_rate_path_csv(path, file):
-    """Minimizer path: t, X_1..p, Y_1..l."""
-    p = path.X.shape[1]
-    l = path.Y.shape[1]
-    cols = ["t"] + [f"X_{i + 1}" for i in range(p)] + [f"Y_{i + 1}" for i in range(l)]
-    data = np.hstack([path.times[:, None], path.X, path.Y])
-    with open(file, "w", newline="\n") as fh:
-        fh.write(",".join(cols) + "\n")
-        for row in data:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")

@@ -59,7 +59,6 @@ __all__ = [
     "simulate_block",
     "path_generator",
     "micro_substeps",
-    "write_path_csv",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -93,12 +92,11 @@ class PathSample:
     xi, Y, X hold the macro-node states (N+1 rows); dB stores the fast
     Gaussian increments per micro-step (N, n_sub, d) and dW the slow ones per
     macro step (N, l), each with variance equal to its step length, so the
-    trajectory can be reconstructed exactly.  xi is None for paths of an
-    averaged (fast-free) system.
+    trajectory can be reconstructed exactly.
     """
 
     times: np.ndarray
-    xi: np.ndarray | None
+    xi: np.ndarray
     Y: np.ndarray
     X: np.ndarray
     dB: np.ndarray | None
@@ -109,7 +107,6 @@ class PathSample:
     path_id: int = 0
     h: float = 0.0
     n_sub: int = 1
-    model_name: str = ""
 
     @property
     def h_fast(self):
@@ -352,7 +349,6 @@ def simulate_pair(spec, T, h, seed, *, path_id=0, c_fast=0.1):
         path_id=int(path_id),
         h=h,
         n_sub=run.n_sub,
-        model_name=spec.name,
     )
 
 
@@ -390,21 +386,3 @@ def frozen_block(spec, y, T, h, seed, path_ids, *, z_init=None, keep_states=Fals
         _check_finite(z, k + kk, h, "frozen fast state")
         k += kk
     return SimpleNamespace(times=times, z=z, states=states)
-
-
-def write_path_csv(path, sample):
-    """Serialize macro-node states: t, xi_1..d, Y_1..l, X_1..p."""
-    cols = ["t"]
-    blocks = [sample.times[:, None]]
-    if sample.xi is not None:
-        d = sample.xi.shape[1]
-        cols += [f"xi_{i + 1}" for i in range(d)]
-        blocks.append(sample.xi)
-    cols += [f"Y_{i + 1}" for i in range(sample.Y.shape[1])]
-    cols += [f"X_{i + 1}" for i in range(sample.X.shape[1])]
-    blocks += [sample.Y, sample.X]
-    data = np.hstack(blocks)
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(cols) + "\n")
-        for row in data:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")

@@ -60,3 +60,34 @@ def splu_sizes(monkeypatch):
 
     monkeypatch.setattr(spla, "splu", counting)
     return sizes
+
+
+@pytest.fixture()
+def run_subcommand(tmp_path):
+    """Run one CLI subcommand on the ou benchmark at the fixtures' scales
+    and default grids; return the output directory.
+
+    ``blocks`` adds config sections (e.g. ``rate={...}``); ``out`` names the
+    output directory, so two runs in one test stay apart."""
+    import yaml
+    from click.testing import CliRunner
+
+    from fastslow.cli import main
+
+    def run(name, *, T, seed, h=0.01, N=1000, out="out", args=(), **blocks):
+        cfg = {
+            "model": {"benchmark": "ou"},
+            "scales": {"epsilon": [0.1], "kappa": 0.25},
+            "run": {"T": T, "h": h, "N": N, "seed": seed},
+            "output_dir": str(tmp_path / out),
+        }
+        cfg.update(blocks)
+        cfg_path = tmp_path / f"{out}.yaml"
+        cfg_path.write_text(yaml.safe_dump(cfg))
+        result = CliRunner().invoke(
+            main, [name, str(cfg_path), *args], catch_exceptions=False
+        )
+        assert result.exit_code == 0, result.output
+        return tmp_path / out
+
+    return run

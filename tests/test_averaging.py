@@ -6,11 +6,9 @@ from fastslow import (
     averaged_coefficients,
     homogenization_defect,
     micro_substeps,
-    simulate_averaged,
     simulate_block,
-    write_averaged_csv,
 )
-from fastslow.errors import ConfigError, GridDomainError
+from fastslow.errors import ConfigError
 from fastslow.simulate import DefectIntegral
 
 
@@ -27,8 +25,6 @@ def test_accessors_interpolate_between_nodes(ou_avg):
     assert ou_avg.Q_at(y)[0, 0] == pytest.approx(2.0, abs=2e-3)
     assert ou_avg.A_at(y)[0, 0] == pytest.approx(1.0, abs=1e-10)
     assert ou_avg.F_at(y)[0] == pytest.approx(-0.37, abs=2e-3)
-    sq = ou_avg.sqrt_Q_at(y)
-    np.testing.assert_allclose(sq @ sq, ou_avg.Q_at(y), atol=1e-10)
     np.testing.assert_allclose(
         ou_avg.Q_inv_at(y) @ ou_avg.Q_at(y), np.eye(1), atol=1e-12
     )
@@ -39,32 +35,6 @@ def test_family_grid_mismatch_rejected(ou, ou_family):
     other = RectGrid.from_bounds([(-4.0, 4.0, 21)])
     with pytest.raises(ConfigError):
         averaged_coefficients(ou, other, family=ou_family)
-
-
-def test_simulate_averaged_reproducible(ou_avg):
-    a = simulate_averaged(ou_avg, 0.1, 0.25, 1.0, 0.01, 5, y0=[0.0])
-    b = simulate_averaged(ou_avg, 0.1, 0.25, 1.0, 0.01, 5, y0=[0.0])
-    c = simulate_averaged(ou_avg, 0.1, 0.25, 1.0, 0.01, 6, y0=[0.0])
-    np.testing.assert_array_equal(a.Y, b.Y)
-    np.testing.assert_array_equal(a.X, b.X)
-    assert not np.array_equal(a.X, c.X)
-    assert a.xi is None and a.dB is None
-
-
-def test_simulate_averaged_zero_noise_is_the_orbit(ou_avg):
-    """With the noise scale forced to zero the surrogate reduces to the
-    deterministic Euler orbit of the averaged drift."""
-    path = simulate_averaged(ou_avg, 0.1, 0.25, 1.0, 0.01, 3, y0=[1.0], noise_scale=0.0)
-    y = 1.0
-    for k in range(path.n_steps):
-        y = y + 0.01 * ou_avg.F_at(np.array([y]))[0]
-        assert path.Y[k + 1, 0] == pytest.approx(y, abs=1e-12)
-    np.testing.assert_array_equal(path.X, np.zeros_like(path.X))
-
-
-def test_simulate_averaged_grid_exit_is_hard_error(ou_avg):
-    with pytest.raises(GridDomainError):
-        simulate_averaged(ou_avg, 0.1, 0.25, 1.0, 0.01, 5, y0=[5.0])
 
 
 def test_defect_vanishes_for_already_averaged_directions(ou, ou_avg, ou_family):
@@ -101,13 +71,18 @@ def test_time_average_converges_to_density_mean(ou):
     assert np.median(np.abs(avg)) < 0.15
 
 
-def test_write_averaged_csv_layout(tmp_path, ou_avg, y_grid):
-    target = tmp_path / "avg.csv"
-    write_averaged_csv(ou_avg, target)
+def test_write_averaged_csv_layout(run_subcommand, ou_avg, y_grid):
+    """The average subcommand's table holds the library's coefficients."""
+    target = run_subcommand("average", T=1.0, seed=0) / "averaged.csv"
     lines = target.read_text().splitlines()
     assert lines[0] == "y_1,Qbar_11,Abar_11,Fbar_1"
     assert len(lines) == 1 + y_grid.n_nodes
     first = [float(v) for v in lines[1].split(",")]
     assert first[0] == y_grid.axes[0][0]
-    write_averaged_csv(ou_avg, tmp_path / "again.csv")
-    assert (tmp_path / "again.csv").read_bytes() == target.read_bytes()
+    data = np.loadtxt(target, delimiter=",", skiprows=1)
+    np.testing.assert_array_equal(data[:, 0], y_grid.axes[0])
+    np.testing.assert_allclose(data[:, 1], ou_avg.Qbar[:, 0, 0], rtol=1e-12)
+    np.testing.assert_allclose(data[:, 2], ou_avg.Abar[:, 0, 0], rtol=1e-12)
+    np.testing.assert_allclose(data[:, 3], ou_avg.Fbar[:, 0], rtol=1e-12, atol=1e-15)
+    again = run_subcommand("average", T=1.0, seed=0, out="again") / "averaged.csv"
+    assert again.read_bytes() == target.read_bytes()

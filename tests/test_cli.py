@@ -23,6 +23,21 @@ from fastslow.cli import _build_inline_model, main
 
 SQRT2 = 1.4142135623730951
 
+# the ou benchmark written as an inline polynomial model
+OU_INLINE = {
+    "d": 1,
+    "l": 1,
+    "p": 1,
+    "b": [[{"c": -1.0, "z": [1]}]],
+    "sigma": [[[{"c": SQRT2}]]],
+    "F": [[{"c": -1.0, "y": [1]}, {"c": 1.0, "z": [1]}]],
+    "G": [[[{"c": 1.0}]]],
+    "H": [[{"c": 1.0, "z": [1]}]],
+}
+
+# b(z) = z - z^3: a nonlinear inline model, so its outputs pin the compiler
+DOUBLE_WELL_INLINE = dict(OU_INLINE, b=[[{"c": 1.0, "z": [1]}, {"c": -1.0, "z": [3]}]])
+
 
 @pytest.fixture()
 def runner():
@@ -108,6 +123,13 @@ def test_simulate_writes_path_csv(runner, tmp_path):
     assert len(lines) == 1 + 51  # header + macro mesh nodes for T=0.5, h=0.01
     first = lines[1].split(",")
     assert float(first[0]) == 0.0 and float(first[3]) == 0.0
+    # the file round-trips the recorded path exactly
+    sample = fastslow.simulate_pair(
+        fastslow.get_benchmark("ou", epsilon=0.1, kappa=0.25), 0.5, 0.01, 7
+    )
+    data = np.loadtxt(out / "path.csv", delimiter=",", skiprows=1)
+    expected = np.hstack([sample.times[:, None], sample.xi, sample.Y, sample.X])
+    np.testing.assert_array_equal(data, expected)
 
 
 def test_manifest_merges_across_subcommands(runner, tmp_path):
@@ -184,6 +206,7 @@ def test_average_coefficient_table(runner, tmp_path):
     assert lines[0] == "y_1,Qbar_11,Abar_11,Fbar_1"
     assert len(lines) == 1 + 21
     row = lines[1].split(",")
+    assert float(row[0]) == -2.0  # the first y node
     assert float(row[1]) == pytest.approx(2.0, abs=1e-2)
     assert float(row[2]) == pytest.approx(1.0, abs=1e-9)
 
@@ -204,6 +227,26 @@ def test_rate_target_minimization(runner, tmp_path):
     path_lines = (out / "rate_path.csv").read_text().splitlines()
     assert path_lines[0] == "t,X_1,Y_1"
     assert len(path_lines) == 1 + 33
+    assert float(path_lines[-1].split(",")[1]) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_delta_sweep_table(runner, tmp_path):
+    out = tmp_path / "out"
+    cfg = base_config(out, delta={"eta": 0.25})
+    cfg["run"]["N"] = 200
+    cfg_path = write_cfg(tmp_path, cfg)
+    result = runner.invoke(main, ["delta", str(cfg_path)], catch_exceptions=False)
+    assert result.exit_code == 0
+    lines = (out / "delta.csv").read_text().splitlines()
+    assert lines[0] == "epsilon,statistic,N,hits,p_hat,scaled_log,censored"
+    rows = [line.split(",") for line in lines[1:]]
+    # four statistics per epsilon, epsilon-major
+    assert [(r[0], r[1]) for r in rows] == [
+        (eps, name)
+        for eps in ("0.1", "0.05")
+        for name in ("delta", "boundary", "drift", "slow_noise")
+    ]
+    assert all(r[2] == "200" for r in rows)
 
 
 def test_mdp_check_worker_invariance(runner, tmp_path):
@@ -221,8 +264,9 @@ def test_mdp_check_worker_invariance(runner, tmp_path):
     bytes_a = (tmp_path / "a" / "mc.csv").read_bytes()
     bytes_b = (tmp_path / "b" / "mc.csv").read_bytes()
     assert bytes_a == bytes_b
-    header = bytes_a.decode().splitlines()[0]
+    header, first = bytes_a.decode().splitlines()[:2]
     assert header == "epsilon,N,hits,p_hat,ci_lo,ci_hi,scaled_log,censored"
+    assert first.startswith("0.1,1000,")
     assert "p_hat=" in res_a.output
     record = json.loads((tmp_path / "a" / "manifest.json").read_text())
     assert "failed_cells" not in record["outputs"]["mc.csv"]
@@ -256,18 +300,7 @@ def test_inequalities_grid(runner, tmp_path):
 def test_inline_model_matches_benchmark(runner, tmp_path):
     bench_cfg = base_config(tmp_path / "bench")
     inline_cfg = base_config(tmp_path / "inline")
-    inline_cfg["model"] = {
-        "inline": {
-            "d": 1,
-            "l": 1,
-            "p": 1,
-            "b": [[{"c": -1.0, "z": [1]}]],
-            "sigma": [[[{"c": SQRT2}]]],
-            "F": [[{"c": -1.0, "y": [1]}, {"c": 1.0, "z": [1]}]],
-            "G": [[[{"c": 1.0}]]],
-            "H": [[{"c": 1.0, "z": [1]}]],
-        }
-    }
+    inline_cfg["model"] = {"inline": OU_INLINE}
     path_bench = write_cfg(tmp_path, bench_cfg, "bench.yaml")
     path_inline = write_cfg(tmp_path, inline_cfg, "inline.yaml")
     assert runner.invoke(main, ["simulate", str(path_bench)]).exit_code == 0
@@ -275,6 +308,59 @@ def test_inline_model_matches_benchmark(runner, tmp_path):
     ref = np.loadtxt(tmp_path / "bench" / "path.csv", delimiter=",", skiprows=1)
     got = np.loadtxt(tmp_path / "inline" / "path.csv", delimiter=",", skiprows=1)
     assert np.array_equal(ref, got)
+
+
+# One small ou config that every writing subcommand accepts; it runs in well
+# under a second.
+PINNED_CONFIG = {
+    "scales": {"epsilon": [0.1, 0.05], "kappa": 0.25},
+    "grids": {"z_nodes": 201, "y_box": [[-2.0, 2.0]], "y_nodes": 9},
+    "run": {"T": 0.2, "h": 0.01, "N": 1000, "seed": 7},
+    "rate": {"event": {"threshold": 0.5}, "mesh_size": 16},
+    "event": {"threshold": 0.3},
+    "inequalities": {"alpha": [0.5, 1.0], "B": [0.5, 1.0], "n_steps": 50},
+    "delta": {"eta": 0.3},
+}
+
+# sha256 of each CSV, recorded from the per-module writers the CLI's one
+# writer replaced.  These are the exact "same outputs" oracle: a declared
+# re-baseline of the noise layout must update them in the open.
+PINNED_SHA256 = {
+    "ou/averaged.csv": "fe725436ba1ffcf3a73609f0fff9fed25eed853a4c303dac88dcfdf58070bc4c",
+    "ou/delta.csv": "3dc9b9b732e8e4ce704e686476dd88a2a892c5901de994616c1b56768100b50e",
+    "ou/density.csv": "05c8ede5633a0622338920be90001bf04a2fd45fdd4f05cfc99a33393d9efd39",
+    "ou/inequalities.csv": "4d9a710e348dd3f8f6b4368a7a49ecdd1fcb4c1e91807fe0a91c5e8bba167efe",
+    "ou/mc.csv": "360247f2ddfacae81a0f428f2ba632db3d50aecec7da04e25022983f502a0980",
+    "ou/path.csv": "5845d896887a09865020f167f346b4bb9710fdd98f839a0d7220d913585f1bb1",
+    "ou/poisson.csv": "06b0627955f8469bc4f81ef63710e32617624bd61c6fe2feb847e2ca7f76726a",
+    "ou/rate.csv": "235502d6e1c8993e9486f6489c7bd1a1bf56b5107c243cfb1194344b06998148",
+    "ou/rate_path.csv": "33dee9386d148f55e3da1a60c3f30fdf0a8218ad78801ce98fece97fde6a5a9b",
+    "ou/validate.csv": "73feb114321ffe70faa99fd95d364a2b894d810db40a9f48393396039960ebf4",
+    "double-well/averaged.csv": "8372bba32249d0b83ae39b619cad80f65ecfcad43cc61da41bfb74fc250cb4c5",
+    "double-well/rate.csv": "c8ecc9900edbe250eb7fb0e009fe2717bea5aa1ed2dfebdb71dc1acabcb3ddae",
+    "double-well/rate_path.csv": "de45922727ef3c4c78b5f307234588498efd7ea69baa2724f5903788d39d78ed",
+}
+
+
+def test_csv_bytes_are_pinned(runner, tmp_path):
+    runs = (
+        ("ou", {"benchmark": "ou"}, (
+            "validate", "simulate", "density", "poisson", "average", "delta",
+            "rate", "mdp-check", "inequalities",
+        )),
+        ("double-well", {"inline": DOUBLE_WELL_INLINE}, ("average", "rate")),
+    )
+    got = {}
+    for tag, model, subcommands in runs:
+        out = tmp_path / tag
+        cfg = dict(PINNED_CONFIG, model=model, output_dir=str(out))
+        cfg_path = write_cfg(tmp_path, cfg, f"{tag}.yaml")
+        for subcommand in subcommands:
+            result = runner.invoke(main, [subcommand, str(cfg_path)], catch_exceptions=False)
+            assert result.exit_code == 0, text_of(result)
+        for csv in sorted(out.glob("*.csv")):
+            got[f"{tag}/{csv.name}"] = hashlib.sha256(csv.read_bytes()).hexdigest()
+    assert got == PINNED_SHA256
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +394,45 @@ def test_model_source_must_be_unique(runner, tmp_path):
     cfg["model"] = {}
     result = runner.invoke(main, ["validate", str(write_cfg(tmp_path, cfg))])
     assert result.exit_code == 2
+
+
+def _inline_with(key, value):
+    return {"inline": dict(OU_INLINE, **{key: value})}
+
+
+@pytest.mark.parametrize(
+    "model, message",
+    [
+        (_inline_with("b", []), "model.inline.b must list 1 component entries"),
+        (
+            _inline_with("sigma", [[[{"c": SQRT2}]], [[{"c": SQRT2}]]]),
+            "model.inline.sigma must list 1 rows",
+        ),
+        (
+            _inline_with("G", [[[{"c": 1.0}], [{"c": 1.0}]]]),
+            "model.inline.G[0] must list 1 column entries",
+        ),
+        (
+            _inline_with("H", [[{"c": 1.0, "z": [1, 0]}]]),
+            "model.inline.H[0][0]: power lists must have lengths d=1 and l=1",
+        ),
+        (
+            _inline_with("b", [[{"c": -1.0, "z": [-1]}]]),
+            "model.inline.b[0][0]: negative powers are not allowed",
+        ),
+        (
+            _inline_with("F", [[{"c": -1.0, "w": [1]}]]),
+            "unknown key 'w' in model.inline.F[0][0]",
+        ),
+    ],
+    ids=["vector-count", "matrix-rows", "matrix-columns", "power-length",
+         "negative-power", "unknown-term-key"],
+)
+def test_inline_schema_errors_name_their_path(runner, tmp_path, model, message):
+    cfg = base_config(tmp_path / "out", model=model)
+    result = runner.invoke(main, ["validate", str(write_cfg(tmp_path, cfg))])
+    assert result.exit_code == 2
+    assert f"config error: {message}" in text_of(result)
 
 
 def test_unknown_benchmark_name(runner, tmp_path):

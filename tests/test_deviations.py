@@ -13,7 +13,6 @@ from fastslow import (
     simulate_block,
     simulate_pair,
     solve_family,
-    write_sweep_csv,
 )
 from fastslow.errors import ConfigError
 
@@ -116,13 +115,3 @@ def test_sweep_is_reproducible(ou, ou_family):
     b = negligibility_sweep(ou, [0.1], 0.25, 0.3, 0.01, 100, 5, family=ou_family)
     assert a[0].delta.n_hits == b[0].delta.n_hits
     assert a[0].median_sup == b[0].median_sup
-
-
-def test_write_sweep_csv_layout(tmp_path, ou, ou_family):
-    cells = negligibility_sweep(ou, [0.1], 0.25, 0.3, 0.01, 50, 5, family=ou_family)
-    target = tmp_path / "sweep.csv"
-    write_sweep_csv(cells, target)
-    lines = target.read_text().splitlines()
-    assert lines[0] == "epsilon,statistic,N,hits,p_hat,scaled_log,censored"
-    assert len(lines) == 1 + 4  # four statistics per epsilon
-    assert lines[1].split(",")[1] == "delta"

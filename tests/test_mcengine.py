@@ -10,7 +10,6 @@ from fastslow import (
     TailEstimate,
     boundedness_Y,
     brownian_sampler,
-    check_exponential_inequality,
     count_trend_violations,
     exponential_inequality_grid,
     gaussian_surrogate_sweep,
@@ -18,7 +17,6 @@ from fastslow import (
     stopped_brownian_sampler,
     tail_probability,
     wilson_interval,
-    write_tail_csv,
 )
 from fastslow.errors import ConfigError
 
@@ -118,10 +116,17 @@ def test_surrogate_sweep_validates_inputs():
         gaussian_surrogate_sweep(-1.0, 1.0, 1.0, [0.1], 0.25)
 
 
+def _one_cell(sampler, alpha, B, N, seed):
+    """The 1 x 1 inequality grid: one (alpha, B) cell on its own draw."""
+    (cell,) = exponential_inequality_grid(sampler, [alpha], [B], 1.0, N, seed)
+    return cell
+
+
 def test_brownian_tails_respect_exponential_bound():
     sampler = brownian_sampler(n_steps=400)
     for alpha, B in [(1.0, 1.0), (2.0, 1.0), (3.0, 1.0)]:
-        freq, bound = check_exponential_inequality(sampler, alpha, B, 1.0, 20_000, 3)
+        cell = _one_cell(sampler, alpha, B, 20_000, 3)
+        freq, bound = cell.frequency, cell.bound
         sigma3 = 3.0 * math.sqrt(max(freq, 1.0 / 20_000) / 20_000)
         assert freq <= bound + sigma3
         assert bound == pytest.approx(2.0 * math.exp(-(alpha**2) / (2.0 * B)))
@@ -131,8 +136,8 @@ def test_stopped_bracket_never_exceeds_cap():
     sampler = stopped_brownian_sampler(0.5, n_steps=300)
     sup_abs, qv = sampler(5000, 1.0, 11)
     assert np.all(qv <= 0.5 + 1e-12)
-    freq, bound = check_exponential_inequality(sampler, 1.5, 0.5, 1.0, 5000, 11)
-    assert freq <= bound
+    cell = _one_cell(sampler, 1.5, 0.5, 5000, 11)
+    assert cell.frequency <= cell.bound
 
 
 def test_sampler_without_bracket_is_rejected():
@@ -140,11 +145,11 @@ def test_sampler_without_bracket_is_rejected():
         return np.zeros(N), None
 
     with pytest.raises(ConfigError):
-        check_exponential_inequality(bare, 1.0, 1.0, 1.0, 1000, 0)
+        _one_cell(bare, 1.0, 1.0, 1000, 0)
     with pytest.raises(ConfigError, match="no quadratic variation"):
         exponential_inequality_grid(bare, [0.5, 1.0], [1.0, 2.0], 1.0, 1000, 0)
     with pytest.raises(ConfigError):
-        check_exponential_inequality(brownian_sampler(), -1.0, 1.0, 1.0, 1000, 0)
+        _one_cell(brownian_sampler(), -1.0, 1.0, 1000, 0)
 
 
 def _counting(sampler):
@@ -171,8 +176,7 @@ def test_inequality_grid_draws_once_and_matches_per_cell_checks(sampler):
     sup_abs, qv = sampler(3000, 1.0, 5)
     for cell in cells:
         assert isinstance(cell.hits, int) and cell.frequency == cell.hits / 3000
-        per_cell = check_exponential_inequality(sampler, cell.alpha, cell.B, 1.0, 3000, 5)
-        assert (cell.frequency, cell.bound) == per_cell
+        assert _one_cell(sampler, cell.alpha, cell.B, 3000, 5) == cell
         # the per-cell formula the grid replaces, on the same draw
         assert cell.frequency == float(np.mean((sup_abs >= cell.alpha) & (qv <= cell.B)))
 
@@ -238,19 +242,23 @@ def test_trend_violation_counting():
     assert count_trend_violations([_stub(-0.3), _stub(-0.1, error="boom")]) == 0
 
 
-def test_write_tail_csv_epsilon_and_level_layouts(tmp_path, ou):
+def test_write_tail_csv_epsilon_and_level_layouts(run_subcommand, ou):
+    """mdp-check writes one row per epsilon cell, each field as the library's
+    estimate; level cells (boundedness_Y) have no output table."""
     eps_cells = tail_probability(ou, Event("terminal_x", 0.5, 0.3), [0.1], 1000, 0.01, 3)
-    f1 = tmp_path / "eps.csv"
-    write_tail_csv(eps_cells, f1)
-    lines = f1.read_text().splitlines()
+    event = {"threshold": 0.5}
+    f1 = run_subcommand("mdp-check", T=0.3, seed=3, event=event, args=("--workers", "1"))
+    lines = (f1 / "mc.csv").read_text().splitlines()
     assert lines[0] == "epsilon,N,hits,p_hat,ci_lo,ci_hi,scaled_log,censored"
+    assert len(lines) == 1 + len(eps_cells)
     assert lines[1].startswith("0.1,1000,")
+    c = eps_cells[0]
+    assert lines[1].split(",") == [
+        repr(c.epsilon), str(c.N), str(c.hits), repr(c.p_hat), repr(c.ci_lo),
+        repr(c.ci_hi), repr(c.scaled_log), str(int(c.censored)),
+    ]
 
-    level_cells = boundedness_Y(ou, [1.0, 2.0], 0.3, 0.01, 1000, 3)
-    f2 = tmp_path / "lvl.csv"
-    write_tail_csv(level_cells, f2)
-    assert f2.read_text().splitlines()[0].startswith("C,")
-
-    again = tmp_path / "eps2.csv"
-    write_tail_csv(eps_cells, again)
-    assert again.read_bytes() == f1.read_bytes()
+    f2 = run_subcommand(
+        "mdp-check", T=0.3, seed=3, event=event, out="again", args=("--workers", "2")
+    )
+    assert (f2 / "mc.csv").read_bytes() == (f1 / "mc.csv").read_bytes()

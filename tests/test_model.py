@@ -48,6 +48,25 @@ def test_diffusion_matrix_ou():
     np.testing.assert_allclose(a, np.broadcast_to(2.0 * np.eye(1), (4, 1, 1)))
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_diffusion_matrix_matches_einsum_bitwise(d):
+    """At d <= 2 the entry-by-entry sigma sigma^T gives the bits of the
+    generic einsum, signed zeros, infinities and NaNs included."""
+    rng = np.random.Generator(np.random.Philox(key=d))
+    sig = rng.standard_normal((4000, d, d)) * 10.0 ** rng.integers(-8, 8, (4000, d, d))
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e300, -1e-300])
+    mask = rng.random(sig.shape) < 0.3
+    sig[mask] = rng.choice(specials, int(mask.sum()))
+    spec = type("Spec", (), {"sigma": staticmethod(lambda z, y: sig)})()
+    with np.errstate(all="ignore"):
+        got = diffusion_matrix(spec, None, None)
+        want = np.einsum("...ij,...kj->...ik", sig, sig)
+    assert got.shape == want.shape
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+
+
 def test_validate_ou_clean():
     report = validate_model(get_benchmark("ou"), BOX, [(-2.0, 2.0)])
     assert report.ok

@@ -3,11 +3,8 @@ import pytest
 
 from fastslow import (
     DiscretePath,
-    HalfSpaceEvent,
     action,
-    mdp_prediction,
     minimize_endpoint,
-    write_rate_path_csv,
 )
 from fastslow.errors import ConfigError, ConvergenceError
 
@@ -119,33 +116,39 @@ def test_iteration_cap_raises_with_context(ou_avg):
     assert err.value.last_grad_norm is not None
 
 
+def _half_space(ou_avg, T, level, mesh_size, normal=(1.0, 0.0)):
+    """J* of the terminal half-space {X_T > level}: the boundary constraint
+    (C, [level]) on the stacked (X_T, Y_T) that the rate subcommand builds."""
+    C = np.array([normal])
+    _, value = minimize_endpoint(ou_avg, T, (C, np.array([level])), mesh_size, y0=[0.0])
+    return value.J
+
+
 def test_prediction_for_threshold_events(ou_avg):
-    up = mdp_prediction(ou_avg, 1.0, HalfSpaceEvent(np.array([1.0]), 1.0), y0=[0.0], mesh_size=32)
-    assert up == pytest.approx(0.25, abs=2e-3)
-    # negative level: the resting path is already inside the event
-    free = mdp_prediction(ou_avg, 1.0, HalfSpaceEvent(np.array([1.0]), -0.5), y0=[0.0])
-    assert free == 0.0
+    assert _half_space(ou_avg, 1.0, 1.0, 32) == pytest.approx(0.25, abs=2e-3)
     # doubling the level quadruples the cost (quadratic rate)
-    two = mdp_prediction(ou_avg, 1.0, HalfSpaceEvent(np.array([1.0]), 2.0), y0=[0.0], mesh_size=32)
-    assert two == pytest.approx(1.0, abs=1e-2)
+    assert _half_space(ou_avg, 1.0, 2.0, 32) == pytest.approx(1.0, abs=1e-2)
 
 
 def test_prediction_decreases_with_horizon(ou_avg):
-    short = mdp_prediction(ou_avg, 0.5, HalfSpaceEvent(np.array([1.0]), 1.0), y0=[0.0], mesh_size=16)
-    longer = mdp_prediction(ou_avg, 2.0, HalfSpaceEvent(np.array([1.0]), 1.0), y0=[0.0], mesh_size=16)
-    assert longer < short
+    assert _half_space(ou_avg, 2.0, 1.0, 16) < _half_space(ou_avg, 0.5, 1.0, 16)
 
 
 def test_prediction_validates_normal(ou_avg):
-    with pytest.raises(ConfigError):
-        mdp_prediction(ou_avg, 1.0, HalfSpaceEvent(np.array([1.0, 0.0]), 1.0), y0=[0.0])
+    # a normal with one X component too many does not act on (X_T, Y_T)
+    with pytest.raises(ConfigError, match="constraint matrix shaped"):
+        _half_space(ou_avg, 1.0, 1.0, 16, normal=(1.0, 0.0, 0.0))
 
 
-def test_write_rate_path_csv_layout(tmp_path, ou_avg):
+def test_write_rate_path_csv_layout(run_subcommand, ou_avg):
+    """The rate subcommand's path table is the library minimizer's path."""
     path, _ = minimize_endpoint(ou_avg, 1.0, np.array([1.0]), 16, y0=[0.0])
-    f = tmp_path / "rate_path.csv"
-    write_rate_path_csv(path, f)
+    out = run_subcommand("rate", T=1.0, seed=0, rate={"target": [1.0], "mesh_size": 16})
+    f = out / "rate_path.csv"
     lines = f.read_text().splitlines()
     assert lines[0] == "t,X_1,Y_1"
     assert len(lines) == 1 + path.times.size
     assert float(lines[-1].split(",")[1]) == pytest.approx(1.0, abs=1e-9)
+    data = np.loadtxt(f, delimiter=",", skiprows=1)
+    np.testing.assert_array_equal(data[:, 0], path.times)
+    np.testing.assert_allclose(data[:, 1:], np.hstack([path.X, path.Y]), atol=1e-9)

@@ -11,7 +11,6 @@ from fastslow import (
     path_generator,
     simulate_block,
     simulate_pair,
-    write_path_csv,
 )
 from fastslow.errors import ConfigError, SimulationBlowupError
 from fastslow.simulate import DefectIntegral, Recorder, SupX, SupXi, SupY
@@ -263,20 +262,12 @@ def test_frozen_flow_reaches_stationary_moments(ou):
     assert z.var() == pytest.approx(1.0, abs=0.12)
 
 
-def test_write_path_csv_round_trip(tmp_path, ou):
+def test_write_path_csv_round_trip(run_subcommand, ou):
+    """The simulate subcommand's path table round-trips simulate_pair."""
     sample = simulate_pair(ou, 0.1, 0.01, 4)
-    target = tmp_path / "path.csv"
-    write_path_csv(target, sample)
+    target = run_subcommand("simulate", T=0.1, seed=4) / "path.csv"
     text = target.read_text().splitlines()
     assert text[0] == "t,xi_1,Y_1,X_1"
     data = np.loadtxt(target, delimiter=",", skiprows=1)
     np.testing.assert_array_equal(data[:, 1], sample.xi[:, 0])
     np.testing.assert_array_equal(data[:, 3], sample.X[:, 0])
-
-
-def test_write_path_csv_is_reproducible(tmp_path, ou):
-    sample = simulate_pair(ou, 0.1, 0.01, 4)
-    f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_path_csv(f1, sample)
-    write_path_csv(f2, simulate_pair(ou, 0.1, 0.01, 4))
-    assert f1.read_bytes() == f2.read_bytes()
