@@ -16,10 +16,8 @@ from .averaging import (
 )
 from .deviations import (
     CorrectorProbe,
-    DeltaReport,
     SweepCell,
     TermStat,
-    corrector_path,
     mdp_speed,
     negligibility_sweep,
 )
@@ -132,8 +130,6 @@ __all__ = [
     "homogenization_defect",
     "default_z_grid",
     # corrector deviations
-    "DeltaReport",
-    "corrector_path",
     "CorrectorProbe",
     "TermStat",
     "SweepCell",

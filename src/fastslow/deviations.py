@@ -14,11 +14,10 @@ where the remainder collects three small pieces:
                                     + (eps^(1-2kappa)/2) tr(G G^T d2_y u) ) ds
             + eps^(3/2 - 2kappa)  int (d_y u)^T G dW .                 slow noise
 
-Everything here evaluates that decomposition on simulated paths: a replay of
-a recorded trajectory (``corrector_path``), a streaming probe that rides the
-batch kernel without storing paths (``CorrectorProbe``), and a sweep measuring
-how fast sup |Delta| — and each term separately — becomes negligible on the
-deviation scale (``negligibility_sweep``).
+Everything here evaluates that decomposition on simulated paths: a streaming
+probe that rides the batch kernel without storing paths (``CorrectorProbe``),
+and a sweep measuring how fast sup |Delta| — and each term separately —
+becomes negligible on the deviation scale (``negligibility_sweep``).
 """
 
 from __future__ import annotations
@@ -28,14 +27,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
 from .grids import RectGrid
 from .poisson import solve_family
 from .simulate import Probe, micro_substeps, simulate_block
 
 __all__ = [
-    "DeltaReport",
-    "corrector_path",
     "CorrectorProbe",
     "TermStat",
     "SweepCell",
@@ -47,28 +43,6 @@ __all__ = [
 def mdp_speed(spec):
     """The deviation speed eps^(1 - 2 kappa) of the model's regime."""
     return spec.epsilon ** (1.0 - 2.0 * spec.kappa)
-
-
-@dataclass
-class DeltaReport:
-    """Corrector decomposition along one macro mesh.
-
-    All paths are (N+1, p) node arrays; term paths carry their eps powers, so
-    at every node  X = xhat + boundary + drift + slow_noise + O(residual).
-    """
-
-    times: np.ndarray
-    xhat: np.ndarray
-    delta: np.ndarray
-    boundary: np.ndarray
-    drift: np.ndarray
-    slow_noise: np.ndarray
-    qv: np.ndarray
-    identity_residual: float
-    sup_abs_delta: float
-    n_clamped: int
-    epsilon: float
-    kappa: float
 
 
 def _slow_generator_terms(spec, family, xi, Y, clamp_z):
@@ -84,75 +58,6 @@ def _slow_generator_terms(spec, family, xi, Y, clamp_z):
     return adv, trace, dy_u, G
 
 
-def corrector_path(sample, family, spec=None):
-    """Replay a recorded trajectory through the corrector decomposition.
-
-    The fast micro states are rebuilt from the stored increments with the
-    same update arithmetic as the simulator, all macro steps in parallel, so
-    the reconstructed martingale sees exactly the states the kernel visited.
-    """
-    if spec is None:
-        spec = family.spec
-    if sample.dB is None:
-        raise ConfigError("corrector replay needs a path recorded with fast increments")
-    eps, kappa = sample.epsilon, sample.kappa
-    N, n_sub = sample.n_steps, sample.n_sub
-    h, h_sub = sample.h, sample.h_fast
-    p = family.p
-
-    clamped_before = family.clamped_count
-    u_nodes = family.u_at(sample.xi, sample.Y, clamp_z=True)        # (N+1, p)
-
-    xi_left, Y_left = sample.xi[:-1], sample.Y[:-1]
-    adv, trace, dy_u, G = _slow_generator_terms(spec, family, xi_left, Y_left, True)
-    lag_u = adv + 0.5 * eps ** (1.0 - 2.0 * kappa) * trace
-    drift_steps = h * lag_u                                          # (N, p)
-    noise_steps = np.einsum("...pl,...lj,...j->...p", dy_u, G, sample.dW)
-
-    # micro replay, vectorized across macro steps
-    inv_eps, inv_sqeps = 1.0 / eps, 1.0 / math.sqrt(eps)
-    z = xi_left.copy()
-    m_steps = np.zeros((N, p))
-    qv = np.zeros((p, p))
-    for j in range(n_sub):
-        g = family.grad_u_at(z, Y_left, clamp_z=True)                # (N, p, d)
-        sig = np.asarray(spec.sigma(z, Y_left), float)
-        sig = np.broadcast_to(sig, z.shape[:-1] + (spec.d, spec.d))
-        m_steps += np.einsum("...pi,...ij,...j->...p", g, sig, sample.dB[:, j])
-        a = np.einsum("...ij,...kj->...ik", sig, sig)
-        qv += h_sub * np.einsum("npi,nij,nqj->pq", g, a, g)
-        drift = np.asarray(spec.b(z, Y_left), float)
-        z = z + (h_sub * inv_eps) * drift + inv_sqeps * np.einsum(
-            "...ij,...j->...i", sig, sample.dB[:, j]
-        )
-
-    def cum(steps):
-        out = np.zeros((N + 1, p))
-        np.cumsum(steps, axis=0, out=out[1:])
-        return out
-
-    xhat = eps ** (0.5 - kappa) * cum(m_steps)
-    boundary = eps ** (1.0 - kappa) * (u_nodes[0] - u_nodes)
-    drift_path = eps ** (1.0 - kappa) * cum(drift_steps)
-    noise_path = eps ** (1.5 - 2.0 * kappa) * cum(noise_steps)
-    delta = sample.X - xhat
-    residual = delta - (boundary + drift_path + noise_path)
-    return DeltaReport(
-        times=sample.times,
-        xhat=xhat,
-        delta=delta,
-        boundary=boundary,
-        drift=drift_path,
-        slow_noise=noise_path,
-        qv=qv,
-        identity_residual=float(np.max(np.abs(residual))),
-        sup_abs_delta=float(np.max(np.abs(delta))),
-        n_clamped=family.clamped_count - clamped_before,
-        epsilon=eps,
-        kappa=kappa,
-    )
-
-
 class CorrectorProbe(Probe):
     """Streaming corrector statistics over a batch of paths.
 
@@ -161,8 +66,8 @@ class CorrectorProbe(Probe):
     the three remainder terms with their running sups, the running sup of
     |Delta|, and the worst node-wise defect of the decomposition identity.
 
-    After the run: sup_delta, sup_boundary, sup_drift, sup_noise,
-    identity_residual — all (B,); delta_T (B, p); qv (B, p, p).
+    After the run: sup_abs_delta, sup_boundary, sup_drift, sup_noise,
+    identity_residual — all (B,); M and delta_T (B, p); qv (B, p, p).
     """
 
     def __init__(self, spec, family, h, *, c_fast=0.1, clamp_z=True):
@@ -186,7 +91,7 @@ class CorrectorProbe(Probe):
         self.qv = np.zeros((B, p, p))
         self.drift_sum = np.zeros((B, p))
         self.noise_sum = np.zeros((B, p))
-        self.sup_delta = np.zeros(B)
+        self.sup_abs_delta = np.zeros(B)
         self.sup_boundary = np.zeros(B)
         self.sup_drift = np.zeros(B)
         self.sup_noise = np.zeros(B)
@@ -220,7 +125,7 @@ class CorrectorProbe(Probe):
         def track(buf, arr):
             np.maximum(buf, np.max(np.abs(arr), axis=-1), out=buf)
 
-        track(self.sup_delta, delta)
+        track(self.sup_abs_delta, delta)
         track(self.sup_boundary, boundary)
         track(self.sup_drift, drift)
         track(self.sup_noise, noise)
@@ -307,12 +212,12 @@ def negligibility_sweep(
             SweepCell(
                 epsilon=float(eps),
                 n_paths=N,
-                delta=_term_stat(probe.sup_delta, eta, speed, N),
+                delta=_term_stat(probe.sup_abs_delta, eta, speed, N),
                 boundary=_term_stat(probe.sup_boundary, eta, speed, N),
                 drift=_term_stat(probe.sup_drift, eta, speed, N),
                 slow_noise=_term_stat(probe.sup_noise, eta, speed, N),
-                median_sup=float(np.median(probe.sup_delta)),
-                max_sup=float(np.max(probe.sup_delta)),
+                median_sup=float(np.median(probe.sup_abs_delta)),
+                max_sup=float(np.max(probe.sup_abs_delta)),
                 max_identity_residual=float(np.max(probe.identity_residual)),
             )
         )

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .deviations import CorrectorProbe, mdp_speed
+from .deviations import mdp_speed
 from .errors import ConfigError, FastslowError
 from .simulate import SupX, SupXi, SupY, path_generator, simulate_block
 
@@ -49,7 +49,7 @@ _Z95 = 1.959963984540054
 _MIN_PATHS = 1_000
 DEFAULT_BATCH = 8192
 
-_FUNCTIONALS = ("terminal_x", "sup_x", "sup_delta")
+_FUNCTIONALS = ("terminal_x", "sup_x")
 
 
 @dataclass(frozen=True)
@@ -57,8 +57,7 @@ class Event:
     """Path event descriptor.
 
     functional: "terminal_x"  — component of X at the horizon exceeds threshold;
-                "sup_x"       — running sup of |X_component| exceeds threshold;
-                "sup_delta"   — sup of the corrector remainder norm exceeds it.
+                "sup_x"       — running sup of |X_component| exceeds threshold.
     """
 
     functional: str
@@ -161,21 +160,18 @@ def tail_probability(
     h,
     seed,
     *,
-    family=None,
     batch=DEFAULT_BATCH,
     workers=None,
     c_fast=0.1,
 ):
     """Estimate P(event) for each epsilon with the eps^(1-2 kappa) log scaling.
 
-    A simulation failure (blow-up, grid exit) aborts only its epsilon cell;
+    A simulation failure (a blow-up) aborts only its epsilon cell;
     the failed cell carries the error message and NaN statistics.
     """
     N = int(N)
     if N < _MIN_PATHS:
         raise ConfigError(f"N must be at least {_MIN_PATHS} paths, got {N}")
-    if event.functional == "sup_delta" and family is None:
-        raise ConfigError("sup_delta events need a solved corrector family")
 
     out = []
     for eps in epsilon_list:
@@ -183,20 +179,14 @@ def tail_probability(
         speed = mdp_speed(spec_e)
 
         def count(ids, spec_e=spec_e):
-            probes = ()
-            if event.functional == "sup_x":
-                probes = (SupX(),)
-            elif event.functional == "sup_delta":
-                probes = (CorrectorProbe(spec_e, family, h, c_fast=c_fast),)
+            probes = (SupX(),) if event.functional == "sup_x" else ()
             run = simulate_block(
                 spec_e, event.T, h, seed, list(ids), c_fast=c_fast, probes=probes
             )
             if event.functional == "terminal_x":
                 vals = run.X[:, event.component]
-            elif event.functional == "sup_x":
-                vals = probes[0].value[:, event.component]
             else:
-                vals = probes[0].sup_delta
+                vals = probes[0].value[:, event.component]
             return int(np.count_nonzero(vals > event.threshold))
 
         try:

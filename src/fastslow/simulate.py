@@ -99,7 +99,7 @@ class PathSample:
     xi: np.ndarray
     Y: np.ndarray
     X: np.ndarray
-    dB: np.ndarray | None
+    dB: np.ndarray
     dW: np.ndarray
     epsilon: float
     kappa: float
@@ -128,9 +128,9 @@ class _NoiseSource:
     exactly n_macro * chunk normals.
     """
 
-    def __init__(self, seed, path_ids, n_macro, n_sub, d, l):
+    def __init__(self, seeds, path_ids, n_macro, n_sub, d, l):
         self.chunk = n_sub * d + l
-        self.gens = [path_generator(seed, pid) for pid in path_ids]
+        self.gens = [path_generator(s, pid) for s, pid in zip(seeds, path_ids)]
         B = len(self.gens)
         window = max(1, int(_BUFFER_LIMIT // max(1, B * self.chunk)))
         self._n_macro = n_macro
@@ -267,9 +267,22 @@ def _path_major(rows):
     return flat.reshape((len(rows),) + rows[0].shape).swapaxes(0, 1)
 
 
+def _lane_seeds(seed, path_ids):
+    """One seed per lane: an int serves every lane, a sequence is taken as is."""
+    if np.ndim(seed) == 0:
+        return [seed] * len(path_ids)
+    if len(seed) != len(path_ids):
+        raise ConfigError(
+            f"{len(seed)} seeds for {len(path_ids)} paths; give one seed per path"
+        )
+    return list(seed)
+
+
 def simulate_block(spec, T, h, seed, path_ids, *, c_fast=0.1, probes=()):
     """Advance a block of paths of the coupled pair through one shared kernel.
 
+    Lane i draws from ``path_generator(seed[i], path_ids[i])``: ``seed`` is
+    either one int for every lane or a sequence with one seed per lane.
     Returns a namespace with the macro mesh ``times``, the micro-step count
     ``n_sub`` and the terminal states ``xi`` (B, d), ``Y`` (B, l) and ``X``
     (B, p).  Nothing else is stored.  Each of ``probes`` is called in order
@@ -285,7 +298,7 @@ def simulate_block(spec, T, h, seed, path_ids, *, c_fast=0.1, probes=()):
     h_sub = h / n_sub
     B = len(path_ids)
 
-    noise = _NoiseSource(seed, path_ids, n_macro, n_sub, d, l)
+    noise = _NoiseSource(_lane_seeds(seed, path_ids), path_ids, n_macro, n_sub, d, l)
     sq_sub, sq_h = math.sqrt(h_sub), math.sqrt(h)
     inv_eps, inv_sqeps = 1.0 / eps, 1.0 / math.sqrt(eps)
     x_gain = h * eps ** (-kappa)
@@ -352,7 +365,7 @@ def simulate_pair(spec, T, h, seed, *, path_id=0, c_fast=0.1):
     )
 
 
-def frozen_block(spec, y, T, h, seed, path_ids, *, z_init=None, keep_states=False):
+def frozen_block(spec, y, T, h, seed, path_ids, *, keep_states=False):
     """Batch Euler-Maruyama for the frozen fast flow dz = b dt + sigma dB.
 
     The frozen equation carries no 1/epsilon, so the plain step h is used.
@@ -362,7 +375,7 @@ def frozen_block(spec, y, T, h, seed, path_ids, *, z_init=None, keep_states=Fals
     n, times = _macro_mesh(T, h)
     B = len(path_ids)
     y_arr = np.broadcast_to(np.atleast_1d(np.asarray(y, float)), (B, spec.l))
-    z = np.broadcast_to(spec.z0 if z_init is None else np.asarray(z_init, float), (B, d)).copy()
+    z = np.broadcast_to(spec.z0, (B, d)).copy()
     gens = [path_generator(seed, pid) for pid in path_ids]
     sq_h = math.sqrt(h)
     states = np.empty((n + 1, B, d)) if keep_states else None

@@ -20,7 +20,7 @@ from scipy.stats import norm
 
 from fastslow.averaging import averaged_coefficients, homogenization_defect
 from fastslow.cli import main
-from fastslow.deviations import corrector_path, negligibility_sweep
+from fastslow.deviations import CorrectorProbe, negligibility_sweep
 from fastslow.grids import RectGrid
 from fastslow.mcengine import (
     Event,
@@ -36,7 +36,7 @@ from fastslow.mcengine import (
 from fastslow.model import get_benchmark
 from fastslow.poisson import solve_family, solve_poisson
 from fastslow.ratefn import DiscretePath, action, minimize_endpoint
-from fastslow.simulate import simulate_pair
+from fastslow.simulate import simulate_block
 from fastslow.stationary import invariant_density
 
 _Z95 = 1.959963984540054
@@ -99,14 +99,15 @@ def test_criterion_2_averaged_coefficients_oracle(ou, z_grid):
 
 
 def _residual_medians(spec, family, h_values, n_seeds):
+    # one block per h; lane s is keyed (seed s, path 0), the key of
+    # simulate_pair(spec, 1.0, h, s)
     out = []
     for h in h_values:
-        res = [
-            corrector_path(simulate_pair(spec, 1.0, h, seed), family, spec=spec
-                           ).identity_residual
-            for seed in range(n_seeds)
-        ]
-        out.append(float(np.median(res)))
+        probe = CorrectorProbe(spec, family, h)
+        simulate_block(
+            spec, 1.0, h, list(range(n_seeds)), [0] * n_seeds, probes=(probe,)
+        )
+        out.append(float(np.median(probe.identity_residual)))
     return out
 
 

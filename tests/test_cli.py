@@ -384,6 +384,19 @@ def test_missing_required_key(runner, tmp_path):
     assert "missing key 'T' in run" in text_of(result)
 
 
+def test_mdp_check_rejects_sup_delta_before_any_output(runner, tmp_path):
+    """The corrector remainder is the delta subcommand's statistic, not an
+    mdp-check event: the functional is refused at parse time, with the
+    choices named, before the output directory exists."""
+    out = tmp_path / "out"
+    cfg = base_config(out, event={"functional": "sup_delta", "threshold": 0.2})
+    result = runner.invoke(main, ["mdp-check", str(write_cfg(tmp_path, cfg))])
+    assert result.exit_code == 2
+    assert "unknown event functional 'sup_delta'" in text_of(result)
+    assert "terminal_x" in text_of(result) and "sup_x" in text_of(result)
+    assert not out.exists()
+
+
 def test_model_source_must_be_unique(runner, tmp_path):
     cfg = base_config(tmp_path / "out")
     cfg["model"] = {"benchmark": "ou", "inline": {}}

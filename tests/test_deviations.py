@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -7,14 +5,12 @@ from fastslow import (
     CorrectorProbe,
     ModelSpec,
     RectGrid,
-    corrector_path,
     mdp_speed,
     negligibility_sweep,
     simulate_block,
-    simulate_pair,
     solve_family,
 )
-from fastslow.errors import ConfigError
+from fastslow.simulate import Recorder
 
 
 def test_mdp_speed_arithmetic(ou):
@@ -22,26 +18,40 @@ def test_mdp_speed_arithmetic(ou):
     assert mdp_speed(ou.with_epsilon(0.01)) == pytest.approx(0.01**0.5)
 
 
+def _corrector_run(spec, family, T, h, seed, path_ids, *extra):
+    probe = CorrectorProbe(spec, family, h)
+    simulate_block(spec, T, h, seed, path_ids, probes=(probe, *extra))
+    return probe
+
+
 def test_decomposition_identity_exact_for_linear_solution(ou, ou_family):
     """With a fast-linear cell solution the discrete decomposition telescopes
-    exactly: the residual is pure floating-point noise."""
-    sample = simulate_pair(ou, 1.0, 0.01, 42)
-    rep = corrector_path(sample, ou_family)
-    assert rep.identity_residual < 1e-10
-    assert rep.n_clamped == 0
-    np.testing.assert_array_equal(rep.xhat[0], 0.0)
-    np.testing.assert_array_equal(rep.delta[0], 0.0)
-    # the decomposition reassembles the path at every node
-    recon = rep.xhat + rep.boundary + rep.drift + rep.slow_noise
-    assert np.max(np.abs(sample.X - recon)) < 1e-10
+    exactly: at every node the path reassembles from the martingale and the
+    three remainder terms up to floating-point noise, and u stays on its
+    tabulated box."""
+    clamped_before = ou_family.clamped_count
+    probe = _corrector_run(ou, ou_family, 1.0, 0.01, 42, [0, 1, 2])
+    assert np.all(probe.identity_residual < 1e-10)
+    assert ou_family.clamped_count == clamped_before
 
 
 def test_bracket_matches_flat_energy(ou, ou_family):
     """For the linear benchmark the martingale's energy density is the
     constant 2, so the discrete bracket equals 2T up to rounding."""
-    sample = simulate_pair(ou, 1.0, 0.01, 7)
-    rep = corrector_path(sample, ou_family)
-    assert rep.qv[0, 0] == pytest.approx(2.0, rel=1e-6)
+    probe = _corrector_run(ou, ou_family, 1.0, 0.01, 7, [0])
+    assert probe.qv[0, 0, 0] == pytest.approx(2.0, rel=1e-6)
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.02])
+def test_linear_martingale_is_scaled_fast_noise(ou, ou_family, eps):
+    """On the linear benchmark u(z) = z and sigma = sqrt(2), so the
+    martingale is sqrt(2) times the sum of every fast increment the kernel
+    drew, micro steps included (five per macro step at eps = 0.02)."""
+    spec = ou.with_epsilon(eps)
+    rec = Recorder()
+    probe = _corrector_run(spec, ou_family, 0.5, 0.01, 23, [0, 1, 2], rec)
+    want = np.sqrt(2.0) * rec.dB.sum(axis=(1, 2))
+    np.testing.assert_allclose(probe.M, want, rtol=0.0, atol=1e-9)
 
 
 def test_zero_observable_zeroes_every_term(ou, y_grid, z_grid):
@@ -52,28 +62,12 @@ def test_zero_observable_zeroes_every_term(ou, y_grid, z_grid):
         epsilon=0.1, kappa=0.25, z0=[0.0], y0=[0.0],
     )
     family = solve_family(quiet, RectGrid.from_bounds([(-4.0, 4.0, 9)]), z_grid)
-    sample = simulate_pair(quiet, 0.5, 0.01, 3)
-    rep = corrector_path(sample, family)
-    for arr in (rep.xhat, rep.delta, rep.boundary, rep.drift, rep.slow_noise):
+    probe = _corrector_run(quiet, family, 0.5, 0.01, 3, [0, 1])
+    for arr in (
+        probe.M, probe.qv, probe.delta_T, probe.sup_abs_delta, probe.sup_boundary,
+        probe.sup_drift, probe.sup_noise,
+    ):
         assert np.max(np.abs(arr)) < 1e-12
-    assert rep.qv[0, 0] < 1e-12
-
-
-def test_replay_requires_recorded_increments(ou, ou_family):
-    sample = dataclasses.replace(simulate_pair(ou, 0.2, 0.01, 1), dB=None)
-    with pytest.raises(ConfigError):
-        corrector_path(sample, ou_family)
-
-
-def test_probe_agrees_with_replay(ou, ou_family):
-    sample = simulate_pair(ou, 0.5, 0.01, 23)
-    rep = corrector_path(sample, ou_family)
-    probe = CorrectorProbe(ou, ou_family, 0.01)
-    simulate_block(ou, 0.5, 0.01, 23, [0], probes=(probe,))
-    assert probe.sup_delta[0] == pytest.approx(np.max(np.abs(rep.delta)), abs=1e-12)
-    assert probe.delta_T[0, 0] == pytest.approx(rep.delta[-1, 0], abs=1e-12)
-    assert probe.qv[0, 0, 0] == pytest.approx(rep.qv[0, 0], abs=1e-10)
-    assert probe.identity_residual[0] < 1e-10
 
 
 def test_martingale_is_centered_over_paths(ou, ou_family):

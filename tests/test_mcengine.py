@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from fastslow import (
     Event,
+    ModelSpec,
     TailEstimate,
     boundedness_Y,
     brownian_sampler,
@@ -43,8 +44,9 @@ def test_wilson_interval_shrinks_with_n():
 def test_event_vocabulary():
     Event("terminal_x", 1.0, 1.0)
     Event("sup_x", 1.0, 1.0)
-    with pytest.raises(ConfigError):
-        Event("running_max", 1.0, 1.0)
+    for name in ("running_max", "sup_delta"):
+        with pytest.raises(ConfigError, match="terminal_x.*sup_x"):
+            Event(name, 1.0, 1.0)
 
 
 def test_tail_probability_cells(ou):
@@ -73,25 +75,22 @@ def test_tail_probability_requires_min_paths(ou):
         tail_probability(ou, Event("terminal_x", 0.5, 0.5), [0.1], 100, 0.01, 1)
 
 
-def test_sup_delta_event_needs_family(ou, ou_family):
-    event = Event("sup_delta", 0.2, 0.3)
-    with pytest.raises(ConfigError):
-        tail_probability(ou, event, [0.1], 1000, 0.01, 3)
-    cells = tail_probability(ou, event, [0.1], 1000, 0.01, 3, family=ou_family)
-    assert cells[0].error == ""
-
-
-def test_failed_cell_isolates_its_epsilon(ou, y_grid, z_grid):
-    """A family tabulated on a sliver of the slow range makes paths exit the
-    y-grid: that epsilon's cell must carry the error, not abort the sweep."""
-    from fastslow import solve_family
-
-    tiny = solve_family(ou, type(y_grid).from_bounds([(-1e-3, 1e-3, 3)]), z_grid)
-    event = Event("sup_delta", 0.2, 0.3)
-    cells = tail_probability(ou, event, [0.1], 1000, 0.01, 3, family=tiny)
-    assert cells[0].error != ""
-    assert "y-grid" in cells[0].error
-    assert math.isnan(cells[0].p_hat)
+def test_failed_cell_isolates_its_epsilon(ou):
+    """b = 100 z is stable enough to finish at eps = 0.1 but overflows at
+    eps = 0.01: that cell must carry the blow-up, and the cell after it must
+    equal a sweep that never met the failure."""
+    unstable = ModelSpec(
+        d=1, l=1, p=1,
+        b=lambda z, y: 100.0 * z, sigma=ou.sigma, F=ou.F, G=ou.G, H=ou.H,
+        epsilon=0.1, kappa=0.25, z0=[0.0], y0=[0.0],
+    )
+    event = Event("terminal_x", 0.5, 0.5)
+    with np.errstate(over="ignore", invalid="ignore"):
+        failed, kept = tail_probability(unstable, event, [0.01, 0.1], 1000, 0.01, 7)
+    (alone,) = tail_probability(unstable, event, [0.1], 1000, 0.01, 7)
+    assert failed.error.startswith("SimulationBlowupError: ")
+    assert math.isnan(failed.p_hat) and math.isnan(failed.scaled_log)
+    assert kept == alone and kept.error == ""
 
 
 def test_surrogate_sweep_matches_closed_form():

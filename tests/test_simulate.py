@@ -110,6 +110,39 @@ def test_block_matches_single_paths(ou):
         assert sup_y.value[i] == np.abs(single.Y).sum(axis=1).max()
 
 
+def test_per_lane_seeds_match_single_lane_runs(ou_family):
+    """Lane i of a block with one seed per lane is the path keyed
+    (seed[i], path_ids[i]), bit for bit, in the terminal states and in the
+    corrector statistics; an int seed is the same seed in every lane."""
+    spec = ou_family.spec.with_epsilon(0.05)
+    T, h, seeds, ids = 0.1, 0.01, [3, 8, 3], [0, 0, 5]
+
+    def run(seed, path_ids):
+        probe = CorrectorProbe(spec, ou_family, h)
+        out = simulate_block(spec, T, h, seed, path_ids, probes=(probe,))
+        return [out.xi, out.Y, out.X, probe.M, probe.qv, probe.identity_residual]
+
+    block = run(seeds, ids)
+    for i, (seed, pid) in enumerate(zip(seeds, ids)):
+        for got, want in zip(block, run(seed, [pid])):
+            np.testing.assert_array_equal(got[i], want[0])
+    for got, want in zip(run(3, ids), run([3, 3, 3], ids)):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_seed_count_must_match_lanes(ou, monkeypatch):
+    made = []
+
+    def counting_generator(seed, path_id=0):
+        made.append((seed, path_id))
+        return path_generator(seed, path_id)
+
+    monkeypatch.setattr(sim, "path_generator", counting_generator)
+    with pytest.raises(ConfigError, match="one seed per path"):
+        simulate_block(ou, 0.1, 0.01, [1, 2], [0, 1, 2])
+    assert made == []
+
+
 def test_noise_window_size_does_not_change_draws(ou, monkeypatch):
     before = simulate_block(ou, 0.2, 0.01, 21, [0, 1])
     drawn = []
@@ -190,7 +223,7 @@ def _all_probes(spec, family, h):
         "record": (Recorder(), lambda p: [p.xi, p.Y, p.X, p.dB, p.dW]),
         "corrector": (
             CorrectorProbe(spec, family, h),
-            lambda p: [p.M, p.qv, p.sup_delta, p.identity_residual, p.delta_T],
+            lambda p: [p.M, p.qv, p.sup_abs_delta, p.identity_residual, p.delta_T],
         ),
     }
 
