@@ -195,7 +195,7 @@ def homogenization_defect(
             G = np.asarray(spec.G(z, y), float)
             G = np.broadcast_to(G, z.shape[:-1] + (spec.l, spec.l))
             return np.einsum("...ij,...kj->...ik", G, G) - avg.A_at(y)
-        g = family.grad_u_at(z, y, clamp_z=True)
+        g = family.at(z, y, clamp_z=True).grad_u
         a = diffusion_matrix(spec, z, y)
         return _q_values(g, a) - avg.Q_at(y)
 

@@ -45,10 +45,11 @@ def mdp_speed(spec):
     return spec.epsilon ** (1.0 - 2.0 * spec.kappa)
 
 
-def _slow_generator_terms(spec, family, xi, Y, clamp_z):
-    """(d_y u . F, tr(G G^T d2_y u), d_y u, G) at left-endpoint states."""
-    dy_u = family.du_dy_at(xi, Y, clamp_z=clamp_z)        # (..., p, l)
-    d2y_u = family.d2u_dy2_at(xi, Y, clamp_z=clamp_z)     # (..., p, l, l)
+def _slow_generator_terms(spec, vals, xi, Y):
+    """(d_y u . F, tr(G G^T d2_y u), d_y u, G) at left-endpoint states, given
+    the family's values there."""
+    dy_u = vals.du_dy                                     # (..., p, l)
+    d2y_u = vals.d2u_dy2                                  # (..., p, l, l)
     F = np.asarray(spec.F(xi, Y), float)
     G = np.asarray(spec.G(xi, Y), float)
     G = np.broadcast_to(G, xi.shape[:-1] + (spec.l, spec.l))
@@ -65,6 +66,14 @@ class CorrectorProbe(Probe):
     path and without storing trajectories: the martingale and its bracket,
     the three remainder terms with their running sups, the running sup of
     |Delta|, and the worst node-wise defect of the decomposition identity.
+
+    The family is evaluated once per visited state, with one stencil giving
+    u, grad_u, du_dy and d2u_dy2 together: ``start`` and ``node`` evaluate
+    the node state, and ``macro(k)`` and ``micro(k, 0)`` reuse those values,
+    since the kernel hands them the very arrays of that node.  Only micro
+    states j >= 1 cost a further evaluation, so a block of n_macro steps
+    evaluates (n_macro + 1) + n_macro (n_sub - 1) times, and the family's
+    ``clamped_count`` grows by one per clamped visited state.
 
     After the run: sup_abs_delta, sup_boundary, sup_drift, sup_noise,
     identity_residual — all (B,); M and delta_T (B, p); qv (B, p, p).
@@ -86,7 +95,8 @@ class CorrectorProbe(Probe):
     def start(self, xi, Y, X):
         B = xi.shape[0]
         p = self.family.p
-        self.u0 = self.family.u_at(xi, Y, clamp_z=self.clamp_z)
+        self._node = self.family.at(xi, Y, clamp_z=self.clamp_z)
+        self.u0 = self._node.u.copy()       # not a view pinning the whole stencil
         self.M = np.zeros((B, p))
         self.qv = np.zeros((B, p, p))
         self.drift_sum = np.zeros((B, p))
@@ -99,14 +109,13 @@ class CorrectorProbe(Probe):
         self.delta_T = np.zeros((B, p))
 
     def macro(self, k, xi, Y, dB, dW):
-        adv, trace, dy_u, G = _slow_generator_terms(
-            self.spec, self.family, xi, Y, self.clamp_z
-        )
+        adv, trace, dy_u, G = _slow_generator_terms(self.spec, self._node, xi, Y)
         self.drift_sum += self.h * (adv + self._s_trace * trace)
         self.noise_sum += np.einsum("...pl,...lj,...j->...p", dy_u, G, dW)
 
     def micro(self, k, j, z, Y, dB_j):
-        g = self.family.grad_u_at(z, Y, clamp_z=self.clamp_z)
+        vals = self._node if j == 0 else self.family.at(z, Y, clamp_z=self.clamp_z)
+        g = vals.grad_u
         sig = np.asarray(self.spec.sigma(z, Y), float)
         sig = np.broadcast_to(sig, z.shape[:-1] + (self.spec.d, self.spec.d))
         self.M += np.einsum("...pi,...ij,...j->...p", g, sig, dB_j)
@@ -114,7 +123,8 @@ class CorrectorProbe(Probe):
         self.qv += self.h_sub * np.einsum("...pi,...ij,...qj->...pq", g, a, g)
 
     def node(self, k, xi, Y, X):
-        u_k = self.family.u_at(xi, Y, clamp_z=self.clamp_z)
+        self._node = self.family.at(xi, Y, clamp_z=self.clamp_z)
+        u_k = self._node.u
         xhat = self._s_mart * self.M
         delta = X - xhat
         boundary = self._s_bdry * (self.u0 - u_k)

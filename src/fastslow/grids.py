@@ -9,7 +9,7 @@ integrates to one under exactly the weights returned by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
@@ -130,8 +130,12 @@ def multilinear(grid, values, points, clamp=False):
     GridDomainError unless ``clamp`` is set, in which case they are projected
     onto the boundary (used where rare fast-state excursions must not abort a
     long Monte Carlo sweep).
+
+    One cell index and one set of corner weights serve every trailing entry,
+    so stacking several tables along the trailing axes and interpolating once
+    gives each entry exactly the bits of interpolating its table alone.
     """
-    values = np.asarray(values)
+    values = np.asarray(values, dtype=float)
     points = np.asarray(points, dtype=float)
     scalar_in = points.ndim == 1
     pts = np.atleast_2d(points)
@@ -139,35 +143,38 @@ def multilinear(grid, values, points, clamp=False):
         raise GridDomainError(
             f"interpolation points have dimension {pts.shape[-1]}, grid has {grid.ndim}"
         )
-    if clamp:
-        lo = np.array([ax[0] for ax in grid.axes])
-        hi = np.array([ax[-1] for ax in grid.axes])
-        pts = np.clip(pts, lo, hi)
-    elif not np.all(grid.contains(pts)):
-        bad = pts[~grid.contains(pts)][0]
-        raise GridDomainError(f"point {bad} outside tabulated range")
-
-    idx = []
-    frac = []
+    # one pass per axis: range check (or projection), then the flat index of
+    # each point's lower cell corner and the two linear weights of the axis
+    extra = values.shape[grid.ndim :]
+    table = values.reshape((-1,) + extra)
+    stride = table.shape[0]
+    base = 0
+    axis_weights = []               # per axis: (1 - frac, frac, flat stride)
     for k, ax in enumerate(grid.axes):
-        h = ax[1] - ax[0]
-        t = (pts[..., k] - ax[0]) / h
-        i = np.clip(np.floor(t).astype(int), 0, ax.size - 2)
-        idx.append(i)
-        frac.append(t - i)
+        x = pts[..., k]
+        if clamp:
+            x = np.clip(x, ax[0], ax[-1])
+        elif x.size and not (x.min() >= ax[0] and x.max() <= ax[-1]):
+            bad = pts[~grid.contains(pts)][0]
+            raise GridDomainError(f"point {bad} outside tabulated range")
+        stride //= ax.size
+        t = (x - ax[0]) / (ax[1] - ax[0])           # >= 0, or a clamped NaN
+        i = np.maximum(np.minimum(t.astype(np.intp), ax.size - 2), 0)
+        frac = t - i
+        base = base + i * stride
+        axis_weights.append((1.0 - frac, frac, stride))
 
-    extra = values.ndim - grid.ndim
-    out = 0.0
+    out = np.zeros(pts.shape[:-1] + extra)
+    vals = np.empty_like(out)
     for corner in product((0, 1), repeat=grid.ndim):
-        w = np.ones(pts.shape[:-1])
-        sel = []
-        for k, c in enumerate(corner):
-            w = w * (frac[k] if c else (1.0 - frac[k]))
-            sel.append(idx[k] + c)
-        vals = values[tuple(sel)]
-        if extra:
-            w = w.reshape(w.shape + (1,) * extra)
-        out = out + w * vals
+        w, off = None, 0
+        for (w0, w1, step), c in zip(axis_weights, corner):
+            f = w1 if c else w0
+            w = f if w is None else w * f
+            off += c * step
+        np.take(table, base + off, axis=0, out=vals)
+        vals *= w.reshape(w.shape + (1,) * len(extra))
+        out += vals
     if scalar_in:
         out = out[0]
     return out

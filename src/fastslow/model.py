@@ -303,11 +303,19 @@ _SQRT2 = float(np.sqrt(2.0))
 
 
 def _const_matrix(c, dim):
+    """c I as a coefficient: one read-only broadcast view per batch shape,
+    made on its first call and handed out again after that."""
     mat = c * np.eye(dim)
+    views = {}
 
-    def f(z, y, _mat=mat, _dim=dim):
-        lead = np.broadcast_shapes(z.shape[:-1], y.shape[:-1])
-        return np.broadcast_to(_mat, lead + (_dim, _dim))
+    def f(z, y):
+        lead = z.shape[:-1]
+        if y.shape[:-1] != lead:
+            lead = np.broadcast_shapes(lead, y.shape[:-1])
+        view = views.get(lead)
+        if view is None:
+            view = views[lead] = np.broadcast_to(mat, lead + (dim, dim))
+        return view
 
     return f
 

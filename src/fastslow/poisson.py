@@ -37,9 +37,11 @@ Only the most recent factor is kept.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -377,78 +379,94 @@ def solve_poisson(spec, y, rhs, pi, method="auto", *, pad=DEFAULT_PAD, factors=N
 # solution family tabulated over a slow-variable grid
 # ---------------------------------------------------------------------------
 
+class FamilyValues(NamedTuple):
+    """A cell-solution family at a batch of states (..., entry shape each)."""
+
+    u: np.ndarray           # (..., p)
+    grad_u: np.ndarray      # (..., p, d)
+    du_dy: np.ndarray       # (..., p, l)
+    d2u_dy2: np.ndarray     # (..., p, l, l)
+
+
 class PoissonFamily:
     """Cell solutions tabulated on a rectangular y-grid, interpolable in
     (z, y) with slow-derivatives by central differences across the y-nodes.
 
+    u, grad_u, du_dy and d2u_dy2 are views into one stacked table over the
+    (y, z) grid.  ``at`` evaluates one interpolation stencil per state on
+    that table: one cell index, one set of corner weights and one gather give
+    all four values, each bitwise equal to interpolating its own table.
+
     Evaluation outside the tabulated y-range is a hard error; the fast
     coordinate may optionally be clamped to the z-grid edge (rare excursions
-    during Monte Carlo sweeps), counted by the caller via ``clamped_count``.
-    The count is updated under a lock, because ``--workers`` threads evaluate
-    one family concurrently.
+    during Monte Carlo sweeps).  ``clamped_count`` counts clamped states, one
+    per state and evaluation, so a caller that evaluates each visited state
+    once counts each clamped state once.  The count is updated under a lock,
+    because ``--workers`` threads evaluate one family concurrently.
     """
 
     def __init__(self, y_grid, z_grid, u, grad_u, densities=None, spec=None):
         self.spec = spec
         self.y_grid = y_grid
         self.z_grid = z_grid
-        self.u = u                      # (*y_shape, *z_shape, p)
-        self.grad_u = grad_u            # (*y_shape, *z_shape, p, d)
         self.densities = densities
-        ny = y_grid.ndim
-        self.du_dy = np.stack(
-            [np.gradient(u, y_grid.axes[k], axis=k, edge_order=2) for k in range(ny)],
-            axis=-1,
-        )                               # (*y_shape, *z_shape, p, l)
-        self.d2u_dy2 = np.stack(
-            [
-                np.stack(
-                    [
-                        np.gradient(self.du_dy[..., i], y_grid.axes[k], axis=k, edge_order=2)
-                        for k in range(ny)
-                    ],
-                    axis=-1,
-                )
-                for i in range(ny)
-            ],
-            axis=-1,
-        )                               # (*y_shape, *z_shape, p, l, l)
         self._full = RectGrid(y_grid.axes + z_grid.axes)
         self.p = u.shape[-1]
         self.d = z_grid.ndim
         self.l = y_grid.ndim
+        p, d, l = self.p, self.d, self.l
+        self._shapes = ((p,), (p, d), (p, l), (p, l, l))
+        nodes = u.shape[:-1]            # (*y_shape, *z_shape)
+        self._table = np.empty(nodes + (sum(math.prod(s) for s in self._shapes),))
+        self.u, self.grad_u, self.du_dy, self.d2u_dy2 = self._split(self._table)
+        self.u[...] = u
+        self.grad_u[...] = grad_u
+        # slow derivatives by central differences across the y-nodes;
+        # d2u_dy2[..., k, i] differentiates du_dy[..., i] along y_k
+        for i in range(l):
+            self.du_dy[..., i] = np.gradient(u, y_grid.axes[i], axis=i, edge_order=2)
+        for i in range(l):
+            for k in range(l):
+                self.d2u_dy2[..., k, i] = np.gradient(
+                    self.du_dy[..., i], y_grid.axes[k], axis=k, edge_order=2
+                )
         self.clamped_count = 0
         self._clamp_lock = threading.Lock()
 
-    def _eval(self, table, z_pts, y_pts, clamp_z):
-        z_pts = np.asarray(z_pts, float)
-        y_pts = np.asarray(y_pts, float)
+    def _split(self, stacked):
+        """The four entries of a stacked (..., n_entries) array, as views."""
+        lead = stacked.shape[:-1]
+        parts, start = [], 0
+        for shape in self._shapes:
+            stop = start + math.prod(shape)
+            parts.append(stacked[..., start:stop].reshape(lead + shape))
+            start = stop
+        return FamilyValues(*parts)
+
+    def at(self, z_pts, y_pts, clamp_z=False):
+        """u, grad_u, du_dy and d2u_dy2 at the states (z, y), as FamilyValues."""
+        pts = np.concatenate(
+            [np.asarray(y_pts, float), np.asarray(z_pts, float)], axis=-1
+        )
         if clamp_z:
-            lo = np.array([ax[0] for ax in self.z_grid.axes])
-            hi = np.array([ax[-1] for ax in self.z_grid.axes])
-            clipped = np.clip(z_pts, lo, hi)
-            n_clamped = int(np.sum(np.any(clipped != z_pts, axis=-1)))
-            with self._clamp_lock:
-                self.clamped_count += n_clamped
-            z_pts = clipped
-        if not np.all(self.y_grid.contains(y_pts)):
-            raise GridDomainError(
-                "slow state left the tabulated y-grid; extend the tabulation range"
-            )
-        pts = np.concatenate([y_pts, z_pts], axis=-1)
-        return multilinear(self._full, table, pts)
-
-    def u_at(self, z_pts, y_pts, clamp_z=False):
-        return self._eval(self.u, z_pts, y_pts, clamp_z)
-
-    def grad_u_at(self, z_pts, y_pts, clamp_z=False):
-        return self._eval(self.grad_u, z_pts, y_pts, clamp_z)
-
-    def du_dy_at(self, z_pts, y_pts, clamp_z=False):
-        return self._eval(self.du_dy, z_pts, y_pts, clamp_z)
-
-    def d2u_dy2_at(self, z_pts, y_pts, clamp_z=False):
-        return self._eval(self.d2u_dy2, z_pts, y_pts, clamp_z)
+            outside = False
+            for k, ax in enumerate(self.z_grid.axes, start=self.l):
+                col = pts[..., k]
+                outside = outside | (col < ax[0]) | (col > ax[-1])
+                np.clip(col, ax[0], ax[-1], out=col)
+            n_clamped = int(np.count_nonzero(outside))
+            if n_clamped:
+                with self._clamp_lock:
+                    self.clamped_count += n_clamped
+        try:
+            stacked = multilinear(self._full, self._table, pts)
+        except GridDomainError:
+            if not np.all(self.y_grid.contains(pts[..., : self.l])):
+                raise GridDomainError(
+                    "slow state left the tabulated y-grid; extend the tabulation range"
+                ) from None
+            raise
+        return self._split(stacked)
 
 
 def solve_family(spec, y_grid, z_grid, rhs=None, method="auto", *, pad=DEFAULT_PAD):
@@ -459,10 +477,12 @@ def solve_family(spec, y_grid, z_grid, rhs=None, method="auto", *, pad=DEFAULT_P
     docstring); the tables equal per-node solves exactly."""
     rhs = spec.H if rhs is None else rhs
     y_nodes = y_grid.points().reshape(-1, y_grid.ndim)
-    u_list, g_list, dens = [], [], []
+    u = np.empty((len(y_nodes),) + z_grid.shape + (spec.p,))
+    g = np.empty((len(y_nodes),) + z_grid.shape + (spec.p, spec.d))
+    dens = []
     factors = _LastFactor()
     frozen = pi = None
-    for y in y_nodes:
+    for i, y in enumerate(y_nodes):
         coefs = frozen_coefficients(spec, y, z_grid)
         if _same_bytes(coefs, frozen):
             pi = GridField(z_grid, pi.values, role="density", y=y)
@@ -472,9 +492,9 @@ def solve_family(spec, y_grid, z_grid, rhs=None, method="auto", *, pad=DEFAULT_P
             sol = solve_poisson(spec, y, rhs, pi, method=method, pad=pad, factors=factors)
         except FredholmError as err:
             raise FredholmError(f"at slow node y = {y}: {err}") from err
-        u_list.append(sol.u.values)
-        g_list.append(sol.grad_u.values)
+        u[i] = sol.u.values
+        g[i] = sol.grad_u.values
         dens.append(pi)
-    u = np.stack(u_list).reshape(y_grid.shape + z_grid.shape + (spec.p,))
-    g = np.stack(g_list).reshape(y_grid.shape + z_grid.shape + (spec.p, spec.d))
+    u = u.reshape(y_grid.shape + z_grid.shape + (spec.p,))
+    g = g.reshape(y_grid.shape + z_grid.shape + (spec.p, spec.d))
     return PoissonFamily(y_grid, z_grid, u, g, densities=dens, spec=spec)

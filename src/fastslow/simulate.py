@@ -35,8 +35,11 @@ calls with the very states and increments it steps with:
     node(k, xi, Y, X)         macro node k >= 1, once its states are finite.
 
 The left-endpoint micro states and the macro nodes are every fast state the
-kernel visits.  The kernel never writes into an array it has handed to a
-probe, so a probe may keep it, and a probe must not write into it either.
+kernel visits.  ``macro(k, ...)`` and ``micro(k, 0, ...)`` receive the very
+xi and Y arrays that ``node(k, ...)`` received (``start`` for k = 0), so a
+probe may reuse what it computed at the node.  The kernel never writes into
+an array it has handed to a probe, so a probe may keep it, and a probe must
+not write into it either.
 ``Probe`` gives no-op hooks; the probes here are the running sups of |xi|,
 |Y|_1 and |X| (``SupXi``, ``SupY``, ``SupX``), a defect integral
 (``DefectIntegral``) and a recorder (``Recorder``).  ``deviations`` adds the

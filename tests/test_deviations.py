@@ -4,13 +4,14 @@ import pytest
 from fastslow import (
     CorrectorProbe,
     ModelSpec,
+    PoissonFamily,
     RectGrid,
     mdp_speed,
     negligibility_sweep,
     simulate_block,
     solve_family,
 )
-from fastslow.simulate import Recorder
+from fastslow.simulate import Probe, Recorder
 
 
 def test_mdp_speed_arithmetic(ou):
@@ -109,3 +110,65 @@ def test_sweep_is_reproducible(ou, ou_family):
     b = negligibility_sweep(ou, [0.1], 0.25, 0.3, 0.01, 100, 5, family=ou_family)
     assert a[0].delta.n_hits == b[0].delta.n_hits
     assert a[0].median_sup == b[0].median_sup
+
+
+# ---------------------------------------------------------------------------
+# one family evaluation per visited state
+# ---------------------------------------------------------------------------
+
+def _narrow_family(family, lo, hi):
+    """The family restricted to its z-nodes in [lo, hi], so that paths leave
+    the z-grid often and the probe has to clamp."""
+    z = family.z_grid.axes[0]
+    win = (z >= lo) & (z <= hi)
+    return PoissonFamily(family.y_grid, RectGrid((z[win],)), family.u[:, win], family.grad_u[:, win])
+
+
+class _VisitedOutside(Probe):
+    """Counts the visited fast states outside [lo, hi]: every left-endpoint
+    micro state, and the last macro node."""
+
+    def __init__(self, lo, hi, n_macro):
+        self.lo, self.hi, self.n_macro = lo, hi, n_macro
+        self.n = 0
+
+    def _count(self, z):
+        self.n += int(np.count_nonzero(np.any((z < self.lo) | (z > self.hi), axis=-1)))
+
+    def micro(self, k, j, z, Y, dB_j):
+        self._count(z)
+
+    def node(self, k, xi, Y, X):
+        if k == self.n_macro:
+            self._count(xi)
+
+
+@pytest.mark.parametrize("eps, n_sub", [(0.1, 1), (0.02, 5)])
+def test_clamped_count_is_one_per_clamped_visited_state(ou, ou_family, eps, n_sub):
+    spec = ou.with_epsilon(eps)
+    family = _narrow_family(ou_family, -1.0, 1.0)
+    outside = _VisitedOutside(-1.0, 1.0, 50)
+    probe = CorrectorProbe(spec, family, 0.01)
+    assert probe.n_sub == n_sub
+    simulate_block(spec, 0.5, 0.01, 4, list(range(200)), probes=(outside, probe))
+    assert outside.n > 1000
+    assert family.clamped_count == outside.n
+
+
+@pytest.mark.parametrize("eps, n_sub", [(0.1, 1), (0.02, 5)])
+def test_probe_evaluates_the_family_once_per_visited_state(ou, ou_family, monkeypatch, eps, n_sub):
+    spec = ou.with_epsilon(eps)
+    evaluations = []
+    at = ou_family.at
+
+    def counting(z, y, **kwargs):
+        evaluations.append(z.shape[0])
+        return at(z, y, **kwargs)
+
+    monkeypatch.setattr(ou_family, "at", counting)
+    probe = CorrectorProbe(spec, ou_family, 0.01)
+    assert probe.n_sub == n_sub
+    n_macro = 30
+    simulate_block(spec, n_macro * 0.01, 0.01, 8, list(range(5)), probes=(probe,))
+    assert len(evaluations) == (n_macro + 1) + n_macro * (n_sub - 1)
+    assert set(evaluations) == {5}

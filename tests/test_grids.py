@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -80,6 +82,58 @@ def test_multilinear_outside_raises_and_clamp_projects():
     with pytest.raises(GridDomainError):
         multilinear(grid, vals, np.array([1.5]))
     assert multilinear(grid, vals, np.array([1.5]), clamp=True) == pytest.approx(1.0)
+
+
+def _multilinear_reference(grid, values, pts):
+    """Corner-by-corner interpolation with fancy indexing: each entry summed
+    from 0.0 over the corners, each corner weight a product from 1.0."""
+    idx, frac = [], []
+    for k, ax in enumerate(grid.axes):
+        t = (pts[..., k] - ax[0]) / (ax[1] - ax[0])
+        i = np.clip(np.floor(t).astype(int), 0, ax.size - 2)
+        idx.append(i)
+        frac.append(t - i)
+    extra = values.ndim - grid.ndim
+    out = 0.0
+    for corner in product((0, 1), repeat=grid.ndim):
+        w = np.ones(pts.shape[:-1])
+        for k, c in enumerate(corner):
+            w = w * (frac[k] if c else (1.0 - frac[k]))
+        vals = values[tuple(i + c for i, c in zip(idx, corner))]
+        out = out + w.reshape(w.shape + (1,) * extra) * vals
+    return out
+
+
+@given(
+    shape=st.lists(st.integers(2, 6), min_size=1, max_size=3),
+    extra=st.sampled_from([(), (1,), (3,), (2, 2)]),
+    seed=st.integers(0, 2**16),
+    n=st.integers(1, 9),
+)
+@settings(max_examples=60, deadline=None)
+def test_multilinear_is_bitwise_the_corner_reference(shape, extra, seed, n):
+    rng = np.random.default_rng(seed)
+    grid = RectGrid.from_bounds([(-1.0 - k, 0.5 + 2 * k, m) for k, m in enumerate(shape)])
+    values = rng.standard_normal(tuple(shape) + extra)
+    # interior points, nodes and both edges of every axis
+    cols = []
+    for ax in grid.axes:
+        pick = rng.integers(0, 3, n)
+        inside = rng.uniform(ax[0], ax[-1], n)
+        node = rng.choice(ax, n)
+        edge = rng.choice([ax[0], ax[-1]], n)
+        cols.append(np.choose(pick, [inside, node, edge]))
+    pts = np.stack(cols, axis=-1)
+    got = multilinear(grid, values, pts)
+    want = _multilinear_reference(grid, values, pts)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    # clamping projects first, then interpolates the same way
+    far = pts * 3.0
+    lo = np.array([ax[0] for ax in grid.axes])
+    hi = np.array([ax[-1] for ax in grid.axes])
+    clamped = multilinear(grid, values, far, clamp=True)
+    assert clamped.tobytes() == _multilinear_reference(grid, values, np.clip(far, lo, hi)).tobytes()
 
 
 def test_grid_field_normalizes_on_request():

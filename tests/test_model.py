@@ -67,6 +67,21 @@ def test_diffusion_matrix_matches_einsum_bitwise(d):
     assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
 
 
+def test_constant_coefficients_are_read_only_broadcast_views():
+    ou = get_benchmark("ou")
+    cases = [
+        (np.zeros((7, 1)), np.zeros((7, 1)), (7,)),
+        (np.zeros((3, 1)), np.zeros(1), (3,)),
+        (np.zeros(1), np.zeros((2, 4, 1)), (2, 4)),
+    ]
+    for z, y, lead in cases * 2:          # the second pass reuses the views
+        for coef, c in ((ou.sigma, np.sqrt(2.0)), (ou.G, 1.0)):
+            value = coef(z, y)
+            assert value.shape == lead + (1, 1)
+            assert not value.flags.writeable
+            np.testing.assert_array_equal(value, c)
+
+
 def test_validate_ou_clean():
     report = validate_model(get_benchmark("ou"), BOX, [(-2.0, 2.0)])
     assert report.ok

@@ -3,13 +3,17 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fastslow.poisson as poisson
 from fastslow import (
     GridField,
     ModelSpec,
+    PoissonFamily,
     RectGrid,
     invariant_density,
+    multilinear,
     solve_family,
     solve_poisson,
 )
@@ -76,24 +80,109 @@ def test_array_rhs_matches_callable(ou, ou_pi, z_grid):
 def test_family_interpolates_exactly_for_linear_solution(ou_family):
     z = np.array([[0.3], [-1.7], [4.2]])
     y = np.array([[0.0], [1.1], [-2.5]])
-    np.testing.assert_allclose(ou_family.u_at(z, y)[:, 0], z[:, 0], atol=1e-6)
-    np.testing.assert_allclose(ou_family.grad_u_at(z, y)[:, 0, 0], 1.0, atol=1e-6)
+    vals = ou_family.at(z, y)
+    np.testing.assert_allclose(vals.u[:, 0], z[:, 0], atol=1e-6)
+    np.testing.assert_allclose(vals.grad_u[:, 0, 0], 1.0, atol=1e-6)
     # the linear benchmark's cell solution does not depend on y
-    assert np.max(np.abs(ou_family.du_dy_at(z, y))) < 1e-6
-    assert np.max(np.abs(ou_family.d2u_dy2_at(z, y))) < 1e-6
+    assert np.max(np.abs(vals.du_dy)) < 1e-6
+    assert np.max(np.abs(vals.d2u_dy2)) < 1e-6
 
 
 def test_family_y_excursion_is_hard_error(ou_family):
     with pytest.raises(GridDomainError):
-        ou_family.u_at(np.array([[0.0]]), np.array([[4.5]]))
+        ou_family.at(np.array([[0.0]]), np.array([[4.5]]))
 
 
 def test_family_z_clamping_is_counted(ou_family):
     before = ou_family.clamped_count
-    ou_family.u_at(np.array([[7.0], [0.0]]), np.array([[0.0], [0.0]]), clamp_z=True)
+    ou_family.at(np.array([[7.0], [0.0]]), np.array([[0.0], [0.0]]), clamp_z=True)
     assert ou_family.clamped_count == before + 1
     with pytest.raises(GridDomainError):
-        ou_family.u_at(np.array([[7.0]]), np.array([[0.0]]))
+        ou_family.at(np.array([[7.0]]), np.array([[0.0]]))
+
+
+def _two_dim_family():
+    """A family with d = l = p = 2 over smooth tables, so that every entry of
+    u, grad_u, du_dy and d2u_dy2 differs and the stacked layout is exercised."""
+    y_grid = RectGrid.from_bounds([(-2.0, 2.0, 5), (-1.0, 1.0, 4)])
+    z_grid = RectGrid.from_bounds([(-3.0, 3.0, 7), (-2.0, 2.0, 6)])
+    nodes = RectGrid(y_grid.axes + z_grid.axes).points()          # (5, 4, 7, 6, 4)
+    y1, y2, z1, z2 = np.moveaxis(nodes, -1, 0)
+    u = np.stack([np.sin(z1 + y1 * y2) + z2 * y1**2, z1 * z2 * np.cos(y2 - y1)], axis=-1)
+    grad = np.stack([np.cos(z1 * y2), z2 + y1, np.exp(-z2 * y2), z1 - y2**3], axis=-1)
+    return PoissonFamily(y_grid, z_grid, u, grad.reshape(u.shape + (2,)))
+
+
+@pytest.fixture(scope="module", params=["ou", "two_dim"])
+def family(request, ou_family):
+    return ou_family if request.param == "ou" else _two_dim_family()
+
+
+def _axis_coordinate(ax, *, beyond):
+    """A coordinate on one grid axis: a node, an edge, a point inside, or (if
+    ``beyond``) a point up to one grid length outside the axis."""
+    lo, hi = float(ax[0]), float(ax[-1])
+    options = [
+        st.sampled_from([float(v) for v in ax]),
+        st.sampled_from([lo, hi]),
+        st.floats(lo, hi),
+    ]
+    if beyond:
+        options.append(st.floats(lo - (hi - lo), hi + (hi - lo)))
+    return st.one_of(*options)
+
+
+@st.composite
+def _family_states(draw, family):
+    n = draw(st.integers(1, 12))
+    ys = [[draw(_axis_coordinate(ax, beyond=False)) for ax in family.y_grid.axes] for _ in range(n)]
+    zs = [[draw(_axis_coordinate(ax, beyond=True)) for ax in family.z_grid.axes] for _ in range(n)]
+    return np.array(zs), np.array(ys)
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_family_stencil_is_bitwise_multilinear_of_each_table(family, data):
+    """One stencil on the stacked table gives, bit for bit, what multilinear
+    interpolation of each table alone gives at the clamped states."""
+    z, y = data.draw(_family_states(family))
+    lo = np.array([ax[0] for ax in family.z_grid.axes])
+    hi = np.array([ax[-1] for ax in family.z_grid.axes])
+    n_outside = int(np.count_nonzero(np.any((z < lo) | (z > hi), axis=-1)))
+    before = family.clamped_count
+    got = family.at(z, y, clamp_z=True)
+    assert family.clamped_count == before + n_outside
+
+    full = RectGrid(family.y_grid.axes + family.z_grid.axes)
+    pts = np.concatenate([y, np.clip(z, lo, hi)], axis=-1)
+    tables = (family.u, family.grad_u, family.du_dy, family.d2u_dy2)
+    for name, table in zip(got._fields, tables):
+        want = multilinear(full, np.array(table), pts)
+        value = getattr(got, name)
+        assert value.shape == want.shape, name
+        assert value.tobytes() == want.tobytes(), name
+
+
+def test_family_tables_are_views_of_one_stack(family):
+    tables = (family.u, family.grad_u, family.du_dy, family.d2u_dy2)
+    assert all(t.base is not None and t.base is tables[0].base for t in tables)
+    assert sum(t.size for t in tables) == tables[0].base.size
+
+
+def test_family_stencil_range_errors(family):
+    inside_z = np.array([[0.0] * family.d])
+    inside_y = np.array([[0.0] * family.l])
+    outside_y = inside_y.copy()
+    outside_y[0, -1] = family.y_grid.axes[-1][-1] + 1e-9
+    outside_z = inside_z.copy()
+    outside_z[0, 0] = family.z_grid.axes[0][0] - 1e-9
+    with pytest.raises(GridDomainError, match="slow state left"):
+        family.at(inside_z, outside_y, clamp_z=True)
+    with pytest.raises(GridDomainError, match="slow state left"):
+        family.at(outside_z, outside_y)
+    with pytest.raises(GridDomainError, match="outside tabulated range"):
+        family.at(outside_z, inside_y)
+    family.at(outside_z, inside_y, clamp_z=True)
 
 
 def test_family_clamp_count_is_exact_under_two_threads(ou_family):
@@ -105,7 +194,7 @@ def test_family_clamp_count_is_exact_under_two_threads(ou_family):
 
     def work():
         for _ in range(calls):
-            ou_family.grad_u_at(z, y, clamp_z=True)
+            ou_family.at(z, y, clamp_z=True)
 
     before = ou_family.clamped_count
     old_interval = sys.getswitchinterval()
