@@ -19,7 +19,7 @@ import numpy as np
 from .errors import ConfigError, SingularOperatorError
 from .grids import RectGrid, multilinear
 from .model import diffusion_matrix
-from .poisson import DEFAULT_PAD, solve_family
+from .poisson import solve_family
 from .simulate import DefectIntegral, micro_substeps, simulate_block
 from .stationary import invariant_density
 
@@ -104,7 +104,7 @@ class AveragedModel:
         return np.linalg.inv(self.A_at(y))
 
 
-def averaged_coefficients(spec, y_grid, z_grid=None, *, method="auto", pad=None, family=None):
+def averaged_coefficients(spec, y_grid, z_grid=None, *, family=None):
     """Tabulate Qbar, Abar, Fbar on a y-grid by quadrature against pi_y.
 
     A pre-solved cell family may be passed to avoid recomputing it; its grids
@@ -112,9 +112,7 @@ def averaged_coefficients(spec, y_grid, z_grid=None, *, method="auto", pad=None,
     if z_grid is None:
         z_grid = family.z_grid if family is not None else default_z_grid(spec.d)
     if family is None:
-        family = solve_family(
-            spec, y_grid, z_grid, method=method, pad=DEFAULT_PAD if pad is None else pad
-        )
+        family = solve_family(spec, y_grid, z_grid)
     else:
         same = len(family.y_grid.axes) == y_grid.ndim and len(family.z_grid.axes) == z_grid.ndim
         same = same and all(

@@ -73,6 +73,13 @@ def _check_keys(mapping, where, allowed, required=()):
             raise ConfigError(f"missing key {key!r} in {where}")
 
 
+def _only_read_by(mapping, where, keys, reader):
+    """Reject keys of mapping that only another choice reads, by name."""
+    for key in keys:
+        if key in mapping:
+            raise ConfigError(f"key {key!r} in {where} is read only by {reader}")
+
+
 def _as_float_list(value, where):
     if np.isscalar(value):
         return [float(value)]
@@ -482,22 +489,17 @@ def simulate(config_path):
 def density(config_path):
     """Invariant density of the frozen fast flow at one slow value."""
     exp = Experiment(config_path)
-    block = exp.block("density", allowed={"y", "method", "T", "burn_in", "bins"})
+    block = exp.block("density", allowed={"y", "method", "T", "burn_in"})
     y = np.asarray(_as_float_list(block.get("y", [0.0] * exp.spec.l), "density.y"))
     method = str(block.get("method", "auto"))
-    out = OutputDir(exp, "density")
+    kw = {}
     if method == "empirical":
-        pi = invariant_density(
-            exp.spec,
-            y,
-            exp.z_grid,
-            method="empirical",
-            T=float(block.get("T", 200.0)),
-            burn_in=float(block.get("burn_in", 20.0)),
-            seed=exp.seed,
-        )
+        T, burn_in = float(block.get("T", 200.0)), float(block.get("burn_in", 20.0))
+        kw = dict(T=T, burn_in=burn_in, seed=exp.seed)
     else:
-        pi = invariant_density(exp.spec, y, exp.z_grid, method=method)
+        _only_read_by(block, "density", ("T", "burn_in"), "method 'empirical'")
+    out = OutputDir(exp, "density")
+    pi = invariant_density(exp.spec, y, exp.z_grid, method=method, **kw)
     _write_table(
         out.path("density.csv"),
         _columns("z", pi.grid.ndim) + ["pi"],
@@ -739,6 +741,7 @@ def inequalities(config_path):
     name = str(block.get("sampler", "brownian"))
     n_steps = int(block.get("n_steps", 1000))
     if name == "brownian":
+        _only_read_by(block, "inequalities", ("qv_cap",), "sampler 'stopped'")
         sampler = brownian_sampler(n_steps=n_steps)
     elif name == "stopped":
         sampler = stopped_brownian_sampler(

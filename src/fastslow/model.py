@@ -302,10 +302,11 @@ def validate_model(
 _SQRT2 = float(np.sqrt(2.0))
 
 
-def _const_matrix(c, dim):
-    """c I as a coefficient: one read-only broadcast view per batch shape,
-    made on its first call and handed out again after that."""
-    mat = c * np.eye(dim)
+def constant_coefficient(value):
+    """The constant array value as a coefficient: one read-only broadcast
+    view per batch shape, made on its first call and handed out again after
+    that."""
+    value = np.asarray(value, float)
     views = {}
 
     def f(z, y):
@@ -314,7 +315,7 @@ def _const_matrix(c, dim):
             lead = np.broadcast_shapes(lead, y.shape[:-1])
         view = views.get(lead)
         if view is None:
-            view = views[lead] = np.broadcast_to(mat, lead + (dim, dim))
+            view = views[lead] = np.broadcast_to(value, lead + value.shape)
         return view
 
     return f
@@ -324,9 +325,9 @@ def _make_ou(epsilon, kappa):
     return ModelSpec(
         d=1, l=1, p=1,
         b=lambda z, y: -z,
-        sigma=_const_matrix(_SQRT2, 1),
+        sigma=constant_coefficient(_SQRT2 * np.eye(1)),
         F=lambda z, y: -y + z,
-        G=_const_matrix(1.0, 1),
+        G=constant_coefficient(np.eye(1)),
         H=lambda z, y: z + 0.0 * y,
         epsilon=epsilon, kappa=kappa, m=1.0,
         z0=[0.0], y0=[0.0], name="ou",
@@ -337,9 +338,9 @@ def _make_double_well(epsilon, kappa):
     return ModelSpec(
         d=1, l=1, p=1,
         b=lambda z, y: z - z**3,
-        sigma=_const_matrix(_SQRT2, 1),
+        sigma=constant_coefficient(_SQRT2 * np.eye(1)),
         F=lambda z, y: -y + z,
-        G=_const_matrix(1.0, 1),
+        G=constant_coefficient(np.eye(1)),
         H=lambda z, y: z + 0.0 * y,
         epsilon=epsilon, kappa=kappa, m=1.0,
         z0=[0.0], y0=[0.0], name="double-well",
@@ -355,9 +356,9 @@ def _make_constant(epsilon, kappa):
     return ModelSpec(
         d=1, l=1, p=1,
         b=lambda z, y: 0.0 * z,
-        sigma=_const_matrix(_SQRT2, 1),
+        sigma=constant_coefficient(_SQRT2 * np.eye(1)),
         F=lambda z, y: 1.0 + 0.0 * y,
-        G=_const_matrix(1.0, 1),
+        G=constant_coefficient(np.eye(1)),
         H=lambda z, y: 0.0 * z,
         epsilon=epsilon, kappa=kappa, m=1.0,
         z0=[0.0], y0=[0.0], name="constant",

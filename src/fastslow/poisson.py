@@ -65,7 +65,7 @@ __all__ = [
 
 _FREDHOLM_TOL = 1e-6
 _WEIGHT_FLOOR = 1e-280
-DEFAULT_PAD = 2.4
+_PAD = 2.4                # width added to each side of the solve grid
 _REFINE_1D = 4
 
 
@@ -90,9 +90,11 @@ class PoissonSolution:
         return self.u.grid
 
 
-def _pad_axis(ax, pad):
+def _pad_axis(ax):
+    """ax extended by _PAD on each side at its own spacing, and the slice of
+    the original nodes in the extended axis."""
     h = ax[1] - ax[0]
-    n_add = int(np.ceil(pad / h - 1e-12)) if pad > 0 else 0
+    n_add = int(np.ceil(_PAD / h - 1e-12))
     left = ax[0] - h * np.arange(n_add, 0, -1)
     right = ax[-1] + h * np.arange(1, n_add + 1)
     return np.concatenate([left, ax, right]), slice(n_add, n_add + ax.size)
@@ -137,12 +139,12 @@ def _fredholm_check(rhs_vals, pi):
     return defect
 
 
-def _closed_form_1d(spec, y, rhs, pi, pad):
+def _closed_form_1d(spec, y, rhs, pi):
     z_user = pi.grid.axes[0]
     if callable(rhs):
         # padded and refined working mesh (callables can be sampled anywhere);
         # user nodes stay exact mesh points, so restriction is error-free
-        z_base, win_base = _pad_axis(z_user, pad)
+        z_base, win_base = _pad_axis(z_user)
         z_pad = _refine_axis(z_base, _REFINE_1D)
         start = win_base.start * _REFINE_1D
         win = slice(start, start + (z_user.size - 1) * _REFINE_1D + 1, _REFINE_1D)
@@ -276,10 +278,10 @@ class _LastFactor:
         return self.anchor, self.lu
 
 
-def _grid_solve(spec, y, rhs, pi, pad, factors):
+def _grid_solve(spec, y, rhs, pi, factors):
     user_grid = pi.grid
     if callable(rhs):
-        padded = [_pad_axis(ax, pad) for ax in user_grid.axes]
+        padded = [_pad_axis(ax) for ax in user_grid.axes]
     else:
         padded = [(ax, slice(0, ax.size)) for ax in user_grid.axes]
     grid_pad = RectGrid(tuple(axp for axp, _ in padded))
@@ -336,7 +338,7 @@ def _interior_residual(spec, y, grid, u_vals, rhs_vals):
     return float(np.max(res[interior]))
 
 
-def solve_poisson(spec, y, rhs, pi, method="auto", *, pad=DEFAULT_PAD, factors=None):
+def solve_poisson(spec, y, rhs, pi, method="auto", *, factors=None):
     """Solve L_y u = -rhs, centered against pi.  rhs: callable (z, y) -> (..., p)
     or node array on pi's grid (arrays disable internal padding).
 
@@ -350,12 +352,12 @@ def solve_poisson(spec, y, rhs, pi, method="auto", *, pad=DEFAULT_PAD, factors=N
     if method == "closed_form_1d":
         if spec.d != 1:
             raise GridDomainError("closed_form_1d needs d = 1")
-        u_vals, grad, rhs_user = _closed_form_1d(spec, y, rhs, pi, pad)
+        u_vals, grad, rhs_user = _closed_form_1d(spec, y, rhs, pi)
     elif method == "grid_solve":
         if spec.d > 2:
             raise GridDomainError("grid_solve supports d <= 2")
         u_vals, grad, rhs_user = _grid_solve(
-            spec, y, rhs, pi, pad, _LastFactor() if factors is None else factors
+            spec, y, rhs, pi, _LastFactor() if factors is None else factors
         )
     else:
         raise GridDomainError(f"unknown Poisson method {method!r}")
@@ -469,13 +471,12 @@ class PoissonFamily:
         return self._split(stacked)
 
 
-def solve_family(spec, y_grid, z_grid, rhs=None, method="auto", *, pad=DEFAULT_PAD):
-    """Tabulate the cell solution over a y-grid (rhs defaults to the model's H).
+def solve_family(spec, y_grid, z_grid):
+    """Tabulate the cell solution of the model's H over a y-grid.
 
     The density and the grid route's LU factor are reused from the previous
     node whenever b and a sample to the same bytes there (see the module
     docstring); the tables equal per-node solves exactly."""
-    rhs = spec.H if rhs is None else rhs
     y_nodes = y_grid.points().reshape(-1, y_grid.ndim)
     u = np.empty((len(y_nodes),) + z_grid.shape + (spec.p,))
     g = np.empty((len(y_nodes),) + z_grid.shape + (spec.p, spec.d))
@@ -489,7 +490,7 @@ def solve_family(spec, y_grid, z_grid, rhs=None, method="auto", *, pad=DEFAULT_P
         else:
             pi, frozen = invariant_density(spec, y, z_grid), coefs
         try:
-            sol = solve_poisson(spec, y, rhs, pi, method=method, pad=pad, factors=factors)
+            sol = solve_poisson(spec, y, spec.H, pi, factors=factors)
         except FredholmError as err:
             raise FredholmError(f"at slow node y = {y}: {err}") from err
         u[i] = sol.u.values

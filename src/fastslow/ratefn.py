@@ -194,7 +194,6 @@ def minimize_endpoint(
     times = h * np.arange(n + 1)
     y0 = np.atleast_1d(np.asarray(y0, float))
     t_part, null_basis = _terminal_constraint(target, p, l)
-    n_free = null_basis.shape[1]
 
     # initial guess: straight X to the terminal target, Y on the averaged
     # drift orbit; terminal coordinates chosen nearest that guess

@@ -1,4 +1,4 @@
-"""Time steppers for the coupled pair, the frozen fast flow, and path batches.
+"""One kernel steps the coupled pair, its path batches and the frozen fast flow.
 
 Scheme
 ------
@@ -9,6 +9,8 @@ integer making h_fast <= c_fast * epsilon.  The slow component Y and the
 integral functional X are advanced once per macro step with left-endpoint
 evaluation; Y is held frozen while the fast state sub-steps.  X accumulates
 the left-endpoint Riemann sum of epsilon^(-kappa) H(xi, Y) on the macro mesh.
+The frozen fast flow dz = b(z, y) dt + sigma(z, y) dB is the fast equation on
+the epsilon clock, path 0 of this kernel on ``stationary.frozen_model``.
 
 Randomness
 ----------
@@ -151,7 +153,8 @@ class _NoiseSource:
         return self._buf[:, off : off + self.chunk]
 
 
-def _macro_mesh(T, h):
+def macro_mesh(T, h):
+    """Step count and nodes of the uniform mesh of step h on [0, T]."""
     n = int(round(T / h))
     if n < 1 or abs(n * h - T) > 1e-9 * max(1.0, T):
         raise ConfigError(f"horizon T={T} is not an integer number of steps h={h}")
@@ -296,7 +299,7 @@ def simulate_block(spec, T, h, seed, path_ids, *, c_fast=0.1, probes=()):
     """
     eps, kappa = spec.epsilon, spec.kappa
     d, l, p = spec.d, spec.l, spec.p
-    n_macro, times = _macro_mesh(T, h)
+    n_macro, times = macro_mesh(T, h)
     n_sub = micro_substeps(h, eps, c_fast)
     h_sub = h / n_sub
     B = len(path_ids)
@@ -367,38 +370,3 @@ def simulate_pair(spec, T, h, seed, *, path_id=0, c_fast=0.1):
         n_sub=run.n_sub,
     )
 
-
-def frozen_block(spec, y, T, h, seed, path_ids, *, keep_states=False):
-    """Batch Euler-Maruyama for the frozen fast flow dz = b dt + sigma dB.
-
-    The frozen equation carries no 1/epsilon, so the plain step h is used.
-    Returns terminal states, and optionally the whole (n+1, B, d) state array.
-    """
-    d = spec.d
-    n, times = _macro_mesh(T, h)
-    B = len(path_ids)
-    y_arr = np.broadcast_to(np.atleast_1d(np.asarray(y, float)), (B, spec.l))
-    z = np.broadcast_to(spec.z0, (B, d)).copy()
-    gens = [path_generator(seed, pid) for pid in path_ids]
-    sq_h = math.sqrt(h)
-    states = np.empty((n + 1, B, d)) if keep_states else None
-    if keep_states:
-        states[0] = z
-    # draw per step across lanes in manageable chunks of steps
-    step_chunk = max(1, int(_BUFFER_LIMIT // max(1, B * d)))
-    k = 0
-    while k < n:
-        kk = min(step_chunk, n - k)
-        noise = np.empty((B, kk * d))
-        for i, g in enumerate(gens):
-            noise[i] = g.standard_normal(kk * d)
-        noise = noise.reshape(B, kk, d) * sq_h
-        for j in range(kk):
-            drift = np.asarray(spec.b(z, y_arr), float)
-            sig = spec.sigma(z, y_arr)
-            z = z + h * drift + np.einsum("...ij,...j->...i", sig, noise[:, j])
-            if keep_states:
-                states[k + j + 1] = z
-        _check_finite(z, k + kk, h, "frozen fast state")
-        k += kk
-    return SimpleNamespace(times=times, z=z, states=states)

@@ -11,7 +11,7 @@ equation is discretized in conservative finite-volume form (zero-flux
 boundary) and the null vector extracted by shifted inverse power iteration;
 the shifted operator is factored once, and both inverse-iteration starts of
 the uniqueness check share that factor.  The empirical route histograms the
-occupation of a single long trajectory.
+nodes of path 0 of the simulation kernel on the time-changed ``frozen_model``.
 
 The closed-form and finite-volume routes read b and a only through their
 values at the grid nodes, so the density is a pure function of those sampled
@@ -23,14 +23,16 @@ the density instead of solving for it again.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import ConvergenceError, GridDomainError, SingularOperatorError
+from .errors import ConvergenceError, GridDomainError, SimulationBlowupError, SingularOperatorError
 from .grids import GridField, corrected_cumtrapz
-from .model import diffusion_matrix
-from .simulate import frozen_block
+from .model import constant_coefficient, diffusion_matrix
+from .simulate import Probe, macro_mesh, simulate_block
 
 __all__ = [
     "invariant_density",
@@ -42,6 +44,7 @@ __all__ = [
 
 _BOUNDARY_SHELL = 0.05   # outer fraction of nodes counted as "boundary"
 _BOUNDARY_MASS = 0.01    # mass allowed there before erroring
+_EMPIRICAL_H = 0.01      # step of the frozen trajectory behind the histogram
 
 
 def _boundary_mass_check(field):
@@ -151,7 +154,6 @@ def _assemble_fv_adjoint(a, bvec, grid):
         g*pi along `axis`, as a list of (shift, coeff_field)."""
         n = g.shape[axis]
         h = hy if axis == 1 else hx
-        coeffs = []
         # interior: (g_{+1} - g_{-1}) / 2h ; boundaries one-sided / h
         plus = np.zeros_like(g)
         minus = np.zeros_like(g)
@@ -186,8 +188,6 @@ def _assemble_fv_adjoint(a, bvec, grid):
         center[last] = g[last] / h
         minus[last] = -shifted(g, -1)[last] / h
         return [(1, plus), (0, center), (-1, minus)]
-
-    ii, jj = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
 
     for axis in (0, 1):
         if axis == 0:
@@ -300,21 +300,50 @@ def invariant_density_2d(spec, y, grid, *, check_uniqueness=True):
     return field
 
 
-def invariant_density_empirical(spec, y, T, burn_in, bins, seed, *, h=0.01):
+def frozen_model(spec, y):
+    """The model with Y started at y and F = G = H = 0, so the kernel keeps Y
+    at y and X at 0.  Run over [0, epsilon T] with step epsilon h, its fast
+    state is the frozen flow dz = b(z, y) dt + sigma(z, y) dB over [0, T]
+    with step h."""
+    l, p = spec.l, spec.p
+    F, G, H = (constant_coefficient(np.zeros(shape)) for shape in ((l,), (l, l), (p,)))
+    return replace(spec, y0=np.atleast_1d(y), F=F, G=G, H=H)
+
+
+class _NodeStates(Probe):
+    """Lane 0's fast state at macro nodes 1..n in a preallocated (n, d) array,
+    the only record the histogram reads (node 0 lies in every burn-in)."""
+
+    def __init__(self, n, d):
+        self.states = np.empty((n, d))
+
+    def node(self, k, xi, Y, X):
+        self.states[k - 1] = xi[0]
+
+
+def invariant_density_empirical(spec, y, T, burn_in, bins, seed):
     """Normalized occupation histogram of one long frozen trajectory.
 
-    bins is a grid whose nodes are the bin centers.  The trajectory runs over
-    [0, T] with step h and the histogram collects states in (burn_in, T].
-    """
+    bins is a grid whose nodes are the bin centers.  The trajectory is path 0
+    of the kernel on the time-changed ``frozen_model``: the frozen flow over
+    [0, T] with step 0.01, whose nodes in (burn_in, T] the histogram collects.
+    A blow-up is reported on the frozen clock."""
     grid = bins
     if grid.ndim != spec.d:
         raise GridDomainError("histogram grid dimension does not match the model")
     if not 0.0 <= burn_in < T:
         raise GridDomainError("need 0 <= burn_in < T")
-    run = frozen_block(spec, y, T, h, seed, [0], keep_states=True)
-    states = run.states[:, 0, :]
-    keep = run.times > burn_in + 1e-12
-    sample = states[keep]
+    h, eps = _EMPIRICAL_H, spec.epsilon
+    n, times = macro_mesh(T, h)  # the frozen mesh, checked on the frozen clock
+    rec = _NodeStates(n, spec.d)
+    try:
+        simulate_block(frozen_model(spec, y), eps * T, eps * h, seed, [0], probes=(rec,))
+    except SimulationBlowupError as err:
+        k = err.time_index
+        raise SimulationBlowupError(
+            f"frozen fast state blew up at step {k} (t = {k * h:.6g})", time_index=k, time=k * h
+        ) from err
+    sample = rec.states[times[1:] > burn_in + 1e-12]
     edges = []
     for ax in grid.axes:
         step = ax[1] - ax[0]

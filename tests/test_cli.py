@@ -342,6 +342,24 @@ PINNED_SHA256 = {
 }
 
 
+# sha256 of density.csv from the empirical route, which runs the frozen flow
+# as path 0 of the kernel, on PINNED_CONFIG with a short trajectory.
+PINNED_EMPIRICAL_DENSITY = {"method": "empirical", "T": 5.0, "burn_in": 1.0}
+PINNED_EMPIRICAL_SHA256 = "656f16f6927807e94b9a84fb5d303e893ba755dc491989bec90487954e20e1df"
+
+
+def test_empirical_density_bytes_are_pinned(runner, tmp_path):
+    out = tmp_path / "out"
+    cfg = dict(
+        PINNED_CONFIG, model={"benchmark": "ou"}, output_dir=str(out),
+        density=PINNED_EMPIRICAL_DENSITY,
+    )
+    result = runner.invoke(main, ["density", str(write_cfg(tmp_path, cfg))])
+    assert result.exit_code == 0, text_of(result)
+    got = hashlib.sha256((out / "density.csv").read_bytes()).hexdigest()
+    assert got == PINNED_EMPIRICAL_SHA256
+
+
 def test_csv_bytes_are_pinned(runner, tmp_path):
     runs = (
         ("ou", {"benchmark": "ou"}, (
@@ -382,6 +400,39 @@ def test_missing_required_key(runner, tmp_path):
     result = runner.invoke(main, ["validate", str(write_cfg(tmp_path, cfg))])
     assert result.exit_code == 2
     assert "missing key 'T' in run" in text_of(result)
+
+
+@pytest.mark.parametrize(
+    "subcommand, block, message",
+    [
+        ("density", {"density": {"bins": 33}}, "unknown key 'bins' in density"),
+        (
+            "density",
+            {"density": {"method": "closed_form", "burn_in": 99.0}},
+            "key 'burn_in' in density is read only by method 'empirical'",
+        ),
+        (
+            "density",
+            {"density": {"T": 5.0}},
+            "key 'T' in density is read only by method 'empirical'",
+        ),
+        (
+            "inequalities",
+            {"inequalities": {"sampler": "brownian", "qv_cap": 2.0}},
+            "key 'qv_cap' in inequalities is read only by sampler 'stopped'",
+        ),
+    ],
+    ids=["density-bins", "density-burn_in", "density-T", "inequalities-qv_cap"],
+)
+def test_keys_no_code_reads_are_rejected(runner, tmp_path, subcommand, block, message):
+    """A key that the chosen method or sampler would ignore is an error that
+    names it, raised before the output directory exists."""
+    out = tmp_path / "out"
+    cfg = base_config(out, **block)
+    result = runner.invoke(main, [subcommand, str(write_cfg(tmp_path, cfg))])
+    assert result.exit_code == 2
+    assert f"config error: {message}" in text_of(result)
+    assert not out.exists()
 
 
 def test_mdp_check_rejects_sup_delta_before_any_output(runner, tmp_path):

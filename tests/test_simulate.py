@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import chi2
 
 import fastslow.simulate as sim
 from fastslow import (
@@ -14,6 +15,7 @@ from fastslow import (
 )
 from fastslow.errors import ConfigError, SimulationBlowupError
 from fastslow.simulate import DefectIntegral, Recorder, SupX, SupXi, SupY
+from fastslow.stationary import frozen_model
 
 
 def test_micro_substeps_counts():
@@ -277,22 +279,46 @@ def test_blowup_raises_with_location():
     assert err.value.time is not None
 
 
-def test_frozen_flow_is_deterministic(ou):
-    a = sim.frozen_block(ou, np.array([0.7]), 1.0, 0.01, 2, [0, 1], keep_states=True)
-    b = sim.frozen_block(ou, np.array([0.7]), 1.0, 0.01, 2, [0, 1], keep_states=True)
-    c = sim.frozen_block(ou, np.array([0.7]), 1.0, 0.01, 3, [0, 1], keep_states=True)
-    np.testing.assert_array_equal(a.states, b.states)
-    np.testing.assert_array_equal(a.z, a.states[-1])
-    assert not np.array_equal(a.states, c.states)
+@pytest.mark.parametrize("eps", [0.1, 1e-3, 1e-5])
+def test_frozen_model_holds_the_slow_state(ou, eps):
+    """On the time-changed frozen model the kernel takes one micro step per
+    macro step, Y stays exactly at the frozen value and X stays exactly 0."""
+    y = np.array([0.7])
+    path = simulate_pair(frozen_model(ou.with_epsilon(eps), y), eps * 2.0, eps * 0.01, 17)
+    assert path.n_sub == 1
+    assert path.n_steps == 200
+    assert np.all(path.Y == y)
+    assert np.all(path.X == 0.0)
+    assert np.all(np.isfinite(path.xi))
+
+
+def test_frozen_flow_is_deterministic(run_subcommand):
+    """The empirical density is a pure function of the config: the same seed
+    gives the same density.csv bytes, and another seed gives other bytes."""
+    density = {"method": "empirical", "T": 5.0, "burn_in": 1.0}
+    a, b, c = (
+        (run_subcommand("density", T=0.1, seed=seed, out=out, density=density)
+         / "density.csv").read_bytes()
+        for seed, out in ((2, "a"), (2, "b"), (3, "c"))
+    )
+    assert a == b
+    assert a != c
 
 
 def test_frozen_flow_reaches_stationary_moments(ou):
-    """The frozen linear flow has stationary mean 0 and variance 1; a batch
-    of medium-length paths should land within Monte Carlo error."""
-    run = sim.frozen_block(ou, np.array([0.0]), 8.0, 0.01, 31, list(range(2000)))
-    z = run.z[:, 0]
-    assert abs(z.mean()) < 4.0 / np.sqrt(2000)
-    assert z.var() == pytest.approx(1.0, abs=0.12)
+    """The frozen linear flow on the kernel is z <- (1 - h) z + sqrt(2h) N
+    from z = 0, whose variance after n steps is exactly
+    v_n = 2h (1 - (1 - h)^(2n)) / (1 - (1 - h)^2).  The sample variance of
+    2000 lanes after 800 steps falls in the two-sided chi-square band around
+    v_n at level 1e-3, and the mean within Monte Carlo error of 0."""
+    h, n, lanes, eps = 0.01, 800, 2000, ou.epsilon
+    run = simulate_block(frozen_model(ou, [0.0]), eps * n * h, eps * h, 31, list(range(lanes)))
+    z = run.xi[:, 0]
+    v = 2.0 * h * (1.0 - (1.0 - h) ** (2 * n)) / (1.0 - (1.0 - h) ** 2)
+    assert v == pytest.approx(1.00503, abs=1e-5)
+    assert abs(z.mean()) < 4.0 / np.sqrt(lanes)
+    lo, hi = chi2.ppf([0.5e-3, 1.0 - 0.5e-3], lanes - 1) * v / (lanes - 1)
+    assert lo < z.var(ddof=1) < hi
 
 
 def test_write_path_csv_round_trip(run_subcommand, ou):

@@ -10,7 +10,9 @@ from fastslow import (
     invariant_density_2d,
     invariant_density_empirical,
 )
-from fastslow.errors import GridDomainError, SingularOperatorError
+from fastslow.errors import (
+    ConfigError, GridDomainError, SimulationBlowupError, SingularOperatorError,
+)
 
 
 def _two_dim_linear():
@@ -117,6 +119,36 @@ def test_empirical_histogram_close_to_exact(ou):
     assert pi.integrate() == pytest.approx(1.0, abs=1e-9)
     assert np.max(np.abs(pi.values - exact)) < 0.1
     assert np.mean(np.abs(pi.values - exact)) < 0.02
+
+
+def test_empirical_blowup_is_reported_on_the_frozen_clock():
+    """The frozen flow dz = z^3 dt + dB from z = 4 leaves the floats at
+    frozen step 11; the error gives that step and its frozen time 11 h, not
+    the kernel's epsilon-scaled time."""
+    exploding = ModelSpec(
+        d=1, l=1, p=1,
+        b=lambda z, y: z**3,
+        sigma=lambda z, y: np.broadcast_to(np.eye(1), z.shape[:-1] + (1, 1)),
+        F=lambda z, y: 0.0 * y,
+        G=lambda z, y: np.broadcast_to(np.eye(1), y.shape[:-1] + (1, 1)),
+        H=lambda z, y: 0.0 * z,
+        epsilon=0.01, kappa=0.25, z0=[4.0], y0=[0.0],
+    )
+    bins = RectGrid.from_bounds([(-4.0, 4.0, 33)])
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+        SimulationBlowupError, match=r"step 11 \(t = 0\.11\)"
+    ) as err:
+        invariant_density_empirical(exploding, np.array([0.0]), 10.0, 1.0, bins, 17)
+    assert err.value.time_index == 11
+    assert err.value.time == 11 * 0.01
+
+
+def test_empirical_horizon_is_checked_on_the_frozen_clock(ou):
+    """A horizon that is not a whole number of frozen steps is refused with
+    the frozen T and h, not the kernel's epsilon-scaled ones."""
+    bins = RectGrid.from_bounds([(-4.0, 4.0, 33)])
+    with pytest.raises(ConfigError, match=r"horizon T=200\.005 is not .* steps h=0\.01$"):
+        invariant_density_empirical(ou, np.array([0.0]), 200.005, 20.0, bins, 17)
 
 
 def test_narrow_grid_boundary_mass_guard(ou):
