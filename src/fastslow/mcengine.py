@@ -2,9 +2,12 @@
 checks of the exponential martingale estimates behind it.
 
 All probabilities are plain Monte Carlo frequencies over paths driven by
-counter-based streams: path i consumes the same numbers no matter how the
-batch is cut or how many workers run, and hit counts are integer sums, so
-every estimate is invariant under the worker count.  Frequencies are reported
+counter-based lane-block streams (``simulate``): path i is lane i % LANES of
+block i // LANES under the run's seed, and consumes the same numbers no matter
+how the batch is cut, how many workers run or how many paths are drawn.  The
+default batch is a whole number of blocks, so each batch draws only its own
+blocks, and hit counts are integer sums, so every estimate is invariant under
+the worker count.  Frequencies are reported
 with 95% Wilson intervals, and the logarithm is taken at the deviation speed
 eps^(1 - 2 kappa).  Zero-hit cells are censored at 1/N and flagged: their
 scaled log is an upper bound, which is how the trend tests treat them.
@@ -16,6 +19,9 @@ instead of sampling it.
 
 An exponential-inequality grid is scored from one draw: the martingale sampler
 runs once, and every (alpha, B) cell is an integer hit count over those paths.
+The two martingale samplers step through the kernel's noise source with one
+normal per step (chunk 1), so their path i is lane i % LANES of block
+i // LANES too, whatever N.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ import numpy as np
 
 from .deviations import mdp_speed
 from .errors import ConfigError, FastslowError
-from .simulate import SupX, SupXi, SupY, path_generator, simulate_block
+from .simulate import LANES, SupX, SupXi, SupY, _NoiseSource, simulate_block
 
 __all__ = [
     "Event",
@@ -47,7 +53,7 @@ __all__ = [
 
 _Z95 = 1.959963984540054
 _MIN_PATHS = 1_000
-DEFAULT_BATCH = 8192
+DEFAULT_BATCH = 32 * LANES  # whole lane blocks, so each batch's noise is a slice
 
 _FUNCTIONALS = ("terminal_x", "sup_x")
 
@@ -279,11 +285,11 @@ def brownian_sampler(n_steps=1000):
     def sample(N, T, seed):
         h = T / n_steps
         sq_h = math.sqrt(h)
-        gen = path_generator(seed)
+        noise = _NoiseSource(seed, range(N), n_steps, 1)
         M = np.zeros(N)
         sup_abs = np.zeros(N)
-        for _ in range(n_steps):
-            M = M + sq_h * gen.standard_normal(N)
+        for k in range(n_steps):
+            M = M + sq_h * noise.macro_chunk(k)[:, 0]
             np.maximum(sup_abs, np.abs(M), out=sup_abs)
         return sup_abs, np.full(N, T)
 
@@ -299,12 +305,12 @@ def stopped_brownian_sampler(qv_cap, n_steps=1000):
     def sample(N, T, seed):
         h = T / n_steps
         sq_h = math.sqrt(h)
-        gen = path_generator(seed)
+        noise = _NoiseSource(seed, range(N), n_steps, 1)
         M = np.zeros(N)
         sup_abs = np.zeros(N)
         qv = np.zeros(N)
-        for _ in range(n_steps):
-            dW = sq_h * gen.standard_normal(N)
+        for k in range(n_steps):
+            dW = sq_h * noise.macro_chunk(k)[:, 0]
             alive = qv < qv_cap
             M = M + np.where(alive, dW, 0.0)
             qv = qv + np.where(alive, h, 0.0)

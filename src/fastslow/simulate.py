@@ -14,12 +14,17 @@ the epsilon clock, path 0 of this kernel on ``stationary.frozen_model``.
 
 Randomness
 ----------
-Every path owns a counter-based Philox stream keyed by (seed, path index), so
-path i is the same array of numbers no matter how paths are grouped into
-blocks, how many worker threads run, or how large the total sample is.  Within
-a path the draw order is fixed: for each macro step, first the n_sub * d fast
-increments, then the l slow increments.  Chunked draws from a numpy Generator
-reproduce the un-chunked stream, which the tests assert.
+Paths are grouped into lane blocks of ``LANES`` = 256: path i is lane
+i % LANES of block i // LANES, and block b of seed s draws from one
+counter-based Philox stream, ``path_generator(s, b)``.  The stream's layout is
+(n_macro, chunk, LANES) in row-major order, with chunk = n_sub * d + l: for each
+macro step, first the n_sub * d fast increments of every lane, then the l slow
+ones, one row of LANES normals per increment component.  A block's lanes are
+always drawn whole, so path i is the same array of numbers no matter how paths
+are grouped into batches, how many worker threads run, or how large the total
+sample is.  Draws are made a window of macro steps at a time; chunked draws from
+a numpy Generator reproduce the unchunked stream, so the window size never
+changes the numbers, which the tests assert.
 
 Probes
 ------
@@ -66,16 +71,19 @@ __all__ = [
     "micro_substeps",
 ]
 
+LANES = 256
+
 _MASK64 = (1 << 64) - 1
 
-# per-block noise buffers above this many doubles are drawn per macro step
-# instead of upfront (memory cap, not a semantics change)
-_BUFFER_LIMIT = 12_000_000
+# doubles in one draw window (2 MB, about a core's L2 cache): a refill draws as
+# many macro steps as fit, at least one (a memory cap, not a semantics change)
+_BUFFER_LIMIT = 262_144
 
 
-def path_generator(seed, path_id=0):
-    """Philox generator keyed by (seed, path index)."""
-    key = (int(seed) & _MASK64) | ((int(path_id) & _MASK64) << 64)
+def path_generator(seed, block=0):
+    """Philox generator of lane block ``block`` under ``seed``, keyed by
+    (seed, block)."""
+    key = (int(seed) & _MASK64) | ((int(block) & _MASK64) << 64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -123,34 +131,53 @@ class PathSample:
 
 
 class _NoiseSource:
-    """Per-path Philox streams serving one macro-step chunk at a time.
+    """Lane-block streams serving one macro-step chunk of a set of paths at a time.
 
-    Layout per path and macro step: n_sub * d fast draws then l slow draws,
-    all standard normal.  Draws are buffered in windows of as many macro
-    steps as fit the memory cap; the last window holds only the steps that
-    remain.  Chunked draws from a Generator reproduce the un-chunked stream,
-    so the window size never changes the numbers, and each path draws
-    exactly n_macro * chunk normals.
+    Path i is lane i % LANES of block i // LANES, whose stream has the layout
+    (n_macro, chunk, LANES).  The requested ids are grouped by block, and one
+    (n_blocks, window * chunk, LANES) buffer holds the next ``window`` macro
+    steps of every block, filled by one ``standard_normal(out=...)`` call per
+    block.  The window is as many macro steps as fit ``_BUFFER_LIMIT`` doubles,
+    at least one, and the last window holds only the steps that remain.  A
+    block is drawn whole even when only some of its lanes are requested, so
+    each block draws exactly n_macro * chunk * LANES normals and neither the
+    batch nor N changes path i.
+
+    ``macro_chunk(k)`` returns the (B, chunk) rows of macro step k in the
+    order of the ids: a slice when the ids run consecutively from a block
+    boundary (every Monte Carlo batch), a ``take`` otherwise.
     """
 
-    def __init__(self, seeds, path_ids, n_macro, n_sub, d, l):
-        self.chunk = n_sub * d + l
-        self.gens = [path_generator(s, pid) for s, pid in zip(seeds, path_ids)]
-        B = len(self.gens)
-        window = max(1, int(_BUFFER_LIMIT // max(1, B * self.chunk)))
+    def __init__(self, seed, path_ids, n_macro, chunk):
+        ids = np.asarray(path_ids, dtype=np.int64)
+        blocks, slot = np.unique(ids // LANES, return_inverse=True)
+        self.chunk = chunk
+        self.gens = [path_generator(seed, b) for b in blocks]
+        window = _BUFFER_LIMIT // max(1, blocks.size * chunk * LANES)
         self._n_macro = n_macro
-        self._window = min(window, n_macro)
-        self._buf = np.empty((B, self._window * self.chunk))
+        self._window = min(max(1, window), n_macro)
+        self._buf = np.empty((blocks.size, self._window * chunk, LANES))
         self._base = None
+        self._B = ids.size
+        start = int(blocks[0]) * LANES if ids.size else 0
+        if np.array_equal(ids, np.arange(start, start + ids.size)):
+            self._gather = None
+        else:
+            # flat buffer index of each id's first row at window offset 0
+            lane = slot * self._buf[0].size + ids % LANES
+            self._gather = lane[:, None] + np.arange(chunk) * LANES
 
     def macro_chunk(self, k):
         if self._base is None or not self._base <= k < self._base + self._window:
             n = min(self._window, self._n_macro - k) * self.chunk
-            for i, g in enumerate(self.gens):
-                g.standard_normal(out=self._buf[i, :n])
+            for gen, rows in zip(self.gens, self._buf):
+                gen.standard_normal(out=rows[:n])
             self._base = k
         off = (k - self._base) * self.chunk
-        return self._buf[:, off : off + self.chunk]
+        if self._gather is None:
+            rows = self._buf[:, off : off + self.chunk].transpose(0, 2, 1)
+            return rows.reshape(-1, self.chunk)[: self._B]
+        return np.take(self._buf, self._gather + off * LANES)
 
 
 def macro_mesh(T, h):
@@ -273,27 +300,16 @@ def _path_major(rows):
     return flat.reshape((len(rows),) + rows[0].shape).swapaxes(0, 1)
 
 
-def _lane_seeds(seed, path_ids):
-    """One seed per lane: an int serves every lane, a sequence is taken as is."""
-    if np.ndim(seed) == 0:
-        return [seed] * len(path_ids)
-    if len(seed) != len(path_ids):
-        raise ConfigError(
-            f"{len(seed)} seeds for {len(path_ids)} paths; give one seed per path"
-        )
-    return list(seed)
-
-
 def simulate_block(spec, T, h, seed, path_ids, *, c_fast=0.1, probes=()):
     """Advance a block of paths of the coupled pair through one shared kernel.
 
-    Lane i draws from ``path_generator(seed[i], path_ids[i])``: ``seed`` is
-    either one int for every lane or a sequence with one seed per lane.
-    Returns a namespace with the macro mesh ``times``, the micro-step count
-    ``n_sub`` and the terminal states ``xi`` (B, d), ``Y`` (B, l) and ``X``
-    (B, p).  Nothing else is stored.  Each of ``probes`` is called in order
-    with ``start(xi, Y, X)`` once, ``macro(k, xi, Y, dB, dW)`` at the left end
-    of macro step k, ``micro(k, j, z, Y, dB_j)`` before each micro step and
+    ``seed`` is one int; path i is lane i % LANES of the block stream
+    ``path_generator(seed, i // LANES)``.  Returns a namespace with the macro
+    mesh ``times``, the micro-step count ``n_sub`` and the terminal states
+    ``xi`` (B, d), ``Y`` (B, l) and ``X`` (B, p).  Nothing else is stored.
+    Each of ``probes`` is called in order with ``start(xi, Y, X)`` once,
+    ``macro(k, xi, Y, dB, dW)`` at the left end of macro step k,
+    ``micro(k, j, z, Y, dB_j)`` before each micro step and
     ``node(k + 1, xi, Y, X)`` at the finite right end (see the module
     docstring).
     """
@@ -304,7 +320,7 @@ def simulate_block(spec, T, h, seed, path_ids, *, c_fast=0.1, probes=()):
     h_sub = h / n_sub
     B = len(path_ids)
 
-    noise = _NoiseSource(_lane_seeds(seed, path_ids), path_ids, n_macro, n_sub, d, l)
+    noise = _NoiseSource(seed, path_ids, n_macro, n_sub * d + l)
     sq_sub, sq_h = math.sqrt(h_sub), math.sqrt(h)
     inv_eps, inv_sqeps = 1.0 / eps, 1.0 / math.sqrt(eps)
     x_gain = h * eps ** (-kappa)

@@ -327,11 +327,11 @@ PINNED_CONFIG = {
 # re-baseline of the noise layout must update them in the open.
 PINNED_SHA256 = {
     "ou/averaged.csv": "fe725436ba1ffcf3a73609f0fff9fed25eed853a4c303dac88dcfdf58070bc4c",
-    "ou/delta.csv": "3dc9b9b732e8e4ce704e686476dd88a2a892c5901de994616c1b56768100b50e",
+    "ou/delta.csv": "2fcc060db0a1d76d5d5d090da9e5c777972601b8da9bbacdfbb612a452b82d41",
     "ou/density.csv": "05c8ede5633a0622338920be90001bf04a2fd45fdd4f05cfc99a33393d9efd39",
-    "ou/inequalities.csv": "4d9a710e348dd3f8f6b4368a7a49ecdd1fcb4c1e91807fe0a91c5e8bba167efe",
-    "ou/mc.csv": "360247f2ddfacae81a0f428f2ba632db3d50aecec7da04e25022983f502a0980",
-    "ou/path.csv": "5845d896887a09865020f167f346b4bb9710fdd98f839a0d7220d913585f1bb1",
+    "ou/inequalities.csv": "90374d37eb7f2f85c6f258a6de65a1c03435aca93948c1c2a9c12450b96951d0",
+    "ou/mc.csv": "16d5132bc14395bc4a7d7e6e6289c117d3e9cea803e347e7e80c60d992ea1dab",
+    "ou/path.csv": "a0838b5cbc57102f7964f0895f74c16140c46ec63a94afbd3372d9d71e30c1d3",
     "ou/poisson.csv": "06b0627955f8469bc4f81ef63710e32617624bd61c6fe2feb847e2ca7f76726a",
     "ou/rate.csv": "235502d6e1c8993e9486f6489c7bd1a1bf56b5107c243cfb1194344b06998148",
     "ou/rate_path.csv": "33dee9386d148f55e3da1a60c3f30fdf0a8218ad78801ce98fece97fde6a5a9b",
@@ -345,7 +345,7 @@ PINNED_SHA256 = {
 # sha256 of density.csv from the empirical route, which runs the frozen flow
 # as path 0 of the kernel, on PINNED_CONFIG with a short trajectory.
 PINNED_EMPIRICAL_DENSITY = {"method": "empirical", "T": 5.0, "burn_in": 1.0}
-PINNED_EMPIRICAL_SHA256 = "656f16f6927807e94b9a84fb5d303e893ba755dc491989bec90487954e20e1df"
+PINNED_EMPIRICAL_SHA256 = "91dec4e90dba3645e56435e21e78fea9704a1a2cf5ddf77d3f7c649b860ecdef"
 
 
 def test_empirical_density_bytes_are_pinned(runner, tmp_path):

@@ -181,6 +181,20 @@ def test_inequality_grid_draws_once_and_matches_per_cell_checks(sampler):
 
 
 @pytest.mark.parametrize(
+    "sampler",
+    [brownian_sampler(n_steps=50), stopped_brownian_sampler(0.3, n_steps=50)],
+    ids=["brownian", "stopped"],
+)
+def test_sampler_path_does_not_depend_on_n(sampler):
+    """Martingale path i is lane i % LANES of block i // LANES: the same at N
+    and 2N, with N = 700 ending inside a block."""
+    small = sampler(700, 1.0, 9)
+    large = sampler(1400, 1.0, 9)
+    for got, want in zip(small, large):
+        np.testing.assert_array_equal(got, want[:700])
+
+
+@pytest.mark.parametrize(
     "alphas, Bs, N",
     [
         ([1.0, 0.0], [1.0], 1000),

@@ -31,6 +31,8 @@ def test_micro_substeps_rejects_bad_cap():
 
 
 def test_path_generator_keying():
+    """One generator per (seed, lane block): the same key gives the same
+    stream, another block or another seed a different one."""
     a = path_generator(7, 0).standard_normal(4)
     b = path_generator(7, 0).standard_normal(4)
     c = path_generator(7, 1).standard_normal(4)
@@ -38,6 +40,27 @@ def test_path_generator_keying():
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)
+    np.testing.assert_array_equal(path_generator(7).standard_normal(4), a)
+
+
+def test_lane_draws_follow_the_block_layout(ou):
+    """Path i's raw increments are lane i % LANES of the (n_macro, chunk,
+    LANES) stream of block i // LANES: the n_sub * d fast rows, then the l
+    slow rows, of each macro step."""
+    spec = ou.with_epsilon(0.005)
+    T, h, seed, ids = 0.05, 0.01, 23, [3, sim.LANES + 1, 3 * sim.LANES - 1]
+    rec = Recorder()
+    run = simulate_block(spec, T, h, seed, ids, probes=(rec,))
+    n_macro, n_sub, d = 5, run.n_sub, spec.d
+    chunk = n_sub * d + spec.l
+    for i, pid in enumerate(ids):
+        stream = path_generator(seed, pid // sim.LANES).standard_normal(
+            (n_macro, chunk, sim.LANES)
+        )[:, :, pid % sim.LANES]
+        np.testing.assert_array_equal(
+            rec.dB[i], stream[:, : n_sub * d].reshape(n_macro, n_sub, d) * np.sqrt(h / n_sub)
+        )
+        np.testing.assert_array_equal(rec.dW[i], stream[:, n_sub * d :] * np.sqrt(h))
 
 
 def test_simulate_pair_shapes_and_mesh(ou):
@@ -112,45 +135,52 @@ def test_block_matches_single_paths(ou):
         assert sup_y.value[i] == np.abs(single.Y).sum(axis=1).max()
 
 
-def test_per_lane_seeds_match_single_lane_runs(ou_family):
-    """Lane i of a block with one seed per lane is the path keyed
-    (seed[i], path_ids[i]), bit for bit, in the terminal states and in the
-    corrector statistics; an int seed is the same seed in every lane."""
+def test_block_lanes_match_single_lane_runs(ou_family):
+    """Lane i of a block is the path keyed by its id alone, bit for bit, in
+    the terminal states and in the corrector statistics, whichever blocks
+    the other lanes come from."""
     spec = ou_family.spec.with_epsilon(0.05)
-    T, h, seeds, ids = 0.1, 0.01, [3, 8, 3], [0, 0, 5]
+    T, h, seed, ids = 0.1, 0.01, 3, [0, 5, sim.LANES + 2, 0]
 
-    def run(seed, path_ids):
+    def run(path_ids):
         probe = CorrectorProbe(spec, ou_family, h)
         out = simulate_block(spec, T, h, seed, path_ids, probes=(probe,))
         return [out.xi, out.Y, out.X, probe.M, probe.qv, probe.identity_residual]
 
-    block = run(seeds, ids)
-    for i, (seed, pid) in enumerate(zip(seeds, ids)):
-        for got, want in zip(block, run(seed, [pid])):
+    block = run(ids)
+    for i, pid in enumerate(ids):
+        for got, want in zip(block, run([pid])):
             np.testing.assert_array_equal(got[i], want[0])
-    for got, want in zip(run(3, ids), run([3, 3, 3], ids)):
-        np.testing.assert_array_equal(got, want)
 
 
-def test_seed_count_must_match_lanes(ou, monkeypatch):
-    made = []
+def test_kernel_path_does_not_depend_on_batch_or_n(ou):
+    """Path i is the same at N and 2N, in a batch that does not start on a
+    block boundary and in a partial last block."""
+    spec = ou.with_epsilon(0.05)
+    T, h, seed, N = 0.05, 0.01, 29, 700    # 700 = 2 * 256 + 188
 
-    def counting_generator(seed, path_id=0):
-        made.append((seed, path_id))
-        return path_generator(seed, path_id)
+    def states(ids):
+        run = simulate_block(spec, T, h, seed, list(ids))
+        return np.concatenate([run.xi, run.Y, run.X], axis=1)
 
-    monkeypatch.setattr(sim, "path_generator", counting_generator)
-    with pytest.raises(ConfigError, match="one seed per path"):
-        simulate_block(ou, 0.1, 0.01, [1, 2], [0, 1, 2])
-    assert made == []
+    full = states(range(2 * N))
+    np.testing.assert_array_equal(states(range(N)), full[:N])
+    np.testing.assert_array_equal(states(range(N, 2 * N)), full[N:])
+    np.testing.assert_array_equal(states(range(N - 50, N + 50)), full[N - 50 : N + 50])
+    np.testing.assert_array_equal(states([N + 1, 2, N - 1]), full[[N + 1, 2, N - 1]])
 
 
 def test_noise_window_size_does_not_change_draws(ou, monkeypatch):
-    before = simulate_block(ou, 0.2, 0.01, 21, [0, 1])
+    """Chunked refills reproduce the unchunked block streams, and every block
+    draws all its lanes for every macro step, whatever the window."""
+    ids = [0, 1, sim.LANES + 3]     # two blocks
+    n_macro, n_sub = 20, micro_substeps(0.01, ou.epsilon)
+    chunk = n_sub * ou.d + ou.l
+    before = simulate_block(ou, 0.2, 0.01, 21, ids)
     drawn = []
 
-    def counting_generator(seed, path_id=0):
-        gen = path_generator(seed, path_id)
+    def counting_generator(seed, block=0):
+        gen = path_generator(seed, block)
 
         class Counting:
             def standard_normal(self, *args, **kwargs):
@@ -161,17 +191,17 @@ def test_noise_window_size_does_not_change_draws(ou, monkeypatch):
         return Counting()
 
     monkeypatch.setattr(sim, "path_generator", counting_generator)
-    n_macro, n_sub = 20, micro_substeps(0.01, ou.epsilon)
-    # 2 paths x 2 normals per macro step: limit 8 refills every step, limit 12
-    # every 3 steps, which does not divide the 20 macro steps
-    for limit in (8, 12):
+    step = 2 * sim.LANES * chunk      # doubles per macro step of both blocks
+    # windows of 3 and 7 macro steps, neither of which divides the 20 steps
+    for window in (3, 7):
         drawn.clear()
-        monkeypatch.setattr(sim, "_BUFFER_LIMIT", limit)
-        after = simulate_block(ou, 0.2, 0.01, 21, [0, 1])
+        monkeypatch.setattr(sim, "_BUFFER_LIMIT", window * step + step - 1)
+        after = simulate_block(ou, 0.2, 0.01, 21, ids)
         np.testing.assert_array_equal(before.xi, after.xi)
         np.testing.assert_array_equal(before.Y, after.Y)
         np.testing.assert_array_equal(before.X, after.X)
-        assert sum(drawn) == 2 * n_macro * (n_sub * ou.d + ou.l)
+        assert len(drawn) == 2 * -(-n_macro // window)
+        assert sum(drawn) == 2 * sim.LANES * n_macro * chunk
 
 
 def _micro_states(spec, path):
