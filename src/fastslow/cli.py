@@ -436,6 +436,15 @@ def _config_argument(fn):
     return click.argument("config_path", type=click.Path(exists=False, dir_okay=False))(fn)
 
 
+_workers_option = click.option(
+    "--workers",
+    type=int,
+    default=lambda: os.cpu_count() or 1,
+    help="Worker threads for the Monte Carlo paths (results are identical "
+    "at any count).",
+)
+
+
 @main.command()
 @_config_argument
 @_guarded
@@ -671,13 +680,7 @@ def rate(config_path):
 
 @main.command("mdp-check")
 @_config_argument
-@click.option(
-    "--workers",
-    type=int,
-    default=lambda: os.cpu_count() or 1,
-    help="Worker threads for the Monte Carlo sweep (results are identical "
-    "at any count).",
-)
+@_workers_option
 @_guarded
 def mdp_check(config_path, workers):
     """Monte Carlo tail sweep at the moderate-deviation log scaling."""
@@ -728,8 +731,9 @@ def mdp_check(config_path, workers):
 
 @main.command()
 @_config_argument
+@_workers_option
 @_guarded
-def inequalities(config_path):
+def inequalities(config_path, workers):
     """Empirical exponential-inequality grid for martingale samplers."""
     exp = Experiment(config_path)
     block = exp.block(
@@ -742,10 +746,10 @@ def inequalities(config_path):
     n_steps = int(block.get("n_steps", 1000))
     if name == "brownian":
         _only_read_by(block, "inequalities", ("qv_cap",), "sampler 'stopped'")
-        sampler = brownian_sampler(n_steps=n_steps)
+        sampler = brownian_sampler(n_steps=n_steps, workers=workers)
     elif name == "stopped":
         sampler = stopped_brownian_sampler(
-            float(block.get("qv_cap", 1.0)), n_steps=n_steps
+            float(block.get("qv_cap", 1.0)), n_steps=n_steps, workers=workers
         )
     else:
         raise ConfigError(f"unknown sampler {name!r}; choose 'brownian' or 'stopped'")

@@ -21,7 +21,9 @@ An exponential-inequality grid is scored from one draw: the martingale sampler
 runs once, and every (alpha, B) cell is an integer hit count over those paths.
 The two martingale samplers step through the kernel's noise source with one
 normal per step (chunk 1), so their path i is lane i % LANES of block
-i // LANES too, whatever N.
+i // LANES too, whatever N.  They step their paths in whole-block batches of
+``DEFAULT_BATCH`` on the same worker pool as the sweeps and concatenate the
+per-path results in id order, so ``workers`` only changes wall time.
 """
 
 from __future__ import annotations
@@ -121,15 +123,14 @@ def _scaled_log(hits, n, speed):
     return speed * math.log(p_for_log), censored
 
 
-def _run_batches(count_fn, N, batch, workers):
-    """Sum integer hit counts over path-id batches; order-independent."""
+def _run_batches(job, N, batch, workers):
+    """Run ``job`` on consecutive path-id ranges of at most ``batch`` ids and
+    return its results in id order, on a thread pool when ``workers`` > 1."""
     jobs = [range(s, min(s + batch, N)) for s in range(0, N, batch)]
     if workers is not None and workers > 1 and len(jobs) > 1:
         with ThreadPoolExecutor(max_workers=int(workers)) as pool:
-            parts = list(pool.map(count_fn, jobs))
-    else:
-        parts = [count_fn(j) for j in jobs]
-    return np.sum(np.asarray(parts, dtype=np.int64), axis=0)
+            return list(pool.map(job, jobs))
+    return [job(j) for j in jobs]
 
 
 def _cell(event, epsilon, N, hits, speed, *, C=None):
@@ -196,7 +197,7 @@ def tail_probability(
             return int(np.count_nonzero(vals > event.threshold))
 
         try:
-            hits = int(_run_batches(count, N, batch, workers))
+            hits = sum(_run_batches(count, N, batch, workers))
         except FastslowError as err:
             out.append(_failed_cell(event, eps, N, err))
             continue
@@ -269,6 +270,11 @@ def exponential_inequality_grid(martingale_sampler, alphas, Bs, T, N, seed):
         )
     sup_abs = np.asarray(sup_abs, float)
     qv = np.asarray(qv, float)
+    if sup_abs.shape != (N,) or qv.shape != (N,):
+        raise ConfigError(
+            f"sampler returned sup_abs of shape {sup_abs.shape} and qv of shape "
+            f"{qv.shape}; both must be ({N},)"
+        )
     cells = []
     for alpha in alphas:
         reached = sup_abs >= alpha
@@ -279,43 +285,49 @@ def exponential_inequality_grid(martingale_sampler, alphas, Bs, T, N, seed):
     return cells
 
 
-def brownian_sampler(n_steps=1000):
+def _brownian_sup(N, seed, n_taken, sq_h, workers):
+    """Running sup of |M| over the first ``n_taken`` steps of N Brownian paths,
+    stepped in whole-block batches of ``DEFAULT_BATCH`` paths and
+    concatenated in id order."""
+
+    def run(ids):
+        noise = _NoiseSource(seed, ids, n_taken, 1)
+        M = np.zeros(len(ids))
+        sup_abs = np.zeros(len(ids))
+        for k in range(n_taken):
+            M = M + sq_h * noise.macro_chunk(k)[:, 0]
+            np.maximum(sup_abs, np.abs(M), out=sup_abs)
+        return sup_abs
+
+    return np.concatenate(_run_batches(run, N, DEFAULT_BATCH, workers))
+
+
+def brownian_sampler(n_steps=1000, workers=None):
     """Sampler of standard Brownian paths; predictable bracket <W>_t = t."""
 
     def sample(N, T, seed):
-        h = T / n_steps
-        sq_h = math.sqrt(h)
-        noise = _NoiseSource(seed, range(N), n_steps, 1)
-        M = np.zeros(N)
-        sup_abs = np.zeros(N)
-        for k in range(n_steps):
-            M = M + sq_h * noise.macro_chunk(k)[:, 0]
-            np.maximum(sup_abs, np.abs(M), out=sup_abs)
+        sup_abs = _brownian_sup(N, seed, n_steps, math.sqrt(T / n_steps), workers)
         return sup_abs, np.full(N, T)
 
     return sample
 
 
-def stopped_brownian_sampler(qv_cap, n_steps=1000):
+def stopped_brownian_sampler(qv_cap, n_steps=1000, workers=None):
     """Brownian motion stopped when its bracket reaches qv_cap (a stopping
     time), so <M>_T = min(T, qv_cap) while the bound still applies."""
-    if qv_cap <= 0.0:
+    if not qv_cap > 0.0:
         raise ConfigError("qv_cap must be positive")
 
     def sample(N, T, seed):
+        # the bracket h + h + ... is the same on every path, so the stopping
+        # step is known before any path is drawn
         h = T / n_steps
-        sq_h = math.sqrt(h)
-        noise = _NoiseSource(seed, range(N), n_steps, 1)
-        M = np.zeros(N)
-        sup_abs = np.zeros(N)
-        qv = np.zeros(N)
-        for k in range(n_steps):
-            dW = sq_h * noise.macro_chunk(k)[:, 0]
-            alive = qv < qv_cap
-            M = M + np.where(alive, dW, 0.0)
-            qv = qv + np.where(alive, h, 0.0)
-            np.maximum(sup_abs, np.abs(M), out=sup_abs)
-        return sup_abs, qv
+        qv, n_taken = 0.0, 0
+        while n_taken < n_steps and qv < qv_cap:
+            qv += h
+            n_taken += 1
+        sup_abs = _brownian_sup(N, seed, n_taken, math.sqrt(h), workers)
+        return sup_abs, np.full(N, qv)
 
     return sample
 
@@ -363,7 +375,7 @@ def negligibility_xi(
             return int(np.count_nonzero(scale * sup_xi.value**p_exp > eta))
 
         try:
-            hits = int(_run_batches(count, N, batch, workers))
+            hits = sum(_run_batches(count, N, batch, workers))
         except FastslowError as err:
             out.append(_failed_cell(label, eps, N, err))
             continue
@@ -394,7 +406,7 @@ def boundedness_Y(
         simulate_block(spec, T, h, seed, list(ids), c_fast=c_fast, probes=(sup_y,))
         return (sup_y.value[:, None] > C_arr[None, :]).sum(axis=0)
 
-    hits_per_C = _run_batches(count, N, batch, workers)
+    hits_per_C = np.sum(_run_batches(count, N, batch, workers), axis=0)
     return [
         _cell(f"sup_t |Y_t| > {C}", spec.epsilon, N, int(hits), speed, C=float(C))
         for C, hits in zip(C_arr, hits_per_C)

@@ -319,7 +319,7 @@ def test_criterion_9_cli_determinism(tmp_path):
             ("average", ()),
             ("delta", ()),
             ("rate", ()),
-            ("inequalities", ()),
+            ("inequalities", ("--workers", workers)),
             ("mdp-check", ("--workers", workers)),
         ):
             result = runner.invoke(main, [cmd, str(cfg_path), *extra])

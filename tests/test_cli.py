@@ -20,6 +20,7 @@ from click.testing import CliRunner
 
 import fastslow
 from fastslow.cli import _build_inline_model, main
+from fastslow.mcengine import DEFAULT_BATCH
 
 SQRT2 = 1.4142135623730951
 
@@ -295,6 +296,20 @@ def test_inequalities_grid(runner, tmp_path):
         assert row[2] == "1000"
         assert row[6] == "0"
         assert float(row[3]) <= float(row[4]) + 3.0 * float(row[5])
+
+
+def test_inequalities_bytes_do_not_depend_on_workers(run_subcommand):
+    """N spans two whole-block batches, so --workers 2 runs them on the pool."""
+    ineq = {"alpha": [0.5, 1.0], "B": [0.5, 1.0], "n_steps": 50}
+    N = DEFAULT_BATCH + 700
+    csvs = [
+        run_subcommand(
+            "inequalities", T=1.0, seed=3, N=N, out=f"w{w}", inequalities=ineq,
+            args=("--workers", str(w)),
+        ) / "inequalities.csv"
+        for w in (1, 2)
+    ]
+    assert csvs[0].read_bytes() == csvs[1].read_bytes()
 
 
 def test_inline_model_matches_benchmark(runner, tmp_path):

@@ -20,6 +20,8 @@ from fastslow import (
     wilson_interval,
 )
 from fastslow.errors import ConfigError
+from fastslow.mcengine import DEFAULT_BATCH
+from fastslow.simulate import _NoiseSource
 
 
 @given(hits=st.integers(0, 500), n=st.integers(1, 500))
@@ -192,6 +194,75 @@ def test_sampler_path_does_not_depend_on_n(sampler):
     large = sampler(1400, 1.0, 9)
     for got, want in zip(small, large):
         np.testing.assert_array_equal(got, want[:700])
+
+
+def _single_source_brownian(N, T, seed, n_steps):
+    """Reference: every path stepped as one noise source, as one batch."""
+    sq_h = math.sqrt(T / n_steps)
+    noise = _NoiseSource(seed, range(N), n_steps, 1)
+    M = np.zeros(N)
+    sup_abs = np.zeros(N)
+    for k in range(n_steps):
+        M = M + sq_h * noise.macro_chunk(k)[:, 0]
+        np.maximum(sup_abs, np.abs(M), out=sup_abs)
+    return sup_abs, np.full(N, T)
+
+
+def _single_source_stopped(qv_cap, N, T, seed, n_steps):
+    """Reference: one noise source, and a per-lane bracket that stops each
+    lane's increments once it reaches qv_cap."""
+    h = T / n_steps
+    sq_h = math.sqrt(h)
+    noise = _NoiseSource(seed, range(N), n_steps, 1)
+    M = np.zeros(N)
+    sup_abs = np.zeros(N)
+    qv = np.zeros(N)
+    for k in range(n_steps):
+        dW = sq_h * noise.macro_chunk(k)[:, 0]
+        alive = qv < qv_cap
+        M = M + np.where(alive, dW, 0.0)
+        qv = qv + np.where(alive, h, 0.0)
+        np.maximum(sup_abs, np.abs(M), out=sup_abs)
+    return sup_abs, qv
+
+
+@pytest.mark.parametrize(
+    "factory, reference",
+    [
+        (brownian_sampler, _single_source_brownian),
+        (
+            lambda n_steps, workers: stopped_brownian_sampler(0.37, n_steps, workers),
+            lambda *args: _single_source_stopped(0.37, *args),
+        ),
+    ],
+    ids=["brownian", "stopped"],
+)
+def test_sampler_does_not_depend_on_workers_or_batch(factory, reference):
+    """The last whole-block batch is partial and ends inside a block; serial,
+    pooled and single-source stepping give the same bits."""
+    N, n_steps = DEFAULT_BATCH + 700, 40
+    want = reference(N, 1.0, 4, n_steps)
+    for workers in (1, 2):
+        got = factory(n_steps, workers)(N, 1.0, 4)
+        for g, w in zip(got, want):
+            assert g.shape == (N,)
+            np.testing.assert_array_equal(g, w)
+
+
+def test_stopped_sampler_rejects_unusable_cap():
+    for cap in (0.0, -1.0, math.nan):
+        with pytest.raises(ConfigError, match="qv_cap must be positive"):
+            stopped_brownian_sampler(cap)
+
+
+@pytest.mark.parametrize("short", ["sup_abs", "qv"])
+def test_inequality_grid_rejects_wrong_path_count(short):
+    def sampler(N, T, seed):
+        sup_abs, qv = brownian_sampler(n_steps=10)(N, T, seed)
+        return (sup_abs[:-1], qv) if short == "sup_abs" else (sup_abs, qv[:-1])
+
+    with pytest.raises(ConfigError, match=r"must be \(1000,\)"):
+        exponential_inequality_grid(sampler, [0.5, 1.0], [1.0], 1.0, 1000, 0)
 
 
 @pytest.mark.parametrize(
