@@ -242,6 +242,10 @@ class Experiment:
                 f"scale relation fails: kappa={self.spec.kappa} must be below "
                 f"min(1 - m/2, 1/2) = {min(1 - self.spec.m / 2, 0.5)}"
             )
+        if self.spec.d >= 2:
+            # the d >= 2 grid routes factor sparse operators; load SciPy's
+            # sparse stack in start-up rather than inside the first cell solve
+            import scipy.sparse.linalg  # noqa: F401
 
         grids = _require_mapping(raw.get("grids", {}), "grids")
         _check_keys(grids, "grids", allowed={"z_box", "z_nodes", "y_box", "y_nodes"})
@@ -438,7 +442,7 @@ def _config_argument(fn):
 
 _workers_option = click.option(
     "--workers",
-    type=int,
+    type=click.IntRange(min=1),
     default=lambda: os.cpu_count() or 1,
     help="Worker threads for the Monte Carlo paths (results are identical "
     "at any count).",

@@ -33,6 +33,10 @@ nodes, so the family compares those sampled arrays with the previous node's,
 byte for byte.  When they match, the previous density and factor are reused;
 a model whose fast coefficients do depend on y still factors once per node.
 Only the most recent factor is kept.
+
+``scipy.sparse`` is imported inside the grid route's assembly and anchoring
+(``_assemble_generator``, ``_replace_row``) and the factor comes from
+``stationary.sparse_lu``, so the closed-form route never loads SciPy.
 """
 
 from __future__ import annotations
@@ -44,7 +48,6 @@ from itertools import product
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import FredholmError, GridDomainError
 from .grids import GridField, RectGrid, corrected_cumtrapz, multilinear
@@ -191,6 +194,8 @@ def _mirror(idx, n):
 def _assemble_generator(a, bvec, grid):
     """Sparse second-order discretization of L_y with mirrored boundary, given
     a and b sampled at the grid nodes."""
+    import scipy.sparse as sp
+
     shape = grid.shape
     ndim = grid.ndim
     spacing = grid.spacing
@@ -243,6 +248,8 @@ def _assemble_generator(a, bvec, grid):
 
 def _replace_row(A, i, row):
     """CSR copy of A whose row i holds the nonzero entries of a dense row."""
+    import scipy.sparse as sp
+
     cols = np.flatnonzero(row).astype(A.indices.dtype)
     start, stop = A.indptr[i], A.indptr[i + 1]
     indptr = A.indptr.copy()

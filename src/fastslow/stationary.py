@@ -19,6 +19,11 @@ arrays (``frozen_coefficients``).  In the paper the fast dynamics do not
 depend on the slow state, so a cell-problem family over a y-grid
 (``poisson.solve_family``) samples the same arrays at every node and reuses
 the density instead of solving for it again.
+
+SciPy is imported inside the functions that build or factor a sparse
+operator (``sparse_lu``, the finite-volume assembly and
+``invariant_density_2d``), not at module level, so the closed-form and
+empirical routes run without loading it.
 """
 
 from __future__ import annotations
@@ -26,8 +31,6 @@ from __future__ import annotations
 from dataclasses import replace
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import ConvergenceError, GridDomainError, SimulationBlowupError, SingularOperatorError
 from .grids import GridField, corrected_cumtrapz
@@ -83,6 +86,8 @@ def sparse_lu(A):
     SciPy reports an exactly singular factor as a bare RuntimeError; it is
     raised here as SingularOperatorError, so callers see a typed failure.
     """
+    import scipy.sparse.linalg as spla
+
     try:
         return spla.splu(A.tocsc())
     except RuntimeError as err:
@@ -132,6 +137,8 @@ def _assemble_fv_adjoint(a, bvec, grid):
     (one-sided at tangential boundaries).  Fluxes telescope, so total mass is
     conserved exactly and the constant-in/constant-out structure holds.
     """
+    import scipy.sparse as sp
+
     nx, ny = grid.shape
     hx, hy = grid.spacing
     a11, a12, a22 = a[..., 0, 0], a[..., 0, 1], a[..., 1, 1]
@@ -263,6 +270,8 @@ def _null_vector(A, lu, seed_vec, scale, max_iter=200):
 
 
 def invariant_density_2d(spec, y, grid, *, check_uniqueness=True):
+    import scipy.sparse as sp
+
     if spec.d != 2 or grid.ndim != 2:
         raise GridDomainError("finite-volume route needs d = 2")
     A = _assemble_fv_adjoint(*frozen_coefficients(spec, y, grid), grid)

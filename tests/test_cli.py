@@ -662,24 +662,107 @@ def test_mdp_check_keeps_failed_cell_reasons(runner, tmp_path):
     assert f"failed ({failed['error']})" in result.output
 
 
-def test_cli_import_loads_only_sparse_and_linalg_from_scipy():
-    """Starting any subcommand imports fastslow.cli; of SciPy that needs only
-    the sparse cell solves (and the dense linalg they pull in)."""
+# the 2-d inline model of the cell-2d benchmark: b = -z, sigma = sqrt2 I
+OU_2D_INLINE = {
+    "d": 2,
+    "l": 1,
+    "p": 1,
+    "b": [[{"c": -1.0, "z": [1, 0]}], [{"c": -1.0, "z": [0, 1]}]],
+    "sigma": [[[{"c": SQRT2}], []], [[], [{"c": SQRT2}]]],
+    "F": [[{"c": -1.0, "y": [1]}, {"c": 1.0, "z": [1, 0]}]],
+    "G": [[[{"c": 1.0}]]],
+    "H": [[{"c": 1.0, "z": [1, 0]}, {"c": 1.0, "z": [1, 1]}]],
+}
+
+# runs `fastslow <name> <config>` for each (name, config) pair of argv in one
+# interpreter, then prints the SciPy modules that interpreter has loaded
+_RUN_THEN_LIST_SCIPY = (
+    "import sys\n"
+    "from fastslow.cli import main\n"
+    "for name, path in zip(sys.argv[1::2], sys.argv[2::2]):\n"
+    "    main(args=[name, path], standalone_mode=False)\n"
+    "print('scipy:', *sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+)
+
+
+def scipy_loaded_after(*runs):
+    """Names of the SciPy modules loaded by importing the CLI and running
+    each (subcommand, config) pair, all in one fresh interpreter."""
     src = os.path.dirname(os.path.dirname(fastslow.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    code = (
-        "import sys, fastslow.cli\n"
-        "print(' '.join(sorted({m.split('.')[1] for m in sys.modules\n"
-        "    if m.startswith('scipy.') and not m.split('.')[1].startswith('_')})))"
-    )
     done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
-        check=True, timeout=120,
+        [sys.executable, "-c", _RUN_THEN_LIST_SCIPY, *(str(a) for run in runs for a in run)],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
+        timeout=300,
     )
-    loaded = set(done.stdout.split())
-    assert "sparse" in loaded
-    assert loaded <= {"linalg", "sparse", "version"}
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()[-1].split()[1:]
+
+
+def test_cli_import_loads_no_scipy():
+    """Every subcommand starts by importing fastslow.cli; that import loads
+    no SciPy module."""
+    assert scipy_loaded_after() == []
+
+
+def test_one_d_monte_carlo_runs_load_no_scipy(tmp_path):
+    """In d = 1 the density and cell problem are closed forms, so the tail
+    sweep, the martingale grid and the corrector sweep never load SciPy."""
+    cfg = base_config(
+        tmp_path / "out",
+        event={"threshold": 0.5},
+        inequalities={"alpha": [1.0], "B": [1.0], "n_steps": 100},
+        delta={"eta": 0.25},
+    )
+    cfg_path = write_cfg(tmp_path, cfg)
+    runs = [(name, cfg_path) for name in ("mdp-check", "inequalities", "delta")]
+    assert scipy_loaded_after(*runs) == []
+    for name in ("mc.csv", "inequalities.csv", "delta.csv"):
+        assert (tmp_path / "out" / name).is_file()
+
+
+def test_two_d_rate_loads_only_sparse_from_scipy(tmp_path):
+    """A d = 2 run factors sparse operators: of SciPy it loads the sparse
+    stack (and the dense linalg it pulls in), never scipy.stats and the like."""
+    cfg = {
+        "model": {"inline": OU_2D_INLINE},
+        "scales": {"epsilon": [1e-2], "kappa": 0.25},
+        "grids": {"z_box": [[-5.0, 5.0], [-5.0, 5.0]], "z_nodes": 31, "y_nodes": 5},
+        "run": {"T": 1.0, "h": 1e-2, "seed": 3},
+        "output_dir": str(tmp_path / "out"),
+        "rate": {"event": {"threshold": 1.0}, "mesh_size": 16},
+    }
+    loaded = scipy_loaded_after(("rate", write_cfg(tmp_path, cfg)))
+    top = {m.split(".")[1] for m in loaded if "." in m and not m.split(".")[1].startswith("_")}
+    assert "sparse" in top
+    assert top <= {"linalg", "sparse", "version"}
+    assert (tmp_path / "out" / "rate.csv").is_file()
+
+
+def test_one_d_grid_solve_loads_scipy_mid_run(runner, tmp_path):
+    """An explicit 1-d grid_solve is the one 1-d route that reaches a sparse
+    solve, so it loads SciPy after start-up; its bytes match an in-process run."""
+    cfg = base_config(tmp_path / "fresh", poisson={"method": "grid_solve"})
+    loaded = scipy_loaded_after(("poisson", write_cfg(tmp_path, cfg, "fresh.yaml")))
+    assert "scipy.sparse.linalg" in loaded
+
+    cfg["output_dir"] = str(tmp_path / "here")
+    here_cfg = write_cfg(tmp_path, cfg, "here.yaml")
+    result = runner.invoke(main, ["poisson", str(here_cfg)], catch_exceptions=False)
+    assert result.exit_code == 0
+    fresh = (tmp_path / "fresh" / "poisson.csv").read_bytes()
+    assert fresh == (tmp_path / "here" / "poisson.csv").read_bytes()
+
+
+@pytest.mark.parametrize("subcommand", ["mdp-check", "inequalities"])
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_workers_below_one_is_a_usage_error(runner, tmp_path, subcommand, workers):
+    cfg = base_config(tmp_path / "out", event={"threshold": 0.5}, inequalities={})
+    cfg_path = write_cfg(tmp_path, cfg)
+    result = runner.invoke(main, [subcommand, str(cfg_path), "--workers", workers])
+    assert result.exit_code == 2
+    assert "--workers" in text_of(result)
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------
