@@ -67,11 +67,9 @@ from .ratefn import (
     minimize_endpoint,
 )
 from .simulate import (
-    PathSample,
     micro_substeps,
     path_generator,
     simulate_block,
-    simulate_pair,
 )
 from .stationary import (
     check_centering,
@@ -108,8 +106,6 @@ __all__ = [
     "get_benchmark",
     "BENCHMARKS",
     # simulation
-    "PathSample",
-    "simulate_pair",
     "simulate_block",
     "path_generator",
     "micro_substeps",

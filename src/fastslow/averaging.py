@@ -20,7 +20,7 @@ from .errors import ConfigError, SingularOperatorError
 from .grids import RectGrid, multilinear
 from .model import diffusion_matrix
 from .poisson import solve_family
-from .simulate import DefectIntegral, micro_substeps, simulate_block
+from .simulate import DefectIntegral, simulate_block
 from .stationary import invariant_density
 
 __all__ = [
@@ -175,7 +175,6 @@ def homogenization_defect(
     seed,
     *,
     family=None,
-    c_fast=0.1,
 ):
     """Per-epsilon statistics of sup_t || int_0^t V(xi_s, Y_s) ds || where V is
     a coefficient minus its averaged version: which selects F - Fbar,
@@ -186,22 +185,20 @@ def homogenization_defect(
     if which == "Q" and family is None:
         family = solve_family(spec, avg.y_grid, default_z_grid(spec.d))
 
-    def V(z, y):
-        if which == "F":
-            return np.asarray(spec.F(z, y), float) - avg.F_at(y)
-        if which == "A":
-            G = np.asarray(spec.G(z, y), float)
-            G = np.broadcast_to(G, z.shape[:-1] + (spec.l, spec.l))
-            return np.einsum("...ij,...kj->...ik", G, G) - avg.A_at(y)
-        g = family.at(z, y, clamp_z=True).grad_u
-        a = diffusion_matrix(spec, z, y)
-        return _q_values(g, a) - avg.Q_at(y)
+    def gg(z, y):
+        G = np.asarray(spec.G(z, y), float)
+        G = np.broadcast_to(G, z.shape[:-1] + (spec.l, spec.l))
+        return np.einsum("...ij,...kj->...ik", G, G)
 
+    def q(z, y):
+        return _q_values(family.at(z, y).grad_u, diffusion_matrix(spec, z, y))
+
+    fast, slow = {"F": (spec.F, avg.F_at), "A": (gg, avg.A_at), "Q": (q, avg.Q_at)}[which]
     cells = []
     for eps in epsilon_list:
         spec_e = spec.with_epsilon(float(eps))
-        probe = DefectIntegral(V, h / micro_substeps(h, spec_e.epsilon, c_fast))
-        simulate_block(spec_e, T, h, seed, list(range(N)), c_fast=c_fast, probes=(probe,))
+        probe = DefectIntegral(fast, slow, h)
+        simulate_block(spec_e, T, h, seed, list(range(N)), probes=(probe,))
         cells.append(
             DefectCell(
                 epsilon=float(eps),

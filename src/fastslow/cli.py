@@ -48,7 +48,7 @@ from .mcengine import (
 from .model import get_benchmark, validate_model, ModelSpec
 from .poisson import solve_poisson
 from .ratefn import minimize_endpoint
-from .simulate import simulate_pair
+from .simulate import Recorder, simulate_block
 from .stationary import invariant_density
 
 _ARTIFACT = "fastslow"
@@ -483,17 +483,18 @@ def simulate(config_path):
     exp = Experiment(config_path)
     block = exp.block("simulate", allowed={"path_id"})
     out = OutputDir(exp, "simulate")
-    sample = simulate_pair(
-        exp.spec, exp.T, exp.h, exp.seed, path_id=int(block.get("path_id", 0))
+    rec = Recorder()
+    run = simulate_block(
+        exp.spec, exp.T, exp.h, exp.seed, [int(block.get("path_id", 0))], probes=(rec,)
     )
     _write_table(
         out.path("path.csv"),
         ["t"] + _columns("xi", exp.spec.d) + _columns("Y", exp.spec.l)
         + _columns("X", exp.spec.p),
-        np.hstack([sample.times[:, None], sample.xi, sample.Y, sample.X]),
+        np.hstack([run.times[:, None], rec.xi[0], rec.Y[0], rec.X[0]]),
     )
     out.finalize()
-    click.echo(f"simulate: {sample.n_steps} steps -> {out.dir}")
+    click.echo(f"simulate: {run.times.size - 1} steps -> {out.dir}")
 
 
 @main.command()

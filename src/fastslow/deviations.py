@@ -29,7 +29,7 @@ import numpy as np
 
 from .grids import RectGrid
 from .poisson import solve_family
-from .simulate import Probe, micro_substeps, simulate_block
+from .simulate import Probe, simulate_block
 
 __all__ = [
     "CorrectorProbe",
@@ -73,19 +73,18 @@ class CorrectorProbe(Probe):
     since the kernel hands them the very arrays of that node.  Only micro
     states j >= 1 cost a further evaluation, so a block of n_macro steps
     evaluates (n_macro + 1) + n_macro (n_sub - 1) times, and the family's
-    ``clamped_count`` grows by one per clamped visited state.
+    ``clamped_count`` grows by one per clamped visited state.  The micro
+    step h_sub = h / n_sub is the kernel's, read off the increments dB
+    (B, n_sub, d) that ``macro`` receives.
 
     After the run: sup_abs_delta, sup_boundary, sup_drift, sup_noise,
     identity_residual — all (B,); M and delta_T (B, p); qv (B, p, p).
     """
 
-    def __init__(self, spec, family, h, *, c_fast=0.1, clamp_z=True):
+    def __init__(self, spec, family, h):
         self.spec = spec
         self.family = family
         self.h = h
-        self.n_sub = micro_substeps(h, spec.epsilon, c_fast)
-        self.h_sub = h / self.n_sub
-        self.clamp_z = clamp_z
         eps, kappa = spec.epsilon, spec.kappa
         self._s_mart = eps ** (0.5 - kappa)
         self._s_bdry = eps ** (1.0 - kappa)
@@ -95,7 +94,7 @@ class CorrectorProbe(Probe):
     def start(self, xi, Y, X):
         B = xi.shape[0]
         p = self.family.p
-        self._node = self.family.at(xi, Y, clamp_z=self.clamp_z)
+        self._node = self.family.at(xi, Y)
         self.u0 = self._node.u.copy()       # not a view pinning the whole stencil
         self.M = np.zeros((B, p))
         self.qv = np.zeros((B, p, p))
@@ -109,12 +108,13 @@ class CorrectorProbe(Probe):
         self.delta_T = np.zeros((B, p))
 
     def macro(self, k, xi, Y, dB, dW):
+        self.h_sub = self.h / dB.shape[1]
         adv, trace, dy_u, G = _slow_generator_terms(self.spec, self._node, xi, Y)
         self.drift_sum += self.h * (adv + self._s_trace * trace)
         self.noise_sum += np.einsum("...pl,...lj,...j->...p", dy_u, G, dW)
 
     def micro(self, k, j, z, Y, dB_j):
-        vals = self._node if j == 0 else self.family.at(z, Y, clamp_z=self.clamp_z)
+        vals = self._node if j == 0 else self.family.at(z, Y)
         g = vals.grad_u
         sig = np.asarray(self.spec.sigma(z, Y), float)
         sig = np.broadcast_to(sig, z.shape[:-1] + (self.spec.d, self.spec.d))
@@ -123,7 +123,7 @@ class CorrectorProbe(Probe):
         self.qv += self.h_sub * np.einsum("...pi,...ij,...qj->...pq", g, a, g)
 
     def node(self, k, xi, Y, X):
-        self._node = self.family.at(xi, Y, clamp_z=self.clamp_z)
+        self._node = self.family.at(xi, Y)
         u_k = self._node.u
         xhat = self._s_mart * self.M
         delta = X - xhat
@@ -196,7 +196,6 @@ def negligibility_sweep(
     family=None,
     y_grid=None,
     z_grid=None,
-    c_fast=0.1,
 ):
     """P(sup_t |Delta_t| > eta) along a decreasing epsilon list, with the
     same statistic for each of the three remainder terms separately.
@@ -216,8 +215,8 @@ def negligibility_sweep(
     for eps in epsilon_list:
         spec_e = spec.with_epsilon(float(eps))
         speed = mdp_speed(spec_e)
-        probe = CorrectorProbe(spec_e, family, h, c_fast=c_fast)
-        simulate_block(spec_e, T, h, seed, list(range(N)), c_fast=c_fast, probes=(probe,))
+        probe = CorrectorProbe(spec_e, family, h)
+        simulate_block(spec_e, T, h, seed, list(range(N)), probes=(probe,))
         cells.append(
             SweepCell(
                 epsilon=float(eps),

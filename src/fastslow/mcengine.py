@@ -169,7 +169,6 @@ def tail_probability(
     *,
     batch=DEFAULT_BATCH,
     workers=None,
-    c_fast=0.1,
 ):
     """Estimate P(event) for each epsilon with the eps^(1-2 kappa) log scaling.
 
@@ -187,9 +186,7 @@ def tail_probability(
 
         def count(ids, spec_e=spec_e):
             probes = (SupX(),) if event.functional == "sup_x" else ()
-            run = simulate_block(
-                spec_e, event.T, h, seed, list(ids), c_fast=c_fast, probes=probes
-            )
+            run = simulate_block(spec_e, event.T, h, seed, list(ids), probes=probes)
             if event.functional == "terminal_x":
                 vals = run.X[:, event.component]
             else:
@@ -349,7 +346,6 @@ def negligibility_xi(
     *,
     batch=DEFAULT_BATCH,
     workers=None,
-    c_fast=0.1,
 ):
     """Per-epsilon scaled log-frequency of {eps^l sup_t ||xi||^p > eta}.
 
@@ -371,7 +367,7 @@ def negligibility_xi(
 
         def count(ids, spec_e=spec_e, scale=scale):
             sup_xi = SupXi()
-            simulate_block(spec_e, T, h, seed, list(ids), c_fast=c_fast, probes=(sup_xi,))
+            simulate_block(spec_e, T, h, seed, list(ids), probes=(sup_xi,))
             return int(np.count_nonzero(scale * sup_xi.value**p_exp > eta))
 
         try:
@@ -393,7 +389,6 @@ def boundedness_Y(
     *,
     batch=DEFAULT_BATCH,
     workers=None,
-    c_fast=0.1,
 ):
     """Scaled log-frequency of {sup_t |Y_t| > C} for each level C, from one
     shared batch of paths at the model's own epsilon."""
@@ -403,7 +398,7 @@ def boundedness_Y(
 
     def count(ids):
         sup_y = SupY()
-        simulate_block(spec, T, h, seed, list(ids), c_fast=c_fast, probes=(sup_y,))
+        simulate_block(spec, T, h, seed, list(ids), probes=(sup_y,))
         return (sup_y.value[:, None] > C_arr[None, :]).sum(axis=0)
 
     hits_per_C = np.sum(_run_batches(count, N, batch, workers), axis=0)

@@ -407,8 +407,8 @@ class PoissonFamily:
     all four values, each bitwise equal to interpolating its own table.
 
     Evaluation outside the tabulated y-range is a hard error; the fast
-    coordinate may optionally be clamped to the z-grid edge (rare excursions
-    during Monte Carlo sweeps).  ``clamped_count`` counts clamped states, one
+    coordinate is clamped to the z-grid edge (rare excursions during Monte
+    Carlo sweeps).  ``clamped_count`` counts clamped states, one
     per state and evaluation, so a caller that evaluates each visited state
     once counts each clamped state once.  The count is updated under a lock,
     because ``--workers`` threads evaluate one family concurrently.
@@ -452,21 +452,21 @@ class PoissonFamily:
             start = stop
         return FamilyValues(*parts)
 
-    def at(self, z_pts, y_pts, clamp_z=False):
-        """u, grad_u, du_dy and d2u_dy2 at the states (z, y), as FamilyValues."""
+    def at(self, z_pts, y_pts):
+        """u, grad_u, du_dy and d2u_dy2 at the states (z, y), with z clamped
+        to the z-grid, as FamilyValues."""
         pts = np.concatenate(
             [np.asarray(y_pts, float), np.asarray(z_pts, float)], axis=-1
         )
-        if clamp_z:
-            outside = False
-            for k, ax in enumerate(self.z_grid.axes, start=self.l):
-                col = pts[..., k]
-                outside = outside | (col < ax[0]) | (col > ax[-1])
-                np.clip(col, ax[0], ax[-1], out=col)
-            n_clamped = int(np.count_nonzero(outside))
-            if n_clamped:
-                with self._clamp_lock:
-                    self.clamped_count += n_clamped
+        outside = False
+        for k, ax in enumerate(self.z_grid.axes, start=self.l):
+            col = pts[..., k]
+            outside = outside | (col < ax[0]) | (col > ax[-1])
+            np.clip(col, ax[0], ax[-1], out=col)
+        n_clamped = int(np.count_nonzero(outside))
+        if n_clamped:
+            with self._clamp_lock:
+                self.clamped_count += n_clamped
         try:
             stacked = multilinear(self._full, self._table, pts)
         except GridDomainError:

@@ -4,9 +4,11 @@ Scheme
 ------
 Euler-Maruyama on a uniform macro mesh of step h.  The fast component is stiff
 (drift ~ 1/epsilon), so inside each macro step it is advanced with n_sub
-uniform micro-steps of length h_fast = h / n_sub, where n_sub is the smallest
-integer making h_fast <= c_fast * epsilon.  The slow component Y and the
-integral functional X are advanced once per macro step with left-endpoint
+uniform micro-steps of length h_sub = h / n_sub, where n_sub is the smallest
+integer making h_sub <= 0.1 epsilon (``micro_substeps``).  The kernel alone
+chooses n_sub; a probe reads it off the fast increments that ``macro``
+receives, n_sub = dB.shape[1].  The slow component Y and the integral
+functional X are advanced once per macro step with left-endpoint
 evaluation; Y is held frozen while the fast state sub-steps.  X accumulates
 the left-endpoint Riemann sum of epsilon^(-kappa) H(xi, Y) on the macro mesh.
 The frozen fast flow dz = b(z, y) dt + sigma(z, y) dB is the fast equation on
@@ -35,8 +37,8 @@ calls with the very states and increments it steps with:
 
     start(xi, Y, X)           the initial states, before the first step;
     macro(k, xi, Y, dB, dW)   macro step k: its left-endpoint states, its fast
-                              increments dB (B, n_sub, d) and its slow ones
-                              dW (B, l);
+                              increments dB (B, n_sub, d), which carry the
+                              micro mesh, and its slow ones dW (B, l);
     micro(k, j, z, Y, dB_j)   micro step j of macro step k: the left-endpoint
                               fast state, the frozen Y and the increment;
     node(k, xi, Y, X)         macro node k >= 1, once its states are finite.
@@ -56,7 +58,6 @@ corrector decomposition (``CorrectorProbe``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -64,8 +65,6 @@ import numpy as np
 from .errors import ConfigError, SimulationBlowupError
 
 __all__ = [
-    "PathSample",
-    "simulate_pair",
     "simulate_block",
     "path_generator",
     "micro_substeps",
@@ -96,38 +95,6 @@ def micro_substeps(h, epsilon, c_fast=0.1):
     if h / n_sub <= 0.0 or not np.isfinite(h / n_sub):
         raise ConfigError("epsilon too small for the floating-point format")
     return n_sub
-
-
-@dataclass
-class PathSample:
-    """One simulated trajectory on its macro mesh.
-
-    xi, Y, X hold the macro-node states (N+1 rows); dB stores the fast
-    Gaussian increments per micro-step (N, n_sub, d) and dW the slow ones per
-    macro step (N, l), each with variance equal to its step length, so the
-    trajectory can be reconstructed exactly.
-    """
-
-    times: np.ndarray
-    xi: np.ndarray
-    Y: np.ndarray
-    X: np.ndarray
-    dB: np.ndarray
-    dW: np.ndarray
-    epsilon: float
-    kappa: float
-    seed: int
-    path_id: int = 0
-    h: float = 0.0
-    n_sub: int = 1
-
-    @property
-    def h_fast(self):
-        return self.h / self.n_sub
-
-    @property
-    def n_steps(self):
-        return self.times.size - 1
 
 
 class _NoiseSource:
@@ -247,20 +214,29 @@ class SupX(Probe):
 
 
 class DefectIntegral(Probe):
-    """Time integral of fn(z, Y), left-endpoint values on the micro mesh of
-    step h_sub (the kernel's): ``value`` (B, ...) at the horizon, and ``sup``
-    (B,), the running sup over macro nodes of its Frobenius norm."""
+    """Time integral of fast(z, Y) - slow(Y), left-endpoint values on the
+    kernel's micro mesh of a macro mesh of step h: ``value`` (B, ...) at the
+    horizon, and ``sup`` (B,), the running sup over macro nodes of its
+    Frobenius norm.  Y is frozen through a macro step, so slow(Y) is
+    evaluated once per macro step, in ``macro``."""
 
-    def __init__(self, fn, h_sub):
-        self.fn = fn
-        self.h_sub = h_sub
+    def __init__(self, fast, slow, h):
+        self.fast = fast
+        self.slow = slow
+        self.h = h
 
     def start(self, xi, Y, X):
-        self.value = np.asarray(self.fn(xi, Y), float) * 0.0
+        self.value = np.asarray(self.fast(xi, Y), float) * 0.0
         self.sup = np.zeros(xi.shape[0])
 
+    def macro(self, k, xi, Y, dB, dW):
+        self.h_sub = self.h / dB.shape[1]
+        self._slow = self.slow(Y)
+
     def micro(self, k, j, z, Y, dB_j):
-        self.value = self.value + self.h_sub * np.asarray(self.fn(z, Y), float)
+        self.value = self.value + self.h_sub * (
+            np.asarray(self.fast(z, Y), float) - self._slow
+        )
 
     def node(self, k, xi, Y, X):
         flat = self.value.reshape(self.sup.size, -1)
@@ -300,7 +276,7 @@ def _path_major(rows):
     return flat.reshape((len(rows),) + rows[0].shape).swapaxes(0, 1)
 
 
-def simulate_block(spec, T, h, seed, path_ids, *, c_fast=0.1, probes=()):
+def simulate_block(spec, T, h, seed, path_ids, *, probes=()):
     """Advance a block of paths of the coupled pair through one shared kernel.
 
     ``seed`` is one int; path i is lane i % LANES of the block stream
@@ -316,7 +292,7 @@ def simulate_block(spec, T, h, seed, path_ids, *, c_fast=0.1, probes=()):
     eps, kappa = spec.epsilon, spec.kappa
     d, l, p = spec.d, spec.l, spec.p
     n_macro, times = macro_mesh(T, h)
-    n_sub = micro_substeps(h, eps, c_fast)
+    n_sub = micro_substeps(h, eps)
     h_sub = h / n_sub
     B = len(path_ids)
 
@@ -365,24 +341,4 @@ def simulate_block(spec, T, h, seed, path_ids, *, c_fast=0.1, probes=()):
             probe.node(k + 1, xi, Y, X)
 
     return SimpleNamespace(times=times, n_sub=n_sub, xi=xi, Y=Y, X=X)
-
-
-def simulate_pair(spec, T, h, seed, *, path_id=0, c_fast=0.1):
-    """Simulate one trajectory of the coupled (fast, slow, integral) system."""
-    rec = Recorder()
-    run = simulate_block(spec, T, h, seed, [path_id], c_fast=c_fast, probes=(rec,))
-    return PathSample(
-        times=run.times,
-        xi=rec.xi[0],
-        Y=rec.Y[0],
-        X=rec.X[0],
-        dB=rec.dB[0],
-        dW=rec.dW[0],
-        epsilon=spec.epsilon,
-        kappa=spec.kappa,
-        seed=int(seed),
-        path_id=int(path_id),
-        h=h,
-        n_sub=run.n_sub,
-    )
 

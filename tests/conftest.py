@@ -5,6 +5,8 @@ session-scoped; everything downstream of them is deterministic, so sharing
 is safe.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
@@ -14,8 +16,10 @@ from fastslow import (
     averaged_coefficients,
     get_benchmark,
     invariant_density,
+    simulate_block,
     solve_family,
 )
+from fastslow.simulate import Recorder
 
 
 @pytest.fixture(scope="session")
@@ -46,6 +50,24 @@ def ou_family(ou, y_grid, z_grid):
 @pytest.fixture(scope="session")
 def ou_avg(ou, y_grid, z_grid, ou_family):
     return averaged_coefficients(ou, y_grid, z_grid, family=ou_family)
+
+
+@pytest.fixture(scope="session")
+def record_path():
+    """``record_path(spec, T, h, seed, path_id=0)`` runs one path through the
+    kernel with a ``Recorder`` and returns its macro mesh ``times``, its node
+    states ``xi``, ``Y``, ``X`` (N+1 rows), its increments ``dB``
+    (N, n_sub, d) and ``dW`` (N, l), and ``n_sub``."""
+
+    def record(spec, T, h, seed, path_id=0):
+        rec = Recorder()
+        run = simulate_block(spec, T, h, seed, [path_id], probes=(rec,))
+        return SimpleNamespace(
+            times=run.times, n_sub=run.n_sub, xi=rec.xi[0], Y=rec.Y[0],
+            X=rec.X[0], dB=rec.dB[0], dW=rec.dW[0],
+        )
+
+    return record
 
 
 @pytest.fixture()

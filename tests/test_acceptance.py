@@ -200,7 +200,7 @@ def test_criterion_5_mdp_scaling(ou):
 
     event = Event(functional="terminal_x", threshold=1.0, T=1.0, component=0)
     cell = tail_probability(
-        ou.with_epsilon(1e-2), event, [1e-2], 1_000_000, 2e-3, 5
+        ou.with_epsilon(1e-2), event, [1e-2], 1_000_000, 2e-3, 5, workers=2
     )[0]
     p_oracle = float(norm.sf(1.0 / math.sqrt(0.2)))
     sigma = (cell.ci_hi - cell.ci_lo) / (2.0 * _Z95)

@@ -114,7 +114,7 @@ def test_validate_reports_violations_for_degenerate_model(runner, tmp_path):
     assert "validate: ok=False" in result.output
 
 
-def test_simulate_writes_path_csv(runner, tmp_path):
+def test_simulate_writes_path_csv(runner, tmp_path, record_path):
     out = tmp_path / "out"
     cfg_path = write_cfg(tmp_path, base_config(out))
     result = runner.invoke(main, ["simulate", str(cfg_path)], catch_exceptions=False)
@@ -125,7 +125,7 @@ def test_simulate_writes_path_csv(runner, tmp_path):
     first = lines[1].split(",")
     assert float(first[0]) == 0.0 and float(first[3]) == 0.0
     # the file round-trips the recorded path exactly
-    sample = fastslow.simulate_pair(
+    sample = record_path(
         fastslow.get_benchmark("ou", epsilon=0.1, kappa=0.25), 0.5, 0.01, 7
     )
     data = np.loadtxt(out / "path.csv", delimiter=",", skiprows=1)

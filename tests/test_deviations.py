@@ -7,6 +7,7 @@ from fastslow import (
     PoissonFamily,
     RectGrid,
     mdp_speed,
+    micro_substeps,
     negligibility_sweep,
     simulate_block,
     solve_family,
@@ -149,7 +150,7 @@ def test_clamped_count_is_one_per_clamped_visited_state(ou, ou_family, eps, n_su
     family = _narrow_family(ou_family, -1.0, 1.0)
     outside = _VisitedOutside(-1.0, 1.0, 50)
     probe = CorrectorProbe(spec, family, 0.01)
-    assert probe.n_sub == n_sub
+    assert micro_substeps(0.01, eps) == n_sub
     simulate_block(spec, 0.5, 0.01, 4, list(range(200)), probes=(outside, probe))
     assert outside.n > 1000
     assert family.clamped_count == outside.n
@@ -167,7 +168,7 @@ def test_probe_evaluates_the_family_once_per_visited_state(ou, ou_family, monkey
 
     monkeypatch.setattr(ou_family, "at", counting)
     probe = CorrectorProbe(spec, ou_family, 0.01)
-    assert probe.n_sub == n_sub
+    assert micro_substeps(0.01, eps) == n_sub
     n_macro = 30
     simulate_block(spec, n_macro * 0.01, 0.01, 8, list(range(5)), probes=(probe,))
     assert len(evaluations) == (n_macro + 1) + n_macro * (n_sub - 1)

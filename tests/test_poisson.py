@@ -95,10 +95,8 @@ def test_family_y_excursion_is_hard_error(ou_family):
 
 def test_family_z_clamping_is_counted(ou_family):
     before = ou_family.clamped_count
-    ou_family.at(np.array([[7.0], [0.0]]), np.array([[0.0], [0.0]]), clamp_z=True)
+    ou_family.at(np.array([[7.0], [0.0]]), np.array([[0.0], [0.0]]))
     assert ou_family.clamped_count == before + 1
-    with pytest.raises(GridDomainError):
-        ou_family.at(np.array([[7.0]]), np.array([[0.0]]))
 
 
 def _two_dim_family():
@@ -150,7 +148,7 @@ def test_family_stencil_is_bitwise_multilinear_of_each_table(family, data):
     hi = np.array([ax[-1] for ax in family.z_grid.axes])
     n_outside = int(np.count_nonzero(np.any((z < lo) | (z > hi), axis=-1)))
     before = family.clamped_count
-    got = family.at(z, y, clamp_z=True)
+    got = family.at(z, y)
     assert family.clamped_count == before + n_outside
 
     full = RectGrid(family.y_grid.axes + family.z_grid.axes)
@@ -177,12 +175,10 @@ def test_family_stencil_range_errors(family):
     outside_z = inside_z.copy()
     outside_z[0, 0] = family.z_grid.axes[0][0] - 1e-9
     with pytest.raises(GridDomainError, match="slow state left"):
-        family.at(inside_z, outside_y, clamp_z=True)
+        family.at(inside_z, outside_y)
     with pytest.raises(GridDomainError, match="slow state left"):
         family.at(outside_z, outside_y)
-    with pytest.raises(GridDomainError, match="outside tabulated range"):
-        family.at(outside_z, inside_y)
-    family.at(outside_z, inside_y, clamp_z=True)
+    family.at(outside_z, inside_y)
 
 
 def test_family_clamp_count_is_exact_under_two_threads(ou_family):
@@ -194,7 +190,7 @@ def test_family_clamp_count_is_exact_under_two_threads(ou_family):
 
     def work():
         for _ in range(calls):
-            ou_family.at(z, y, clamp_z=True)
+            ou_family.at(z, y)
 
     before = ou_family.clamped_count
     old_interval = sys.getswitchinterval()

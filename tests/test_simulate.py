@@ -11,7 +11,6 @@ from fastslow import (
     micro_substeps,
     path_generator,
     simulate_block,
-    simulate_pair,
 )
 from fastslow.errors import ConfigError, SimulationBlowupError
 from fastslow.simulate import DefectIntegral, Recorder, SupX, SupXi, SupY
@@ -63,9 +62,9 @@ def test_lane_draws_follow_the_block_layout(ou):
         np.testing.assert_array_equal(rec.dW[i], stream[:, n_sub * d :] * np.sqrt(h))
 
 
-def test_simulate_pair_shapes_and_mesh(ou):
-    path = simulate_pair(ou, 0.5, 0.01, 3)
-    n = path.n_steps
+def test_recorded_path_shapes_and_mesh(ou, record_path):
+    path = record_path(ou, 0.5, 0.01, 3)
+    n = path.times.size - 1
     assert n == 50
     assert path.times[0] == 0.0 and path.times[-1] == pytest.approx(0.5)
     assert path.xi.shape == (n + 1, 1)
@@ -78,27 +77,27 @@ def test_simulate_pair_shapes_and_mesh(ou):
     np.testing.assert_array_equal(path.X[0], [0.0])
 
 
-def test_simulate_pair_deterministic(ou):
-    a = simulate_pair(ou, 0.3, 0.01, 11)
-    b = simulate_pair(ou, 0.3, 0.01, 11)
-    c = simulate_pair(ou, 0.3, 0.01, 12)
+def test_recorded_path_deterministic(ou, record_path):
+    a = record_path(ou, 0.3, 0.01, 11)
+    b = record_path(ou, 0.3, 0.01, 11)
+    c = record_path(ou, 0.3, 0.01, 12)
     np.testing.assert_array_equal(a.xi, b.xi)
     np.testing.assert_array_equal(a.Y, b.Y)
     np.testing.assert_array_equal(a.X, b.X)
     assert not np.array_equal(a.X, c.X)
 
 
-def test_recorded_increments_reconstruct_path(ou):
+def test_recorded_increments_reconstruct_path(ou, record_path):
     """The stored noise plus left-endpoint updates replay the trajectory
-    bit for bit: the sample is a complete record of the discrete dynamics."""
-    path = simulate_pair(ou, 0.2, 0.01, 5)
-    eps, kappa, h = path.epsilon, path.kappa, path.h
-    h_sub = path.h_fast
+    bit for bit: the record is complete for the discrete dynamics."""
+    eps, kappa, h = ou.epsilon, ou.kappa, 0.01
+    path = record_path(ou, 0.2, h, 5)
+    h_sub = h / path.n_sub
     inv_eps, inv_sqeps = 1.0 / eps, 1.0 / np.sqrt(eps)
     z = path.xi[0].copy()
     y = path.Y[0].copy()
     x = path.X[0].copy()
-    for k in range(path.n_steps):
+    for k in range(len(path.dB)):
         x_new = x + h * eps ** (-kappa) * np.asarray(ou.H(z, y), float)
         y_new = (
             y
@@ -117,18 +116,18 @@ def test_recorded_increments_reconstruct_path(ou):
         np.testing.assert_array_equal(x, path.X[k + 1])
 
 
-def test_x_is_left_riemann_sum_of_scaled_h(ou):
-    path = simulate_pair(ou, 0.2, 0.01, 5)
-    gain = path.h * path.epsilon ** (-path.kappa)
+def test_x_is_left_riemann_sum_of_scaled_h(ou, record_path):
+    path = record_path(ou, 0.2, 0.01, 5)
+    gain = 0.01 * ou.epsilon ** (-ou.kappa)
     partial = np.concatenate([[0.0], np.cumsum(gain * path.xi[:-1, 0])])
     np.testing.assert_allclose(path.X[:, 0], partial, atol=1e-14)
 
 
-def test_block_matches_single_paths(ou):
+def test_block_matches_single_paths(ou, record_path):
     sup_y = SupY()
     block = simulate_block(ou, 0.2, 0.01, 9, [0, 1, 2], probes=(sup_y,))
     for i, pid in enumerate([0, 1, 2]):
-        single = simulate_pair(ou, 0.2, 0.01, 9, path_id=pid)
+        single = record_path(ou, 0.2, 0.01, 9, path_id=pid)
         np.testing.assert_array_equal(block.xi[i], single.xi[-1])
         np.testing.assert_array_equal(block.Y[i], single.Y[-1])
         np.testing.assert_array_equal(block.X[i], single.X[-1])
@@ -204,13 +203,13 @@ def test_noise_window_size_does_not_change_draws(ou, monkeypatch):
         assert sum(drawn) == 2 * sim.LANES * n_macro * chunk
 
 
-def _micro_states(spec, path):
-    """Every fast state of a recorded path, replayed from its stored dB with
-    the kernel's update arithmetic: (N * n_sub + 1, d)."""
-    eps, h_sub = path.epsilon, path.h_fast
+def _micro_states(spec, h, path):
+    """Every fast state of a path recorded at macro step h, replayed from its
+    stored dB with the kernel's update arithmetic: (N * n_sub + 1, d)."""
+    eps, h_sub = spec.epsilon, h / path.n_sub
     inv_eps, inv_sqeps = 1.0 / eps, 1.0 / np.sqrt(eps)
     states = [path.xi[0]]
-    for k in range(path.n_steps):
+    for k in range(len(path.dB)):
         z, y = path.xi[k], path.Y[k]
         for j in range(path.n_sub):
             z = (
@@ -222,36 +221,62 @@ def _micro_states(spec, path):
     return np.array(states)
 
 
-def test_sup_statistics_match_recorded_path(ou):
+def test_sup_statistics_match_recorded_path(ou, record_path):
     eps = 0.02  # five micro steps per macro step, so micro nodes lie between nodes
     spec = ou.with_epsilon(eps)
     sup_xi, sup_y, sup_x, rec = SupXi(), SupY(), SupX(), Recorder()
     simulate_block(spec, 0.3, 0.01, 13, [0], probes=(sup_xi, sup_y, sup_x, rec))
-    path = simulate_pair(spec, 0.3, 0.01, 13)
+    path = record_path(spec, 0.3, 0.01, 13)
     assert path.n_sub == 5
-    micro = _micro_states(spec, path)
+    micro = _micro_states(spec, 0.01, path)
     np.testing.assert_array_equal(micro[:: path.n_sub], path.xi)
     assert sup_xi.value[0] == np.linalg.norm(micro, axis=1).max()
     assert sup_y.value[0] == np.abs(rec.Y[0]).sum(axis=1).max()
     assert sup_x.value[0, 0] == np.abs(rec.X[0]).max()
 
 
-def test_recorder_block_matches_single_paths(ou):
+def test_defect_integral_evaluates_slow_once_per_macro_step(ou, record_path):
+    """Y is frozen through a macro step, so slow(Y) is evaluated once per
+    macro step, and the integral is the left-endpoint sum of
+    h_sub * (fast - slow) over every micro state of the recorded path."""
+    spec, h, n_macro = ou.with_epsilon(0.02), 0.01, 30
+    shapes = []
+
+    def slow(y):
+        shapes.append(y.shape)
+        return np.sin(y)
+
+    probe = DefectIntegral(spec.H, slow, h)
+    simulate_block(spec, n_macro * h, h, 13, [0, 1, 2], probes=(probe,))
+    assert shapes == [(3, 1)] * n_macro
+
+    path = record_path(spec, n_macro * h, h, 13, path_id=1)
+    n_sub = path.n_sub
+    assert n_sub == 5
+    z = _micro_states(spec, h, path)[:-1].reshape(n_macro, n_sub, spec.d)
+    want = 0.0
+    for k in range(n_macro):
+        for j in range(n_sub):
+            fast = np.asarray(spec.H(z[k, j], path.Y[k]), float)
+            want = want + (h / n_sub) * (fast - np.sin(path.Y[k]))
+    np.testing.assert_array_equal(probe.value[1], want)
+
+
+def test_recorder_block_matches_single_paths(ou, record_path):
     rec = Recorder()
     simulate_block(ou, 0.2, 0.01, 9, [4, 0, 7], probes=(rec,))
     for i, pid in enumerate([4, 0, 7]):
-        single = simulate_pair(ou, 0.2, 0.01, 9, path_id=pid)
+        single = record_path(ou, 0.2, 0.01, 9, path_id=pid)
         for name in ("xi", "Y", "X", "dB", "dW"):
             np.testing.assert_array_equal(getattr(rec, name)[i], getattr(single, name))
 
 
 def _all_probes(spec, family, h):
-    h_sub = h / micro_substeps(h, spec.epsilon)
     return {
         "sup_xi": (SupXi(), lambda p: [p.value]),
         "sup_y": (SupY(), lambda p: [p.value]),
         "sup_x": (SupX(), lambda p: [p.value]),
-        "defect": (DefectIntegral(spec.H, h_sub), lambda p: [p.value, p.sup]),
+        "defect": (DefectIntegral(spec.H, np.sin, h), lambda p: [p.value, p.sup]),
         "record": (Recorder(), lambda p: [p.xi, p.Y, p.X, p.dB, p.dW]),
         "corrector": (
             CorrectorProbe(spec, family, h),
@@ -310,13 +335,13 @@ def test_blowup_raises_with_location():
 
 
 @pytest.mark.parametrize("eps", [0.1, 1e-3, 1e-5])
-def test_frozen_model_holds_the_slow_state(ou, eps):
+def test_frozen_model_holds_the_slow_state(ou, record_path, eps):
     """On the time-changed frozen model the kernel takes one micro step per
     macro step, Y stays exactly at the frozen value and X stays exactly 0."""
     y = np.array([0.7])
-    path = simulate_pair(frozen_model(ou.with_epsilon(eps), y), eps * 2.0, eps * 0.01, 17)
+    path = record_path(frozen_model(ou.with_epsilon(eps), y), eps * 2.0, eps * 0.01, 17)
     assert path.n_sub == 1
-    assert path.n_steps == 200
+    assert path.times.size - 1 == 200
     assert np.all(path.Y == y)
     assert np.all(path.X == 0.0)
     assert np.all(np.isfinite(path.xi))
@@ -351,9 +376,9 @@ def test_frozen_flow_reaches_stationary_moments(ou):
     assert lo < z.var(ddof=1) < hi
 
 
-def test_write_path_csv_round_trip(run_subcommand, ou):
-    """The simulate subcommand's path table round-trips simulate_pair."""
-    sample = simulate_pair(ou, 0.1, 0.01, 4)
+def test_write_path_csv_round_trip(run_subcommand, ou, record_path):
+    """The simulate subcommand's path table round-trips the recorded path."""
+    sample = record_path(ou, 0.1, 0.01, 4)
     target = run_subcommand("simulate", T=0.1, seed=4) / "path.csv"
     text = target.read_text().splitlines()
     assert text[0] == "t,xi_1,Y_1,X_1"
