@@ -11,7 +11,6 @@ speed eps^(1 - 2 kappa).
 from .averaging import (
     AveragedModel,
     averaged_coefficients,
-    default_z_grid,
     homogenization_defect,
 )
 from .deviations import (
@@ -74,7 +73,6 @@ from .simulate import (
 from .stationary import (
     check_centering,
     invariant_density,
-    invariant_density_1d,
     invariant_density_2d,
     invariant_density_empirical,
 )
@@ -111,7 +109,6 @@ __all__ = [
     "micro_substeps",
     # stationary densities
     "invariant_density",
-    "invariant_density_1d",
     "invariant_density_2d",
     "invariant_density_empirical",
     "check_centering",
@@ -124,7 +121,6 @@ __all__ = [
     "AveragedModel",
     "averaged_coefficients",
     "homogenization_defect",
-    "default_z_grid",
     # corrector deviations
     "CorrectorProbe",
     "TermStat",

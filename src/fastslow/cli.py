@@ -80,6 +80,13 @@ def _only_read_by(mapping, where, keys, reader):
             raise ConfigError(f"key {key!r} in {where} is read only by {reader}")
 
 
+def _number(kind, value, where):
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as err:
+        raise ConfigError(f"{where} must be a number, got {value!r}") from err
+
+
 def _as_float_list(value, where):
     if np.isscalar(value):
         return [float(value)]
@@ -252,20 +259,30 @@ class Experiment:
         d, l = self.spec.d, self.spec.l
         z_box = grids.get("z_box", [[-6.0, 6.0]] * d)
         y_box = grids.get("y_box", [[-4.0, 4.0]] * l)
-        z_nodes = int(grids.get("z_nodes", 601 if d == 1 else 101))
-        y_nodes = int(grids.get("y_nodes", 41 if l == 1 else 15))
+        z_nodes = _number(int, grids.get("z_nodes", 601 if d == 1 else 101), "grids.z_nodes")
+        y_nodes = _number(int, grids.get("y_nodes", 41 if l == 1 else 15), "grids.y_nodes")
         if len(z_box) != d or len(y_box) != l:
             raise ConfigError("z_box / y_box must list one (lo, hi) pair per axis")
+        if min(z_nodes, y_nodes) < 3:
+            # slow derivatives and gradients are second-order differences
+            raise ConfigError(
+                f"grids.z_nodes and grids.y_nodes must be >= 3, got {z_nodes} and {y_nodes}"
+            )
         self.z_box, self.y_box = z_box, y_box
         self.z_grid = RectGrid.from_bounds([(lo, hi, z_nodes) for lo, hi in z_box])
         self.y_grid = RectGrid.from_bounds([(lo, hi, y_nodes) for lo, hi in y_box])
 
         run = _require_mapping(raw["run"], "run")
         _check_keys(run, "run", allowed={"T", "h", "N", "seed"}, required=("T", "h", "seed"))
-        self.T = float(run["T"])
-        self.h = float(run["h"])
-        self.N = int(run.get("N", 10_000))
-        self.seed = int(run["seed"])
+        self.T = _number(float, run["T"], "run.T")
+        self.h = _number(float, run["h"], "run.h")
+        self.N = _number(int, run.get("N", 10_000), "run.N")
+        self.seed = _number(int, run["seed"], "run.seed")
+        if not (0.0 < self.T < np.inf and 0.0 < self.h < np.inf and self.N >= 1):
+            raise ConfigError(
+                f"run needs finite T > 0, finite h > 0 and N >= 1, "
+                f"got T={self.T!r}, h={self.h!r}, N={self.N}"
+            )
 
         self.output_dir = str(raw["output_dir"])
 

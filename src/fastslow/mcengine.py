@@ -4,10 +4,10 @@ checks of the exponential martingale estimates behind it.
 All probabilities are plain Monte Carlo frequencies over paths driven by
 counter-based lane-block streams (``simulate``): path i is lane i % LANES of
 block i // LANES under the run's seed, and consumes the same numbers no matter
-how the batch is cut, how many workers run or how many paths are drawn.  The
-default batch is a whole number of blocks, so each batch draws only its own
-blocks, and hit counts are integer sums, so every estimate is invariant under
-the worker count.  Frequencies are reported
+how the batch is cut, how many workers run or how many paths are drawn.
+Batches of ``DEFAULT_BATCH`` paths are whole blocks, so each batch draws only
+its own blocks, and hit counts are integer sums, so every estimate is
+invariant under the worker count.  Frequencies are reported
 with 95% Wilson intervals, and the logarithm is taken at the deviation speed
 eps^(1 - 2 kappa).  Zero-hit cells are censored at 1/N and flagged: their
 scaled log is an upper bound, which is how the trend tests treat them.
@@ -123,10 +123,11 @@ def _scaled_log(hits, n, speed):
     return speed * math.log(p_for_log), censored
 
 
-def _run_batches(job, N, batch, workers):
-    """Run ``job`` on consecutive path-id ranges of at most ``batch`` ids and
-    return its results in id order, on a thread pool when ``workers`` > 1."""
-    jobs = [range(s, min(s + batch, N)) for s in range(0, N, batch)]
+def _run_batches(job, N, workers):
+    """Run ``job`` on consecutive path-id ranges of at most ``DEFAULT_BATCH``
+    ids and return its results in id order, on a thread pool when
+    ``workers`` > 1."""
+    jobs = [range(s, min(s + DEFAULT_BATCH, N)) for s in range(0, N, DEFAULT_BATCH)]
     if workers is not None and workers > 1 and len(jobs) > 1:
         with ThreadPoolExecutor(max_workers=int(workers)) as pool:
             return list(pool.map(job, jobs))
@@ -167,7 +168,6 @@ def tail_probability(
     h,
     seed,
     *,
-    batch=DEFAULT_BATCH,
     workers=None,
 ):
     """Estimate P(event) for each epsilon with the eps^(1-2 kappa) log scaling.
@@ -194,7 +194,7 @@ def tail_probability(
             return int(np.count_nonzero(vals > event.threshold))
 
         try:
-            hits = sum(_run_batches(count, N, batch, workers))
+            hits = sum(_run_batches(count, N, workers))
         except FastslowError as err:
             out.append(_failed_cell(event, eps, N, err))
             continue
@@ -296,7 +296,7 @@ def _brownian_sup(N, seed, n_taken, sq_h, workers):
             np.maximum(sup_abs, np.abs(M), out=sup_abs)
         return sup_abs
 
-    return np.concatenate(_run_batches(run, N, DEFAULT_BATCH, workers))
+    return np.concatenate(_run_batches(run, N, workers))
 
 
 def brownian_sampler(n_steps=1000, workers=None):
@@ -344,7 +344,6 @@ def negligibility_xi(
     N,
     seed,
     *,
-    batch=DEFAULT_BATCH,
     workers=None,
 ):
     """Per-epsilon scaled log-frequency of {eps^l sup_t ||xi||^p > eta}.
@@ -371,7 +370,7 @@ def negligibility_xi(
             return int(np.count_nonzero(scale * sup_xi.value**p_exp > eta))
 
         try:
-            hits = sum(_run_batches(count, N, batch, workers))
+            hits = sum(_run_batches(count, N, workers))
         except FastslowError as err:
             out.append(_failed_cell(label, eps, N, err))
             continue
@@ -387,7 +386,6 @@ def boundedness_Y(
     N,
     seed,
     *,
-    batch=DEFAULT_BATCH,
     workers=None,
 ):
     """Scaled log-frequency of {sup_t |Y_t| > C} for each level C, from one
@@ -401,7 +399,7 @@ def boundedness_Y(
         simulate_block(spec, T, h, seed, list(ids), probes=(sup_y,))
         return (sup_y.value[:, None] > C_arr[None, :]).sum(axis=0)
 
-    hits_per_C = np.sum(_run_batches(count, N, batch, workers), axis=0)
+    hits_per_C = np.sum(_run_batches(count, N, workers), axis=0)
     return [
         _cell(f"sup_t |Y_t| > {C}", spec.epsilon, N, int(hits), speed, C=float(C))
         for C, hits in zip(C_arr, hits_per_C)

@@ -18,21 +18,23 @@ Two routes:
   (zero-derivative) closure at the boundary, one grid equation replaced by
   the centering constraint, sparse direct solve.
 
-Both routes extend the requested grid internally before solving: truncating
-the domain at the user grid imposes a zero-flux condition *there*, whose
+Both routes solve on a mesh built once per call: the requested grid padded
+on each side (and refined 4-fold for the 1-d closed form).  Truncating the
+domain at the user grid imposes a zero-flux condition *there*, whose
 boundary layer (size ~ exp(-L(L - |z|))/L for Gaussian-type weights) would
-pollute the outermost nodes of the answer.  Solving on a padded grid pushes
-the layer outside the returned window.
+pollute the outermost nodes of the answer; the padding pushes the layer
+outside the returned window.  b and a = sigma sigma^T are sampled on that
+mesh once per slow node, and those arrays, with their window on the user
+grid, feed the density, the route and the residual check.
 
 A family over a y-grid (``solve_family``) reuses work across slow nodes.  In
 the paper the fast diffusion does not depend on the slow state; only H, F
 and G do.  So the frozen operator, its invariant density and its anchored LU
 factor are the same at every node, and only the right-hand side changes.
-Assembly reads b and a = sigma sigma^T only through their values at the grid
-nodes, so the family compares those sampled arrays with the previous node's,
-byte for byte.  When they match, the previous density and factor are reused;
-a model whose fast coefficients do depend on y still factors once per node.
-Only the most recent factor is kept.
+The family makes one reuse decision per node: when the node's mesh samples
+of b and a match the previous node's bytes, it keeps the previous density
+and factor; a model whose fast coefficients do depend on y still factors
+once per node.
 
 ``scipy.sparse`` is imported inside the grid route's assembly and anchoring
 (``_assemble_generator``, ``_replace_row``) and the factor comes from
@@ -51,10 +53,9 @@ import numpy as np
 
 from .errors import FredholmError, GridDomainError
 from .grids import GridField, RectGrid, corrected_cumtrapz, multilinear
-from .model import diffusion_matrix
 from .stationary import (
     frozen_coefficients,
-    invariant_density,
+    frozen_density,
     sparse_lu,
     stationary_log_weight_1d,
 )
@@ -93,22 +94,26 @@ class PoissonSolution:
         return self.u.grid
 
 
-def _pad_axis(ax):
-    """ax extended by _PAD on each side at its own spacing, and the slice of
-    the original nodes in the extended axis."""
-    h = ax[1] - ax[0]
-    n_add = int(np.ceil(_PAD / h - 1e-12))
-    left = ax[0] - h * np.arange(n_add, 0, -1)
-    right = ax[-1] + h * np.arange(1, n_add + 1)
-    return np.concatenate([left, ax, right]), slice(n_add, n_add + ax.size)
-
-
-def _refine_axis(ax, r):
-    """Insert r - 1 equidistant nodes per cell, keeping the originals exact."""
-    h = ax[1] - ax[0]
-    fine = ax[0] + (h / r) * np.arange((ax.size - 1) * r + 1)
-    fine[::r] = ax
-    return fine
+def _solve_mesh(user_grid, method, padded):
+    """The mesh a route solves on and the window of the user nodes in it:
+    each axis extended by _PAD per side at its own spacing when padded, then
+    refined _REFINE_1D-fold for the 1-d closed form.  User nodes stay exact
+    mesh points, so restriction is error-free."""
+    if not padded:
+        return user_grid, tuple(slice(0, n) for n in user_grid.shape)
+    r = _REFINE_1D if method == "closed_form_1d" else 1
+    axes, window = [], []
+    for ax in user_grid.axes:
+        h = ax[1] - ax[0]
+        n_add = int(np.ceil(_PAD / h - 1e-12))
+        base = np.concatenate(
+            [ax[0] - h * np.arange(n_add, 0, -1), ax, ax[-1] + h * np.arange(1, n_add + 1)]
+        )
+        fine = base[0] + ((base[1] - base[0]) / r) * np.arange((base.size - 1) * r + 1)
+        fine[::r] = base
+        axes.append(fine)
+        window.append(slice(n_add * r, (n_add + ax.size - 1) * r + 1, r))
+    return RectGrid(tuple(axes)), tuple(window)
 
 
 def _sample_rhs(rhs, grid, y, p, l):
@@ -142,44 +147,23 @@ def _fredholm_check(rhs_vals, pi):
     return defect
 
 
-def _closed_form_1d(spec, y, rhs, pi):
-    z_user = pi.grid.axes[0]
-    if callable(rhs):
-        # padded and refined working mesh (callables can be sampled anywhere);
-        # user nodes stay exact mesh points, so restriction is error-free
-        z_base, win_base = _pad_axis(z_user)
-        z_pad = _refine_axis(z_base, _REFINE_1D)
-        start = win_base.start * _REFINE_1D
-        win = slice(start, start + (z_user.size - 1) * _REFINE_1D + 1, _REFINE_1D)
-    else:
-        z_pad, win = z_user, slice(0, z_user.size)
-    grid_pad = RectGrid((z_pad,))
-    rhs_pad = _sample_rhs(rhs, grid_pad, y, spec.p, spec.l)
-    rhs_user = rhs_pad[win]
-    _fredholm_check(rhs_user, pi)
-
-    ell = stationary_log_weight_1d(spec, y, z_pad)
+def _closed_form_1d(z, a, bvec, rhs_mesh):
+    ell = stationary_log_weight_1d(a, bvec, z)
     w = np.exp(ell - ell.max())
-    pts = z_pad[:, None]
-    y_arr = np.broadcast_to(np.atleast_1d(np.asarray(y, float)), (z_pad.size, spec.l))
-    a = diffusion_matrix(spec, pts, y_arr)[:, 0, 0]
+    a = a[:, 0, 0]
 
     # cumulative flux integral, re-centered so the total is exactly zero:
     # s_c = int rhs w - (S / W) int w  with S, W the full integrals.  Without
     # the correction the Fredholm defect is amplified by 1/w at the far edge.
-    S_cum = corrected_cumtrapz(rhs_pad * w[:, None], z_pad)
-    W_cum = corrected_cumtrapz(w, z_pad)
+    S_cum = corrected_cumtrapz(rhs_mesh * w[:, None], z)
+    W_cum = corrected_cumtrapz(w, z)
     s_c = S_cum - W_cum[:, None] * (S_cum[-1] / W_cum[-1])
 
     rep = w > _WEIGHT_FLOOR
-    du = np.zeros_like(rhs_pad)
+    du = np.zeros_like(rhs_mesh)
     du[rep] = -2.0 * s_c[rep] / (a[rep] * w[rep])[:, None]
-    u_pad = corrected_cumtrapz(du, z_pad)
-    grad_pad = np.gradient(u_pad, z_pad, axis=0, edge_order=2)
-
-    u_win = u_pad[win].copy()
-    grad_win = grad_pad[win]
-    return u_win, grad_win[..., None], rhs_user
+    u = corrected_cumtrapz(du, z)
+    return u, np.gradient(u, z, axis=0, edge_order=2)[..., None]
 
 
 # ---------------------------------------------------------------------------
@@ -266,66 +250,38 @@ def _same_bytes(arrays, others):
     )
 
 
-class _LastFactor:
-    """The most recent anchored generator factor and the exact inputs it was
-    built from: b and a on the solve grid, and the centering weights."""
-
-    def __init__(self):
-        self.inputs = None
-        self.anchor = None
-        self.lu = None
-
-    def anchored_lu(self, a, bvec, weights, grid):
-        inputs = (a, bvec, weights)
-        if not _same_bytes(inputs, self.inputs):
-            # centering constraint replaces the grid equation at the heaviest node
-            anchor = int(np.argmax(weights))
-            A = _replace_row(_assemble_generator(a, bvec, grid), anchor, weights)
-            self.inputs, self.anchor, self.lu = inputs, anchor, sparse_lu(A)
-        return self.anchor, self.lu
+def _anchored_lu(a, bvec, pi, mesh, window):
+    """LU of the generator on the mesh whose equation at the heaviest node is
+    replaced by the centering constraint against pi, and that node."""
+    weights = np.zeros(mesh.shape)
+    weights[window] = pi.grid.trapezoid_weights() * pi.values
+    weights = weights.ravel()
+    anchor = int(np.argmax(weights))
+    A = _replace_row(_assemble_generator(a, bvec, mesh), anchor, weights)
+    return anchor, sparse_lu(A)
 
 
-def _grid_solve(spec, y, rhs, pi, factors):
-    user_grid = pi.grid
-    if callable(rhs):
-        padded = [_pad_axis(ax) for ax in user_grid.axes]
-    else:
-        padded = [(ax, slice(0, ax.size)) for ax in user_grid.axes]
-    grid_pad = RectGrid(tuple(axp for axp, _ in padded))
-    window = tuple(winp for _, winp in padded)
-    rhs_pad = _sample_rhs(rhs, grid_pad, y, spec.p, spec.l)
-    rhs_user = rhs_pad[window]
-    _fredholm_check(rhs_user, pi)
-
-    a, bvec = frozen_coefficients(spec, y, grid_pad)
-    weights = np.zeros(grid_pad.shape)
-    weights[window] = user_grid.trapezoid_weights() * pi.values
-    anchor, lu = factors.anchored_lu(a, bvec, weights.ravel(), grid_pad)
+def _grid_solve(mesh, factor, rhs_mesh):
+    anchor, lu = factor
     u_cols = []
     grad_cols = []
-    h_axes = grid_pad.spacing
-    for j in range(spec.p):
-        rhs_vec = -rhs_pad[..., j].ravel()
+    for j in range(rhs_mesh.shape[-1]):
+        rhs_vec = -rhs_mesh[..., j].ravel()
         rhs_vec[anchor] = 0.0
-        u_flat = lu.solve(rhs_vec)
-        u_grid = u_flat.reshape(grid_pad.shape)
-        u_cols.append(u_grid[window])
-        g = np.stack(
-            [np.gradient(u_grid, h_axes[k], axis=k, edge_order=2)[window]
-             for k in range(grid_pad.ndim)],
+        u_grid = lu.solve(rhs_vec).reshape(mesh.shape)
+        u_cols.append(u_grid)
+        grad_cols.append(np.stack(
+            [np.gradient(u_grid, mesh.spacing[k], axis=k, edge_order=2)
+             for k in range(mesh.ndim)],
             axis=-1,
-        )
-        grad_cols.append(g)
-    u_win = np.stack(u_cols, axis=-1)
-    grad_win = np.stack(grad_cols, axis=-2)  # (*shape, p, d)
-    return u_win, grad_win, rhs_user
+        ))
+    return np.stack(u_cols, axis=-1), np.stack(grad_cols, axis=-2)  # (*shape, p, d)
 
 
-def _interior_residual(spec, y, grid, u_vals, rhs_vals):
+def _interior_residual(grid, a, bvec, u_vals, rhs_vals):
     """Apply the same central stencil on the user window, interior nodes only."""
     ndim = grid.ndim
     spacing = grid.spacing
-    a, bvec = frozen_coefficients(spec, y, grid)
 
     Lu = np.zeros_like(u_vals)
     for k in range(ndim):
@@ -345,43 +301,58 @@ def _interior_residual(spec, y, grid, u_vals, rhs_vals):
     return float(np.max(res[interior]))
 
 
-def solve_poisson(spec, y, rhs, pi, method="auto", *, factors=None):
-    """Solve L_y u = -rhs, centered against pi.  rhs: callable (z, y) -> (..., p)
-    or node array on pi's grid (arrays disable internal padding).
-
-    factors carries the grid route's last anchored LU across calls; only
-    ``solve_family`` passes it, to reuse the factor between slow nodes whose
-    frozen operator is the same."""
-    if pi.grid.ndim != spec.d:
+def _route(spec, grid, method):
+    if grid.ndim != spec.d:
         raise GridDomainError("density grid dimension does not match the model")
     if method == "auto":
         method = "closed_form_1d" if spec.d == 1 else "grid_solve"
-    if method == "closed_form_1d":
-        if spec.d != 1:
-            raise GridDomainError("closed_form_1d needs d = 1")
-        u_vals, grad, rhs_user = _closed_form_1d(spec, y, rhs, pi)
-    elif method == "grid_solve":
-        if spec.d > 2:
-            raise GridDomainError("grid_solve supports d <= 2")
-        u_vals, grad, rhs_user = _grid_solve(
-            spec, y, rhs, pi, _LastFactor() if factors is None else factors
-        )
-    else:
+    if method == "closed_form_1d" and spec.d != 1:
+        raise GridDomainError("closed_form_1d needs d = 1")
+    if method == "grid_solve" and spec.d > 2:
+        raise GridDomainError("grid_solve supports d <= 2")
+    if method not in ("closed_form_1d", "grid_solve"):
         raise GridDomainError(f"unknown Poisson method {method!r}")
+    return method
+
+
+def _solve_on_mesh(spec, y, rhs, pi, method, mesh, window, coefs, factor=None):
+    """The solution at one slow node from a and b sampled on the solve mesh,
+    and the grid route's anchored factor (given, or made here)."""
+    rhs_mesh = _sample_rhs(rhs, mesh, y, spec.p, spec.l)
+    rhs_user = rhs_mesh[window]
+    _fredholm_check(rhs_user, pi)
+    a, bvec = coefs
+    if method == "closed_form_1d":
+        u_mesh, grad_mesh = _closed_form_1d(mesh.axes[0], a, bvec, rhs_mesh)
+    else:
+        factor = factor or _anchored_lu(a, bvec, pi, mesh, window)
+        u_mesh, grad_mesh = _grid_solve(mesh, factor, rhs_mesh)
 
     # exact discrete centering against the user-grid density
+    u_vals = u_mesh[window]
     mean = np.atleast_1d(pi.grid.integrate(u_vals * pi.values[..., None]))
     u_vals = u_vals - mean
     defect = np.atleast_1d(pi.grid.integrate(u_vals * pi.values[..., None]))
-    residual = _interior_residual(spec, y, pi.grid, u_vals, rhs_user)
+    residual = _interior_residual(pi.grid, a[window], bvec[window], u_vals, rhs_user)
     y_arr = np.atleast_1d(np.asarray(y, float))
-    return PoissonSolution(
+    sol = PoissonSolution(
         u=GridField(pi.grid, u_vals, role="corrector", y=y_arr),
-        grad_u=GridField(pi.grid, grad, role="corrector_gradient", y=y_arr),
+        grad_u=GridField(pi.grid, grad_mesh[window], role="corrector_gradient", y=y_arr),
         residual=residual,
         centering_defect=defect,
         y=y_arr,
     )
+    return sol, factor
+
+
+def solve_poisson(spec, y, rhs, pi, method="auto"):
+    """Solve L_y u = -rhs, centered against pi.  rhs: callable (z, y) -> (..., p)
+    or node array on pi's grid (arrays disable internal padding)."""
+    method = _route(spec, pi.grid, method)
+    mesh, window = _solve_mesh(pi.grid, method, padded=callable(rhs))
+    return _solve_on_mesh(
+        spec, y, rhs, pi, method, mesh, window, frozen_coefficients(spec, y, mesh)
+    )[0]
 
 
 # ---------------------------------------------------------------------------
@@ -481,23 +452,26 @@ class PoissonFamily:
 def solve_family(spec, y_grid, z_grid):
     """Tabulate the cell solution of the model's H over a y-grid.
 
-    The density and the grid route's LU factor are reused from the previous
-    node whenever b and a sample to the same bytes there (see the module
-    docstring); the tables equal per-node solves exactly."""
+    b and sigma are sampled once per slow node, on the solve mesh.  When the
+    samples match the previous node's bytes, its density and the grid route's
+    anchored factor are kept (see the module docstring); the tables equal
+    per-node solves exactly."""
+    method = _route(spec, z_grid, "auto")
+    mesh, window = _solve_mesh(z_grid, method, padded=True)
     y_nodes = y_grid.points().reshape(-1, y_grid.ndim)
     u = np.empty((len(y_nodes),) + z_grid.shape + (spec.p,))
     g = np.empty((len(y_nodes),) + z_grid.shape + (spec.p, spec.d))
     dens = []
-    factors = _LastFactor()
-    frozen = pi = None
+    coefs = pi = factor = None
     for i, y in enumerate(y_nodes):
-        coefs = frozen_coefficients(spec, y, z_grid)
-        if _same_bytes(coefs, frozen):
+        node_coefs = frozen_coefficients(spec, y, mesh)
+        if _same_bytes(node_coefs, coefs):
             pi = GridField(z_grid, pi.values, role="density", y=y)
         else:
-            pi, frozen = invariant_density(spec, y, z_grid), coefs
+            coefs, factor = node_coefs, None
+            pi = frozen_density(z_grid, y, *(c[window] for c in coefs))
         try:
-            sol = solve_poisson(spec, y, spec.H, pi, factors=factors)
+            sol, factor = _solve_on_mesh(spec, y, spec.H, pi, method, mesh, window, coefs, factor)
         except FredholmError as err:
             raise FredholmError(f"at slow node y = {y}: {err}") from err
         u[i] = sol.u.values

@@ -14,16 +14,16 @@ the uniqueness check share that factor.  The empirical route histograms the
 nodes of path 0 of the simulation kernel on the time-changed ``frozen_model``.
 
 The closed-form and finite-volume routes read b and a only through their
-values at the grid nodes, so the density is a pure function of those sampled
-arrays (``frozen_coefficients``).  In the paper the fast dynamics do not
-depend on the slow state, so a cell-problem family over a y-grid
-(``poisson.solve_family``) samples the same arrays at every node and reuses
-the density instead of solving for it again.
+values at the grid nodes, so both start from those sampled arrays
+(``frozen_density``); ``frozen_coefficients`` samples them.  A cell-problem
+family over a y-grid (``poisson.solve_family``) samples them once per slow
+node on its solve mesh and hands the user-grid window to ``frozen_density``.
+In the paper the fast dynamics do not depend on the slow state, so the
+family sees the same samples at every node and keeps the first density.
 
 SciPy is imported inside the functions that build or factor a sparse
-operator (``sparse_lu``, the finite-volume assembly and
-``invariant_density_2d``), not at module level, so the closed-form and
-empirical routes run without loading it.
+operator (``sparse_lu`` and the finite-volume route), not at module level,
+so the closed-form and empirical routes run without loading it.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .simulate import Probe, macro_mesh, simulate_block
 
 __all__ = [
     "invariant_density",
-    "invariant_density_1d",
+    "frozen_density",
     "invariant_density_2d",
     "invariant_density_empirical",
     "check_centering",
@@ -96,31 +96,22 @@ def sparse_lu(A):
         raise SingularOperatorError(f"sparse LU factorization failed: {err}") from err
 
 
-def stationary_log_weight_1d(spec, y, z_axis):
-    """log of the unnormalized closed-form density on a 1-d axis."""
-    z = np.asarray(z_axis, float)
-    pts = z[:, None]
-    y_arr = np.broadcast_to(np.atleast_1d(np.asarray(y, float)), (z.size, spec.l))
-    a = diffusion_matrix(spec, pts, y_arr)[:, 0, 0]
+def stationary_log_weight_1d(a, bvec, z_axis):
+    """log of the unnormalized closed-form density on a 1-d axis, given a and
+    b sampled at its nodes."""
+    a = a[:, 0, 0]
     if np.any(a <= 0):
         raise GridDomainError("degenerate diffusion on the density grid")
-    bb = np.asarray(spec.b(pts, y_arr), float)[:, 0]
-    ell = corrected_cumtrapz(2.0 * bb / a, z) - np.log(a)
-    return ell
+    return corrected_cumtrapz(2.0 * bvec[:, 0] / a, z_axis) - np.log(a)
 
 
-def invariant_density_1d(spec, y, grid):
-    if spec.d != 1 or grid.ndim != 1:
-        raise GridDomainError("closed-form route needs d = 1")
-    z = grid.axes[0]
-    ell = stationary_log_weight_1d(spec, y, z)
+def _closed_form_weight(a, bvec, grid):
+    ell = stationary_log_weight_1d(a, bvec, grid.axes[0])
     w = np.exp(ell - ell.max())
     Z = grid.integrate(w)
     if not np.isfinite(Z) or Z <= 0.0:
         raise SingularOperatorError("invariant weight not normalizable on this grid")
-    field = GridField(grid, w / Z, role="density", y=np.atleast_1d(np.asarray(y, float)))
-    _boundary_mass_check(field)
-    return field
+    return w / Z
 
 
 # ---------------------------------------------------------------------------
@@ -269,12 +260,10 @@ def _null_vector(A, lu, seed_vec, scale, max_iter=200):
     )
 
 
-def invariant_density_2d(spec, y, grid, *, check_uniqueness=True):
+def _finite_volume_weight(a, bvec, grid, check_uniqueness=True):
     import scipy.sparse as sp
 
-    if spec.d != 2 or grid.ndim != 2:
-        raise GridDomainError("finite-volume route needs d = 2")
-    A = _assemble_fv_adjoint(*frozen_coefficients(spec, y, grid), grid)
+    A = _assemble_fv_adjoint(a, bvec, grid)
     scale = float(np.max(np.abs(A)))
     n = A.shape[0]
 
@@ -304,9 +293,26 @@ def invariant_density_2d(spec, y, grid, *, check_uniqueness=True):
     Z = grid.integrate(vals)
     if Z <= 0:
         raise SingularOperatorError("null vector carries no mass")
-    field = GridField(grid, vals / Z, role="density", y=np.atleast_1d(np.asarray(y, float)))
+    return vals / Z
+
+
+def frozen_density(grid, y, a, bvec, **kw):
+    """Invariant density of the frozen flow at slow value y, from a and b
+    sampled at the grid nodes: closed form on one axis, finite volume on two."""
+    weight = _closed_form_weight if grid.ndim == 1 else _finite_volume_weight
+    field = GridField(
+        grid, weight(a, bvec, grid, **kw), role="density", y=np.atleast_1d(np.asarray(y, float))
+    )
     _boundary_mass_check(field)
     return field
+
+
+def invariant_density_2d(spec, y, grid, *, check_uniqueness=True):
+    if spec.d != 2 or grid.ndim != 2:
+        raise GridDomainError("finite-volume route needs d = 2")
+    return frozen_density(
+        grid, y, *frozen_coefficients(spec, y, grid), check_uniqueness=check_uniqueness
+    )
 
 
 def frozen_model(spec, y):
@@ -373,7 +379,9 @@ def invariant_density(spec, y, grid, method="auto", **kw):
     if method == "auto":
         method = "closed_form" if spec.d == 1 else "grid"
     if method == "closed_form":
-        return invariant_density_1d(spec, y, grid)
+        if spec.d != 1 or grid.ndim != 1:
+            raise GridDomainError("closed-form route needs d = 1")
+        return frozen_density(grid, y, *frozen_coefficients(spec, y, grid))
     if method == "grid":
         if spec.d == 1:
             raise GridDomainError("grid density route is the 2-d solver; use closed_form")

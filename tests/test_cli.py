@@ -514,6 +514,38 @@ def test_inline_schema_errors_name_their_path(runner, tmp_path, model, message):
     assert f"config error: {message}" in text_of(result)
 
 
+@pytest.mark.parametrize(
+    "subcommand, section, key, value, message",
+    [
+        ("mdp-check", "run", "h", 0.0, "h=0.0"),
+        ("mdp-check", "run", "h", float("nan"), "h=nan"),
+        ("mdp-check", "run", "T", float("inf"), "T=inf"),
+        ("inequalities", "run", "T", float("nan"), "T=nan"),
+        ("delta", "run", "N", 0, "N=0"),
+        ("delta", "run", "T", "long", "run.T must be a number, got 'long'"),
+        ("delta", "grids", "z_nodes", 2, "got 2 and 21"),
+        ("delta", "grids", "y_nodes", 2, "got 201 and 2"),
+        ("delta", "grids", "z_nodes", float("nan"), "grids.z_nodes must be a number, got nan"),
+    ],
+    ids=["h-zero", "h-nan", "T-inf", "T-nan", "N-zero", "T-text", "z_nodes-2", "y_nodes-2",
+         "z_nodes-nan"],
+)
+def test_bad_run_and_grid_values_exit_2_with_one_line(
+    runner, tmp_path, subcommand, section, key, value, message
+):
+    """Run values outside finite T > 0, finite h > 0, N >= 1 and grids with
+    fewer than three nodes per axis are config errors, printed as one line
+    before the output directory exists."""
+    out = tmp_path / "out"
+    cfg = base_config(out, event={"threshold": 0.5}, inequalities={}, delta={"eta": 0.5})
+    cfg[section][key] = value
+    result = runner.invoke(main, [subcommand, str(write_cfg(tmp_path, cfg))])
+    assert result.exit_code == 2
+    assert result.stderr.startswith("config error: ") and result.stderr.count("\n") == 1
+    assert message in result.stderr
+    assert not out.exists()
+
+
 def test_unknown_benchmark_name(runner, tmp_path):
     cfg = base_config(tmp_path / "out", model={"benchmark": "pendulum"})
     result = runner.invoke(main, ["validate", str(write_cfg(tmp_path, cfg))])

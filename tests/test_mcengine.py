@@ -19,6 +19,7 @@ from fastslow import (
     tail_probability,
     wilson_interval,
 )
+from fastslow import mcengine
 from fastslow.errors import ConfigError
 from fastslow.mcengine import DEFAULT_BATCH
 from fastslow.simulate import _NoiseSource
@@ -64,11 +65,13 @@ def test_tail_probability_cells(ou):
             assert not c.censored
 
 
-def test_tail_probability_worker_invariance(ou):
+def test_tail_probability_worker_invariance(ou, monkeypatch):
     event = Event("sup_x", 0.4, 0.3)
-    one = tail_probability(ou, event, [0.1], 3000, 0.01, 5, batch=512, workers=1)
-    many = tail_probability(ou, event, [0.1], 3000, 0.01, 5, batch=512, workers=4)
-    other_batch = tail_probability(ou, event, [0.1], 3000, 0.01, 5, batch=1024)
+    monkeypatch.setattr(mcengine, "DEFAULT_BATCH", 512)
+    one = tail_probability(ou, event, [0.1], 3000, 0.01, 5, workers=1)
+    many = tail_probability(ou, event, [0.1], 3000, 0.01, 5, workers=4)
+    monkeypatch.setattr(mcengine, "DEFAULT_BATCH", 1024)
+    other_batch = tail_probability(ou, event, [0.1], 3000, 0.01, 5)
     assert one[0].hits == many[0].hits == other_batch[0].hits
 
 
@@ -298,13 +301,14 @@ def test_negligibility_xi_sweep_shape(ou):
     assert count_trend_violations(cells) == 0
 
 
-def test_boundedness_y_levels_are_nested(ou):
+def test_boundedness_y_levels_are_nested(ou, monkeypatch):
     cells = boundedness_Y(ou, [0.5, 1.0, 2.0], 0.5, 0.01, 2000, 13)
     assert [c.C for c in cells] == [0.5, 1.0, 2.0]
     hits = [c.hits for c in cells]
     assert hits[0] >= hits[1] >= hits[2]  # larger level, rarer excursion
     assert cells[0].epsilon == ou.epsilon
-    multi = boundedness_Y(ou, [0.5, 1.0, 2.0], 0.5, 0.01, 2000, 13, workers=3, batch=700)
+    monkeypatch.setattr(mcengine, "DEFAULT_BATCH", 700)
+    multi = boundedness_Y(ou, [0.5, 1.0, 2.0], 0.5, 0.01, 2000, 13, workers=3)
     assert [c.hits for c in multi] == hits
 
 

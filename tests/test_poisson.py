@@ -1,5 +1,6 @@
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -247,6 +248,67 @@ def test_family_factors_once_per_distinct_fast_flow(splu_sizes, shifted):
     assert splu_sizes.count(31 * 31) == n_factored
     assert len(splu_sizes) == 2 * n_factored
     _assert_family_is_per_node_solves(spec, family, y_grid, z_grid)
+
+
+_SQRT2 = float(np.sqrt(2.0))
+
+# models and grids of the benchmark's corrector-sweep and cell-2d configs
+_FAMILY_CONFIGS = {
+    "corrector-sweep": {
+        "model": {"inline": {
+            "d": 1, "l": 1, "p": 1,
+            "b": [[{"c": 1.0, "z": [1]}, {"c": -1.0, "z": [3]}]],
+            "sigma": [[[{"c": _SQRT2}]]],
+            "F": [[{"c": -1.0, "y": [1]}, {"c": 1.0, "z": [1]}]],
+            "G": [[[{"c": 1.0}]]],
+            "H": [[{"c": 1.0, "z": [1]}]],
+        }},
+        "grids": {"z_nodes": 601, "y_nodes": 17},
+    },
+    "cell-2d": {
+        "model": {"inline": {
+            "d": 2, "l": 1, "p": 1,
+            "b": [[{"c": -1.0, "z": [1, 0]}], [{"c": -1.0, "z": [0, 1]}]],
+            "sigma": [[[{"c": _SQRT2}], []], [[], [{"c": _SQRT2}]]],
+            "F": [[{"c": -1.0, "y": [1]}, {"c": 1.0, "z": [1, 0]}]],
+            "G": [[[{"c": 1.0}]]],
+            "H": [[{"c": 1.0, "z": [1, 0]}, {"c": 1.0, "z": [1, 1]}]],
+        }},
+        "grids": {"z_box": [[-5.0, 5.0], [-5.0, 5.0]], "z_nodes": 101, "y_nodes": 17},
+    },
+}
+
+
+@pytest.mark.parametrize("workload", sorted(_FAMILY_CONFIGS))
+def test_family_samples_b_and_sigma_once_per_slow_node(tmp_path, workload):
+    """One sampling of the fast coefficients per slow node serves the
+    density, the solve and the residual."""
+    import yaml
+
+    from fastslow.cli import Experiment
+
+    cfg = dict(
+        _FAMILY_CONFIGS[workload],
+        scales={"epsilon": [0.1], "kappa": 0.25},
+        run={"T": 1.0, "h": 0.01, "seed": 1},
+        output_dir=str(tmp_path / "out"),
+    )
+    cfg_path = tmp_path / "exp.yaml"
+    cfg_path.write_text(yaml.safe_dump(cfg))
+    exp = Experiment(str(cfg_path))
+    calls = {"b": 0, "sigma": 0}
+
+    def counted(name, fn):
+        def coefficient(z, y):
+            calls[name] += 1
+            return fn(z, y)
+
+        return coefficient
+
+    spec = replace(exp.spec, b=counted("b", exp.spec.b), sigma=counted("sigma", exp.spec.sigma))
+    solve_family(spec, exp.y_grid, exp.z_grid)
+    assert exp.y_grid.n_nodes == 17
+    assert calls == {"b": 17, "sigma": 17}
 
 
 def test_centering_row_splice_matches_lil_reference():
