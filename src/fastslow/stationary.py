@@ -260,7 +260,7 @@ def _null_vector(A, lu, seed_vec, scale, max_iter=200):
     )
 
 
-def _finite_volume_weight(a, bvec, grid, check_uniqueness=True):
+def _finite_volume_weight(a, bvec, grid):
     import scipy.sparse as sp
 
     A = _assemble_fv_adjoint(a, bvec, grid)
@@ -271,17 +271,16 @@ def _finite_volume_weight(a, bvec, grid, check_uniqueness=True):
     x = _null_vector(A, shifted_lu, np.ones(n), scale)
     if x.sum() < 0:
         x = -x
-    if check_uniqueness:
-        rng = np.random.Generator(np.random.Philox(key=20_240_817))
-        x2 = _null_vector(A, shifted_lu, rng.random(n) + 0.5, scale)
-        if x2.sum() < 0:
-            x2 = -x2
-        a1 = x / np.sum(np.abs(x))
-        a2 = x2 / np.sum(np.abs(x2))
-        if np.max(np.abs(a1 - a2)) > 1e-7:
-            raise SingularOperatorError(
-                "two inverse-iteration starts reached different null vectors"
-            )
+    rng = np.random.Generator(np.random.Philox(key=20_240_817))
+    x2 = _null_vector(A, shifted_lu, rng.random(n) + 0.5, scale)
+    if x2.sum() < 0:
+        x2 = -x2
+    a1 = x / np.sum(np.abs(x))
+    a2 = x2 / np.sum(np.abs(x2))
+    if np.max(np.abs(a1 - a2)) > 1e-7:
+        raise SingularOperatorError(
+            "two inverse-iteration starts reached different null vectors"
+        )
 
     vals = x.reshape(grid.shape)
     floor = -1e-8 * vals.max()
@@ -296,23 +295,24 @@ def _finite_volume_weight(a, bvec, grid, check_uniqueness=True):
     return vals / Z
 
 
-def frozen_density(grid, y, a, bvec, **kw):
+def frozen_density(grid, y, a, bvec):
     """Invariant density of the frozen flow at slow value y, from a and b
-    sampled at the grid nodes: closed form on one axis, finite volume on two."""
+    sampled at the grid nodes: closed form on one axis, finite volume on two.
+
+    ``poisson.solve_family`` calls it with its own samples.  It is public so
+    that per-layer tracing, which wraps each module's ``__all__``, counts the
+    densities a family builds."""
     weight = _closed_form_weight if grid.ndim == 1 else _finite_volume_weight
     field = GridField(
-        grid, weight(a, bvec, grid, **kw), role="density", y=np.atleast_1d(np.asarray(y, float))
+        grid, weight(a, bvec, grid), role="density", y=np.atleast_1d(np.asarray(y, float))
     )
     _boundary_mass_check(field)
     return field
 
 
-def invariant_density_2d(spec, y, grid, *, check_uniqueness=True):
-    if spec.d != 2 or grid.ndim != 2:
-        raise GridDomainError("finite-volume route needs d = 2")
-    return frozen_density(
-        grid, y, *frozen_coefficients(spec, y, grid), check_uniqueness=check_uniqueness
-    )
+def invariant_density_2d(spec, y, grid):
+    """The finite-volume density for d = 2 (``invariant_density``'s grid route)."""
+    return invariant_density(spec, y, grid, method="grid")
 
 
 def frozen_model(spec, y):
@@ -375,20 +375,23 @@ def invariant_density_empirical(spec, y, T, burn_in, bins, seed):
 
 
 def invariant_density(spec, y, grid, method="auto", **kw):
-    """Dispatch on dimension: closed form for d = 1, finite volume for d = 2."""
+    """Dispatch on dimension: closed form for d = 1, finite volume for d = 2.
+    Keywords go to the empirical route, which alone takes any."""
     if method == "auto":
         method = "closed_form" if spec.d == 1 else "grid"
+    if method == "empirical":
+        return invariant_density_empirical(spec, y, bins=grid, **kw)
     if method == "closed_form":
         if spec.d != 1 or grid.ndim != 1:
             raise GridDomainError("closed-form route needs d = 1")
-        return frozen_density(grid, y, *frozen_coefficients(spec, y, grid))
-    if method == "grid":
+    elif method == "grid":
         if spec.d == 1:
             raise GridDomainError("grid density route is the 2-d solver; use closed_form")
-        return invariant_density_2d(spec, y, grid, **kw)
-    if method == "empirical":
-        return invariant_density_empirical(spec, y, bins=grid, **kw)
-    raise GridDomainError(f"unknown density method {method!r}")
+        if spec.d != 2 or grid.ndim != 2:
+            raise GridDomainError("finite-volume route needs d = 2")
+    else:
+        raise GridDomainError(f"unknown density method {method!r}")
+    return frozen_density(grid, y, *frozen_coefficients(spec, y, grid), **kw)
 
 
 def check_centering(f, pi):
