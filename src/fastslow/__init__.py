@@ -73,7 +73,6 @@ from .simulate import (
 from .stationary import (
     check_centering,
     invariant_density,
-    invariant_density_2d,
     invariant_density_empirical,
 )
 
@@ -109,7 +108,6 @@ __all__ = [
     "micro_substeps",
     # stationary densities
     "invariant_density",
-    "invariant_density_2d",
     "invariant_density_empirical",
     "check_centering",
     # cell problem

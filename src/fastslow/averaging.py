@@ -7,7 +7,9 @@ cell solution for the functional's integrand, the limiting objects are
     Abar(y) = int G G^T pi_y(dz)                      slow noise covariance
     Fbar(y) = int F pi_y(dz)                          slow drift
 
-tabulated here on a rectangular y-grid and interpolated multilinearly.
+tabulated here on a rectangular y-grid and interpolated multilinearly.  The
+cell family solved over the caller's y- and z-grids gives pi_y, grad u and a
+at every node, so only F and G are sampled for the quadrature.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from .grids import RectGrid, multilinear
 from .model import diffusion_matrix
 from .poisson import solve_family
 from .simulate import DefectIntegral, simulate_block
-from .stationary import invariant_density
 
 __all__ = [
     "AveragedModel",
@@ -31,13 +32,6 @@ __all__ = [
 ]
 
 _EIG_FLOOR = 1e-10
-
-
-def default_z_grid(d):
-    """The standing density-grid policy: [-6, 6] per axis, 601 nodes
-    (101 per axis in two dimensions to keep the stationary solve tractable)."""
-    n = 601 if d == 1 else 101
-    return RectGrid.from_bounds([(-6.0, 6.0, n)] * d)
 
 
 def _q_values(grad_u, a):
@@ -104,26 +98,13 @@ class AveragedModel:
         return np.linalg.inv(self.A_at(y))
 
 
-def averaged_coefficients(spec, y_grid, z_grid=None, *, family=None):
+def averaged_coefficients(spec, y_grid, z_grid):
     """Tabulate Qbar, Abar, Fbar on a y-grid by quadrature against pi_y.
 
-    A pre-solved cell family may be passed to avoid recomputing it; its grids
-    must match.  z_grid defaults to the standing density-grid policy."""
-    if z_grid is None:
-        z_grid = family.z_grid if family is not None else default_z_grid(spec.d)
-    if family is None:
-        family = solve_family(spec, y_grid, z_grid)
-    else:
-        same = len(family.y_grid.axes) == y_grid.ndim and len(family.z_grid.axes) == z_grid.ndim
-        same = same and all(
-            np.array_equal(a, b) for a, b in zip(family.y_grid.axes, y_grid.axes)
-        )
-        same = same and all(
-            np.array_equal(a, b) for a, b in zip(family.z_grid.axes, z_grid.axes)
-        )
-        if not same:
-            raise ConfigError("cell-solution family was tabulated on different grids")
-
+    The cell family solved over y_grid x z_grid hands each node its density
+    and the a = sigma sigma^T it sampled there; only F and G are sampled
+    here."""
+    family = solve_family(spec, y_grid, z_grid)
     y_nodes = y_grid.points().reshape(-1, y_grid.ndim)
     z_pts = z_grid.points().reshape(-1, z_grid.ndim)
     Qb = np.empty((y_nodes.shape[0], spec.p, spec.p))
@@ -131,14 +112,9 @@ def averaged_coefficients(spec, y_grid, z_grid=None, *, family=None):
     Fb = np.empty((y_nodes.shape[0], spec.l))
     grad_table = family.grad_u.reshape(y_nodes.shape[0], *z_grid.shape, spec.p, spec.d)
     for i, y in enumerate(y_nodes):
-        pi = (
-            family.densities[i]
-            if family.densities is not None
-            else invariant_density(spec, y, z_grid)
-        )
+        pi = family.densities[i]
         y_rep = np.broadcast_to(y, (z_pts.shape[0], spec.l))
-        a = diffusion_matrix(spec, z_pts, y_rep).reshape(z_grid.shape + (spec.d, spec.d))
-        Q = _q_values(grad_table[i], a)
+        Q = _q_values(grad_table[i], family.diffusions[i])
         G = np.asarray(spec.G(z_pts, y_rep), float).reshape(z_grid.shape + (spec.l, spec.l))
         GG = np.einsum("...ij,...kj->...ik", G, G)
         F = np.asarray(spec.F(z_pts, y_rep), float).reshape(z_grid.shape + (spec.l,))
@@ -179,11 +155,11 @@ def homogenization_defect(
     """Per-epsilon statistics of sup_t || int_0^t V(xi_s, Y_s) ds || where V is
     a coefficient minus its averaged version: which selects F - Fbar,
     G G^T - Abar, or Q - Qbar (the last needs a cell-solution family and
-    builds one on default grids if not supplied)."""
+    raises ConfigError without one)."""
     if which not in ("F", "A", "Q"):
         raise ConfigError("which must be one of 'F', 'A', 'Q'")
     if which == "Q" and family is None:
-        family = solve_family(spec, avg.y_grid, default_z_grid(spec.d))
+        raise ConfigError("which='Q' needs the cell-solution family (family=)")
 
     def gg(z, y):
         G = np.asarray(spec.G(z, y), float)

@@ -46,7 +46,7 @@ from .mcengine import (
     wilson_interval,
 )
 from .model import get_benchmark, validate_model, ModelSpec
-from .poisson import solve_poisson
+from .poisson import solve_family, solve_poisson
 from .ratefn import minimize_endpoint
 from .simulate import Recorder, simulate_block
 from .stationary import invariant_density
@@ -617,8 +617,7 @@ def delta(config_path):
         exp.h,
         exp.N,
         exp.seed,
-        y_grid=exp.y_grid,
-        z_grid=exp.z_grid,
+        family=solve_family(exp.spec, exp.y_grid, exp.z_grid),
     )
     _write_csv(
         out.path("delta.csv"),

@@ -17,7 +17,9 @@ where the remainder collects three small pieces:
 Everything here evaluates that decomposition on simulated paths: a streaming
 probe that rides the batch kernel without storing paths (``CorrectorProbe``),
 and a sweep measuring how fast sup |Delta| — and each term separately —
-becomes negligible on the deviation scale (``negligibility_sweep``).
+becomes negligible on the deviation scale (``negligibility_sweep``).  Both
+read a cell-solution family that the caller tabulates on its own grids
+(``poisson.solve_family``).
 """
 
 from __future__ import annotations
@@ -27,8 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import RectGrid
-from .poisson import solve_family
 from .simulate import Probe, simulate_block
 
 __all__ = [
@@ -193,24 +193,15 @@ def negligibility_sweep(
     N,
     seed,
     *,
-    family=None,
-    y_grid=None,
-    z_grid=None,
+    family,
 ):
     """P(sup_t |Delta_t| > eta) along a decreasing epsilon list, with the
     same statistic for each of the three remainder terms separately.
 
-    Cell solutions are epsilon-free, so one tabulated family serves the whole
-    sweep; a default family is built over y_grid x z_grid when none is given.
-    Zero-hit cells report the 1/N censor value with a flag — an upper bound,
-    not an estimate.
+    Cell solutions are epsilon-free, so the one tabulated family passed in
+    serves the whole sweep.  Zero-hit cells report the 1/N censor value with
+    a flag — an upper bound, not an estimate.
     """
-    if family is None:
-        if y_grid is None:
-            y_grid = RectGrid.from_bounds([(-4.0, 4.0, 17)] * spec.l)
-        if z_grid is None:
-            z_grid = RectGrid.from_bounds([(-6.0, 6.0, 601 if spec.d == 1 else 101)] * spec.d)
-        family = solve_family(spec, y_grid, z_grid)
     cells = []
     for eps in epsilon_list:
         spec_e = spec.with_epsilon(float(eps))

@@ -102,14 +102,14 @@ class TailEstimate:
     error: str = ""
 
 
-def wilson_interval(hits, n, z=_Z95):
+def wilson_interval(hits, n):
     """95% Wilson score interval for a binomial frequency."""
     if n < 1:
         raise ConfigError("interval needs at least one trial")
     p = hits / n
-    denom = 1.0 + z * z / n
-    center = (p + z * z / (2 * n)) / denom
-    half = z * math.sqrt(p * (1.0 - p) / n + z * z / (4 * n * n)) / denom
+    denom = 1.0 + _Z95 * _Z95 / n
+    center = (p + _Z95 * _Z95 / (2 * n)) / denom
+    half = _Z95 * math.sqrt(p * (1.0 - p) / n + _Z95 * _Z95 / (4 * n * n)) / denom
     # at the extremes center -+ half is exactly 0 / 1 analytically; clamp the
     # rounding residue so the interval always brackets p
     lo = 0.0 if hits == 0 else max(0.0, center - half)

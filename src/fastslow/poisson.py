@@ -23,9 +23,11 @@ on each side (and refined 4-fold for the 1-d closed form).  Truncating the
 domain at the user grid imposes a zero-flux condition *there*, whose
 boundary layer (size ~ exp(-L(L - |z|))/L for Gaussian-type weights) would
 pollute the outermost nodes of the answer; the padding pushes the layer
-outside the returned window.  b and a = sigma sigma^T are sampled on that
-mesh once per slow node, and those arrays, with their window on the user
-grid, feed the density, the route and the residual check.
+outside the returned window.  So the right-hand side is a callable,
+sampled on the mesh.  b and a = sigma sigma^T are sampled on that mesh once
+per slow node, and those arrays, with their window on the user grid, feed
+the density, the route and the residual check.  A family keeps each node's
+density and user-grid a, which the averaged table integrates against.
 
 A family over a y-grid (``solve_family``) reuses work across slow nodes.  In
 the paper the fast diffusion does not depend on the slow state; only H, F
@@ -94,13 +96,11 @@ class PoissonSolution:
         return self.u.grid
 
 
-def _solve_mesh(user_grid, method, padded):
+def _solve_mesh(user_grid, method):
     """The mesh a route solves on and the window of the user nodes in it:
-    each axis extended by _PAD per side at its own spacing when padded, then
-    refined _REFINE_1D-fold for the 1-d closed form.  User nodes stay exact
-    mesh points, so restriction is error-free."""
-    if not padded:
-        return user_grid, tuple(slice(0, n) for n in user_grid.shape)
+    each axis extended by _PAD per side at its own spacing, then refined
+    _REFINE_1D-fold for the 1-d closed form.  User nodes stay exact mesh
+    points, so restriction is error-free."""
     r = _REFINE_1D if method == "closed_form_1d" else 1
     axes, window = [], []
     for ax in user_grid.axes:
@@ -117,23 +117,13 @@ def _solve_mesh(user_grid, method, padded):
 
 
 def _sample_rhs(rhs, grid, y, p, l):
-    """Sample a callable rhs on a grid; pass arrays through (zero-extended
-    sampling is not possible for arrays, so arrays forbid padding)."""
-    if callable(rhs):
-        pts = grid.points().reshape(-1, grid.ndim)
-        y_arr = np.broadcast_to(np.atleast_1d(np.asarray(y, float)), (pts.shape[0], l))
-        vals = np.asarray(rhs(pts, y_arr), float)
-        if vals.ndim == 1:
-            vals = vals[:, None]
-        return vals.reshape(grid.shape + (p,))
-    vals = np.asarray(rhs, float)
-    if vals.shape == grid.shape:
-        vals = vals[..., None]
-    if vals.shape != grid.shape + (p,):
-        raise GridDomainError(
-            f"rhs array shaped {vals.shape}, expected {grid.shape + (p,)}"
-        )
-    return vals
+    """A callable rhs (z, y) -> (..., p) sampled at the grid nodes."""
+    pts = grid.points().reshape(-1, grid.ndim)
+    y_arr = np.broadcast_to(np.atleast_1d(np.asarray(y, float)), (pts.shape[0], l))
+    vals = np.asarray(rhs(pts, y_arr), float)
+    if vals.ndim == 1:
+        vals = vals[:, None]
+    return vals.reshape(grid.shape + (p,))
 
 
 def _fredholm_check(rhs_vals, pi):
@@ -346,10 +336,10 @@ def _solve_on_mesh(spec, y, rhs, pi, method, mesh, window, coefs, factor=None):
 
 
 def solve_poisson(spec, y, rhs, pi, method="auto"):
-    """Solve L_y u = -rhs, centered against pi.  rhs: callable (z, y) -> (..., p)
-    or node array on pi's grid (arrays disable internal padding)."""
+    """Solve L_y u = -rhs, centered against pi.  rhs: callable (z, y) -> (..., p),
+    sampled on the padded solve mesh."""
     method = _route(spec, pi.grid, method)
-    mesh, window = _solve_mesh(pi.grid, method, padded=callable(rhs))
+    mesh, window = _solve_mesh(pi.grid, method)
     return _solve_on_mesh(
         spec, y, rhs, pi, method, mesh, window, frozen_coefficients(spec, y, mesh)
     )[0]
@@ -383,13 +373,17 @@ class PoissonFamily:
     per state and evaluation, so a caller that evaluates each visited state
     once counts each clamped state once.  The count is updated under a lock,
     because ``--workers`` threads evaluate one family concurrently.
+
+    ``densities`` and ``diffusions`` list each node's density and user-grid
+    a = sigma sigma^T when ``solve_family`` built the family, else None.
     """
 
-    def __init__(self, y_grid, z_grid, u, grad_u, densities=None, spec=None):
+    def __init__(self, y_grid, z_grid, u, grad_u, densities=None, diffusions=None, spec=None):
         self.spec = spec
         self.y_grid = y_grid
         self.z_grid = z_grid
         self.densities = densities
+        self.diffusions = diffusions
         self._full = RectGrid(y_grid.axes + z_grid.axes)
         self.p = u.shape[-1]
         self.d = z_grid.ndim
@@ -455,21 +449,25 @@ def solve_family(spec, y_grid, z_grid):
     b and sigma are sampled once per slow node, on the solve mesh.  When the
     samples match the previous node's bytes, its density and the grid route's
     anchored factor are kept (see the module docstring); the tables equal
-    per-node solves exactly."""
+    per-node solves exactly.  Each node's density and the user-grid window of
+    its a = sigma sigma^T are kept as ``densities`` and ``diffusions``;
+    nodes that reuse a density share its arrays."""
     method = _route(spec, z_grid, "auto")
-    mesh, window = _solve_mesh(z_grid, method, padded=True)
+    mesh, window = _solve_mesh(z_grid, method)
     y_nodes = y_grid.points().reshape(-1, y_grid.ndim)
     u = np.empty((len(y_nodes),) + z_grid.shape + (spec.p,))
     g = np.empty((len(y_nodes),) + z_grid.shape + (spec.p, spec.d))
-    dens = []
-    coefs = pi = factor = None
+    dens, diffs = [], []
+    coefs = pi = a = factor = None
     for i, y in enumerate(y_nodes):
         node_coefs = frozen_coefficients(spec, y, mesh)
         if _same_bytes(node_coefs, coefs):
             pi = GridField(z_grid, pi.values, role="density", y=y)
         else:
             coefs, factor = node_coefs, None
-            pi = frozen_density(z_grid, y, *(c[window] for c in coefs))
+            # a copy, so the family holds the user-grid window, not the mesh
+            a = np.ascontiguousarray(coefs[0][window])
+            pi = frozen_density(z_grid, y, a, coefs[1][window])
         try:
             sol, factor = _solve_on_mesh(spec, y, spec.H, pi, method, mesh, window, coefs, factor)
         except FredholmError as err:
@@ -477,6 +475,7 @@ def solve_family(spec, y_grid, z_grid):
         u[i] = sol.u.values
         g[i] = sol.grad_u.values
         dens.append(pi)
+        diffs.append(a)
     u = u.reshape(y_grid.shape + z_grid.shape + (spec.p,))
     g = g.reshape(y_grid.shape + z_grid.shape + (spec.p, spec.d))
-    return PoissonFamily(y_grid, z_grid, u, g, densities=dens, spec=spec)
+    return PoissonFamily(y_grid, z_grid, u, g, densities=dens, diffusions=diffs, spec=spec)

@@ -32,7 +32,9 @@ from dataclasses import replace
 
 import numpy as np
 
-from .errors import ConvergenceError, GridDomainError, SimulationBlowupError, SingularOperatorError
+from .errors import (
+    ConfigError, ConvergenceError, GridDomainError, SimulationBlowupError, SingularOperatorError,
+)
 from .grids import GridField, corrected_cumtrapz
 from .model import constant_coefficient, diffusion_matrix
 from .simulate import Probe, macro_mesh, simulate_block
@@ -40,7 +42,6 @@ from .simulate import Probe, macro_mesh, simulate_block
 __all__ = [
     "invariant_density",
     "frozen_density",
-    "invariant_density_2d",
     "invariant_density_empirical",
     "check_centering",
 ]
@@ -310,11 +311,6 @@ def frozen_density(grid, y, a, bvec):
     return field
 
 
-def invariant_density_2d(spec, y, grid):
-    """The finite-volume density for d = 2 (``invariant_density``'s grid route)."""
-    return invariant_density(spec, y, grid, method="grid")
-
-
 def frozen_model(spec, y):
     """The model with Y started at y and F = G = H = 0, so the kernel keeps Y
     at y and X at 0.  Run over [0, epsilon T] with step epsilon h, its fast
@@ -376,7 +372,8 @@ def invariant_density_empirical(spec, y, T, burn_in, bins, seed):
 
 def invariant_density(spec, y, grid, method="auto", **kw):
     """Dispatch on dimension: closed form for d = 1, finite volume for d = 2.
-    Keywords go to the empirical route, which alone takes any."""
+    Keywords go to the empirical route, which alone takes any; the other
+    routes reject them with ConfigError."""
     if method == "auto":
         method = "closed_form" if spec.d == 1 else "grid"
     if method == "empirical":
@@ -391,7 +388,11 @@ def invariant_density(spec, y, grid, method="auto", **kw):
             raise GridDomainError("finite-volume route needs d = 2")
     else:
         raise GridDomainError(f"unknown density method {method!r}")
-    return frozen_density(grid, y, *frozen_coefficients(spec, y, grid), **kw)
+    if kw:
+        raise ConfigError(
+            f"density method {method!r} takes no keywords, got {', '.join(sorted(kw))}"
+        )
+    return frozen_density(grid, y, *frozen_coefficients(spec, y, grid))
 
 
 def check_centering(f, pi):

@@ -48,8 +48,8 @@ def ou_family(ou, y_grid, z_grid):
 
 
 @pytest.fixture(scope="session")
-def ou_avg(ou, y_grid, z_grid, ou_family):
-    return averaged_coefficients(ou, y_grid, z_grid, family=ou_family)
+def ou_avg(ou, y_grid, z_grid):
+    return averaged_coefficients(ou, y_grid, z_grid)
 
 
 @pytest.fixture(scope="session")

@@ -2,8 +2,6 @@ import numpy as np
 import pytest
 
 from fastslow import (
-    RectGrid,
-    averaged_coefficients,
     homogenization_defect,
     simulate_block,
 )
@@ -30,10 +28,9 @@ def test_accessors_interpolate_between_nodes(ou_avg):
     assert ou_avg.nonsingularity_margin > 0.5
 
 
-def test_family_grid_mismatch_rejected(ou, ou_family):
-    other = RectGrid.from_bounds([(-4.0, 4.0, 21)])
-    with pytest.raises(ConfigError):
-        averaged_coefficients(ou, other, family=ou_family)
+def test_q_defect_needs_a_family(ou, ou_avg):
+    with pytest.raises(ConfigError, match="family"):
+        homogenization_defect(ou, ou_avg, "Q", [0.1], 0.5, 0.01, 8, 3)
 
 
 def test_defect_vanishes_for_already_averaged_directions(ou, ou_avg, ou_family):

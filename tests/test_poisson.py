@@ -13,6 +13,7 @@ from fastslow import (
     ModelSpec,
     PoissonFamily,
     RectGrid,
+    averaged_coefficients,
     invariant_density,
     multilinear,
     solve_family,
@@ -65,17 +66,6 @@ def test_two_dim_cell_problem():
     err = np.abs(sol.u.values[..., 0] - exact)
     assert err[core].max() < 2e-2
     assert np.max(np.abs(sol.centering_defect)) < 1e-8
-
-
-def test_array_rhs_matches_callable(ou, ou_pi, z_grid):
-    call = solve_poisson(ou, np.array([0.0]), ou.H, ou_pi)
-    node_vals = z_grid.axes[0][:, None]
-    arr = solve_poisson(ou, np.array([0.0]), node_vals, ou_pi)
-    # array input disables internal padding/refinement, so the solutions only
-    # agree away from the domain edge (where the un-padded route degrades)
-    interior = np.abs(z_grid.axes[0]) <= 5.0
-    assert np.max(np.abs(call.u.values - arr.u.values)[interior]) < 2e-3
-    assert np.max(np.abs(arr.centering_defect)) < 1e-8
 
 
 def test_family_interpolates_exactly_for_linear_solution(ou_family):
@@ -230,6 +220,10 @@ def _assert_family_is_per_node_solves(spec, family, y_grid, z_grid):
         sol = solve_poisson(spec, y, spec.H, pi)
         np.testing.assert_array_equal(family.densities[i].values, pi.values)
         np.testing.assert_array_equal(family.densities[i].y, y)
+        # the quadrature's a is bitwise the a sampled on the user grid
+        np.testing.assert_array_equal(
+            family.diffusions[i], poisson.frozen_coefficients(spec, y, z_grid)[0]
+        )
         np.testing.assert_array_equal(family.u[i], sol.u.values)
         np.testing.assert_array_equal(family.grad_u[i], sol.grad_u.values)
 
@@ -247,6 +241,7 @@ def test_family_factors_once_per_distinct_fast_flow(splu_sizes, shifted):
     n_factored = 5 if shifted else 1
     assert splu_sizes.count(31 * 31) == n_factored
     assert len(splu_sizes) == 2 * n_factored
+    assert (family.diffusions[-1] is family.diffusions[0]) != shifted
     _assert_family_is_per_node_solves(spec, family, y_grid, z_grid)
 
 
@@ -279,10 +274,8 @@ _FAMILY_CONFIGS = {
 }
 
 
-@pytest.mark.parametrize("workload", sorted(_FAMILY_CONFIGS))
-def test_family_samples_b_and_sigma_once_per_slow_node(tmp_path, workload):
-    """One sampling of the fast coefficients per slow node serves the
-    density, the solve and the residual."""
+def _workload(tmp_path, workload):
+    """The workload config's model and grids, as the CLI parses them."""
     import yaml
 
     from fastslow.cli import Experiment
@@ -296,6 +289,12 @@ def test_family_samples_b_and_sigma_once_per_slow_node(tmp_path, workload):
     cfg_path = tmp_path / "exp.yaml"
     cfg_path.write_text(yaml.safe_dump(cfg))
     exp = Experiment(str(cfg_path))
+    assert exp.y_grid.n_nodes == 17
+    return exp
+
+
+def _counting_b_and_sigma(spec):
+    """The model with b and sigma counting their calls, and the counts."""
     calls = {"b": 0, "sigma": 0}
 
     def counted(name, fn):
@@ -305,9 +304,26 @@ def test_family_samples_b_and_sigma_once_per_slow_node(tmp_path, workload):
 
         return coefficient
 
-    spec = replace(exp.spec, b=counted("b", exp.spec.b), sigma=counted("sigma", exp.spec.sigma))
+    return replace(spec, b=counted("b", spec.b), sigma=counted("sigma", spec.sigma)), calls
+
+
+@pytest.mark.parametrize("workload", sorted(_FAMILY_CONFIGS))
+def test_family_samples_b_and_sigma_once_per_slow_node(tmp_path, workload):
+    """One sampling of the fast coefficients per slow node serves the
+    density, the solve and the residual."""
+    exp = _workload(tmp_path, workload)
+    spec, calls = _counting_b_and_sigma(exp.spec)
     solve_family(spec, exp.y_grid, exp.z_grid)
-    assert exp.y_grid.n_nodes == 17
+    assert calls == {"b": 17, "sigma": 17}
+
+
+@pytest.mark.parametrize("workload", sorted(_FAMILY_CONFIGS))
+def test_averaged_table_samples_b_and_sigma_once_per_slow_node(tmp_path, workload):
+    """The averaged table's quadrature reads a = sigma sigma^T from the
+    family, so the family's sampling is the only one."""
+    exp = _workload(tmp_path, workload)
+    spec, calls = _counting_b_and_sigma(exp.spec)
+    averaged_coefficients(spec, exp.y_grid, exp.z_grid)
     assert calls == {"b": 17, "sigma": 17}
 
 
@@ -345,4 +361,4 @@ def test_singular_generator_is_a_typed_error():
     z = grid.axes[0]
     pi = GridField(grid, np.exp(-0.5 * z**2) / np.sqrt(2.0 * np.pi), role="density")
     with pytest.raises(SingularOperatorError, match="singular"):
-        solve_poisson(still, np.array([0.0]), np.zeros(grid.shape), pi, method="grid_solve")
+        solve_poisson(still, np.array([0.0]), lambda z, y: 0.0 * z, pi, method="grid_solve")

@@ -7,7 +7,6 @@ from fastslow import (
     check_centering,
     get_benchmark,
     invariant_density,
-    invariant_density_2d,
     invariant_density_empirical,
 )
 from fastslow.errors import (
@@ -76,7 +75,7 @@ def test_two_dim_uniqueness_check_factors_once(splu_sizes):
     """The uniqueness check runs a second inverse-iteration start; both
     starts share one factor of the shifted operator."""
     grid = RectGrid.from_bounds([(-5.0, 5.0, 53)] * 2)
-    pi = invariant_density_2d(_two_dim_linear(), np.array([0.0]), grid)
+    pi = invariant_density(_two_dim_linear(), np.array([0.0]), grid)
     assert splu_sizes == [53 * 53]
     assert pi.integrate() == pytest.approx(1.0, abs=1e-10)
 
@@ -102,13 +101,26 @@ def _two_dim_decoupled():
 def test_two_dim_degenerate_null_space_is_rejected(n):
     grid = RectGrid.from_bounds([(-5.0, 5.0, n)] * 2)
     with pytest.raises(SingularOperatorError, match="null"):
-        invariant_density_2d(_two_dim_decoupled(), np.array([0.0]), grid)
+        invariant_density(_two_dim_decoupled(), np.array([0.0]), grid)
 
 
 def test_two_dim_route_rejects_one_dim_model(ou):
     grid = RectGrid.from_bounds([(-5.0, 5.0, 21)] * 2)
     with pytest.raises(GridDomainError):
-        invariant_density_2d(ou, np.array([0.0]), grid)
+        invariant_density(ou, np.array([0.0]), grid, method="grid")
+
+
+@pytest.mark.parametrize("method", ["auto", "closed_form"])
+def test_keywords_outside_the_empirical_route_are_a_config_error(ou, method):
+    grid = RectGrid.from_bounds([(-6.0, 6.0, 61)])
+    with pytest.raises(ConfigError, match="takes no keywords, got T, burn_in$"):
+        invariant_density(ou, [0.0], grid, method=method, T=5.0, burn_in=1.0)
+
+
+def test_keywords_on_the_grid_route_are_a_config_error():
+    grid = RectGrid.from_bounds([(-5.0, 5.0, 21)] * 2)
+    with pytest.raises(ConfigError, match="'grid' takes no keywords, got T"):
+        invariant_density(_two_dim_linear(), [0.0], grid, T=5.0)
 
 
 def test_empirical_histogram_close_to_exact(ou):
