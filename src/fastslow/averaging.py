@@ -46,13 +46,15 @@ class AveragedModel:
     Qbar: (*y_shape, p, p); Abar: (*y_shape, l, l); Fbar: (*y_shape, l).
     min_eig_* are the smallest eigenvalues across the whole table — the
     nonsingularity margin quoted by diagnostics and required (> 1e-10) by
-    anything taking an inverse.
+    anything taking an inverse.  counts is the cell family's
+    ``PoissonFamily.counts`` when ``averaged_coefficients`` built the table.
     """
 
     y_grid: RectGrid
     Qbar: np.ndarray
     Abar: np.ndarray
     Fbar: np.ndarray
+    counts: dict = field(default_factory=dict)
     min_eig_Q: float = field(init=False)
     min_eig_A: float = field(init=False)
 
@@ -127,6 +129,7 @@ def averaged_coefficients(spec, y_grid, z_grid):
         Qbar=Qb.reshape(y_grid.shape + (spec.p, spec.p)),
         Abar=Ab.reshape(y_grid.shape + (spec.l, spec.l)),
         Fbar=Fb.reshape(y_grid.shape + (spec.l,)),
+        counts=family.counts,
     )
 
 

@@ -140,7 +140,7 @@ def validate_model(
     *,
     ellipticity_tol=1e-12,
     centering_tol=1e-6,
-    density_nodes=601,
+    density_nodes=None,
 ):
     """Probe the model's assumptions on a sample grid and report violations.
 
@@ -151,9 +151,11 @@ def validate_model(
     Checked: uniform ellipticity of a = sigma sigma^T, drift dissipativity
     <z, b> <= -r ||z||^2 outside a ball, finiteness of every coefficient,
     the arithmetic scale relation between kappa and m, and — for d <= 2 —
-    centering of H against the invariant density of the frozen fast flow.
-    Linear growth of F and boundedness of G are summarized by their sampled
-    constants; finite samples cannot refute them.
+    centering of H against the invariant density of the frozen fast flow,
+    on density_nodes nodes per axis of z_box (default 601 in 1-d, 101 in
+    2-d, the CLI's default z-grid).  Linear growth of F and boundedness of G
+    are summarized by their sampled constants; finite samples cannot refute
+    them.
     """
     if samples_per_axis < 3:
         raise ConfigError("samples_per_axis must be >= 3")
@@ -253,7 +255,7 @@ def validate_model(
         from .errors import FastslowError
         from .stationary import invariant_density, check_centering
 
-        nodes = density_nodes if spec.d == 1 else 101
+        nodes = density_nodes or (601 if spec.d == 1 else 101)
         grid = RectGrid.from_bounds([(lo, hi, nodes) for lo, hi in z_box])
         worst = 0.0
         worst_y = None

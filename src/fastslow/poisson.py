@@ -24,19 +24,22 @@ domain at the user grid imposes a zero-flux condition *there*, whose
 boundary layer (size ~ exp(-L(L - |z|))/L for Gaussian-type weights) would
 pollute the outermost nodes of the answer; the padding pushes the layer
 outside the returned window.  So the right-hand side is a callable,
-sampled on the mesh.  b and a = sigma sigma^T are sampled on that mesh once
-per slow node, and those arrays, with their window on the user grid, feed
-the density, the route and the residual check.  A family keeps each node's
-density and user-grid a, which the averaged table integrates against.
+sampled on the mesh.  It is sampled there once per slow node, as are b and
+a = sigma sigma^T, and those arrays, with their window on the user grid,
+feed the density, the route and the residual check.  A family keeps each
+node's density and user-grid a, which the averaged table integrates against.
 
 A family over a y-grid (``solve_family``) reuses work across slow nodes.  In
 the paper the fast diffusion does not depend on the slow state; only H, F
-and G do.  So the frozen operator, its invariant density and its anchored LU
-factor are the same at every node, and only the right-hand side changes.
-The family makes one reuse decision per node: when the node's mesh samples
-of b and a match the previous node's bytes, it keeps the previous density
-and factor; a model whose fast coefficients do depend on y still factors
-once per node.
+and G may.  So the frozen operator, its invariant density and its anchored
+LU factor are the same at every node, and when H ignores y as well (as in
+every benchmark and workload model) so is the whole cell problem.  The
+family samples b, a and H on the mesh once per node and makes one reuse
+decision from them: when all three match the previous node's bytes, it
+copies that node's u and grad u and solves nothing; when only b and a
+match, it keeps the density and factor and solves for the new H.  A model
+whose fast coefficients depend on y still factors once per node.  The
+family counts its distinct cell solves and densities in ``counts``.
 
 ``scipy.sparse`` is imported inside the grid route's assembly and anchoring
 (``_assemble_generator``, ``_replace_row``) and the factor comes from
@@ -234,8 +237,9 @@ def _replace_row(A, i, row):
 
 
 def _same_bytes(arrays, others):
-    return others is not None and all(
-        u.shape == v.shape and u.dtype == v.dtype and u.tobytes() == v.tobytes()
+    return all(
+        v is not None and u.shape == v.shape and u.dtype == v.dtype
+        and u.tobytes() == v.tobytes()
         for u, v in zip(arrays, others)
     )
 
@@ -305,10 +309,9 @@ def _route(spec, grid, method):
     return method
 
 
-def _solve_on_mesh(spec, y, rhs, pi, method, mesh, window, coefs, factor=None):
-    """The solution at one slow node from a and b sampled on the solve mesh,
-    and the grid route's anchored factor (given, or made here)."""
-    rhs_mesh = _sample_rhs(rhs, mesh, y, spec.p, spec.l)
+def _solve_on_mesh(y, rhs_mesh, pi, method, mesh, window, coefs, factor=None):
+    """The solution at one slow node from the rhs, a and b sampled on the
+    solve mesh, and the grid route's anchored factor (given, or made here)."""
     rhs_user = rhs_mesh[window]
     _fredholm_check(rhs_user, pi)
     a, bvec = coefs
@@ -341,7 +344,8 @@ def solve_poisson(spec, y, rhs, pi, method="auto"):
     method = _route(spec, pi.grid, method)
     mesh, window = _solve_mesh(pi.grid, method)
     return _solve_on_mesh(
-        spec, y, rhs, pi, method, mesh, window, frozen_coefficients(spec, y, mesh)
+        y, _sample_rhs(rhs, mesh, y, spec.p, spec.l), pi, method, mesh, window,
+        frozen_coefficients(spec, y, mesh),
     )[0]
 
 
@@ -376,14 +380,20 @@ class PoissonFamily:
 
     ``densities`` and ``diffusions`` list each node's density and user-grid
     a = sigma sigma^T when ``solve_family`` built the family, else None.
+    ``counts`` holds its numbers of distinct cell solves and densities,
+    ``{"cell_solves": ..., "densities": ...}``, else it is empty.
     """
 
-    def __init__(self, y_grid, z_grid, u, grad_u, densities=None, diffusions=None, spec=None):
+    def __init__(
+        self, y_grid, z_grid, u, grad_u, densities=None, diffusions=None, spec=None,
+        counts=None,
+    ):
         self.spec = spec
         self.y_grid = y_grid
         self.z_grid = z_grid
         self.densities = densities
         self.diffusions = diffusions
+        self.counts = counts or {}
         self._full = RectGrid(y_grid.axes + z_grid.axes)
         self.p = u.shape[-1]
         self.d = z_grid.ndim
@@ -446,36 +456,45 @@ class PoissonFamily:
 def solve_family(spec, y_grid, z_grid):
     """Tabulate the cell solution of the model's H over a y-grid.
 
-    b and sigma are sampled once per slow node, on the solve mesh.  When the
-    samples match the previous node's bytes, its density and the grid route's
-    anchored factor are kept (see the module docstring); the tables equal
-    per-node solves exactly.  Each node's density and the user-grid window of
-    its a = sigma sigma^T are kept as ``densities`` and ``diffusions``;
-    nodes that reuse a density share its arrays."""
+    b, sigma and H are sampled once per slow node, on the solve mesh.  When
+    b and a match the previous node's bytes, its density and the grid
+    route's anchored factor are kept; when H matches too, its u and grad u
+    are copied and nothing is solved (see the module docstring).  Either
+    way the tables equal per-node solves exactly.  Each node's density and
+    the user-grid window of its a = sigma sigma^T are kept as ``densities``
+    and ``diffusions``; nodes that reuse a density share its arrays."""
     method = _route(spec, z_grid, "auto")
     mesh, window = _solve_mesh(z_grid, method)
     y_nodes = y_grid.points().reshape(-1, y_grid.ndim)
     u = np.empty((len(y_nodes),) + z_grid.shape + (spec.p,))
     g = np.empty((len(y_nodes),) + z_grid.shape + (spec.p, spec.d))
     dens, diffs = [], []
-    coefs = pi = a = factor = None
+    counts = {"cell_solves": 0, "densities": 0}
+    last = (None, None, None)   # the previous node's a, b and H on the mesh
     for i, y in enumerate(y_nodes):
-        node_coefs = frozen_coefficients(spec, y, mesh)
-        if _same_bytes(node_coefs, coefs):
+        node = (*frozen_coefficients(spec, y, mesh), _sample_rhs(spec.H, mesh, y, spec.p, spec.l))
+        same_flow = _same_bytes(node[:2], last[:2])
+        if same_flow:
             pi = GridField(z_grid, pi.values, role="density", y=y)
         else:
-            coefs, factor = node_coefs, None
+            factor = None
             # a copy, so the family holds the user-grid window, not the mesh
-            a = np.ascontiguousarray(coefs[0][window])
-            pi = frozen_density(z_grid, y, a, coefs[1][window])
-        try:
-            sol, factor = _solve_on_mesh(spec, y, spec.H, pi, method, mesh, window, coefs, factor)
-        except FredholmError as err:
-            raise FredholmError(f"at slow node y = {y}: {err}") from err
+            a = np.ascontiguousarray(node[0][window])
+            pi = frozen_density(z_grid, y, a, node[1][window])
+            counts["densities"] += 1
+        if not (same_flow and _same_bytes(node[2:], last[2:])):
+            try:
+                sol, factor = _solve_on_mesh(y, node[2], pi, method, mesh, window, node[:2], factor)
+            except FredholmError as err:
+                raise FredholmError(f"at slow node y = {y}: {err}") from err
+            counts["cell_solves"] += 1
+        last = node
         u[i] = sol.u.values
         g[i] = sol.grad_u.values
         dens.append(pi)
         diffs.append(a)
     u = u.reshape(y_grid.shape + z_grid.shape + (spec.p,))
     g = g.reshape(y_grid.shape + z_grid.shape + (spec.p, spec.d))
-    return PoissonFamily(y_grid, z_grid, u, g, densities=dens, diffusions=diffs, spec=spec)
+    return PoissonFamily(
+        y_grid, z_grid, u, g, densities=dens, diffusions=diffs, spec=spec, counts=counts
+    )

@@ -105,6 +105,51 @@ def test_validate_report_and_manifest(runner, tmp_path):
     assert record["config_sha256"] == cfg_digest
 
 
+def test_validate_checks_centering_on_the_config_z_grid(runner, tmp_path, monkeypatch):
+    """validate builds its density grid from grids.z_nodes (201 here), not
+    from a node count of its own."""
+    import fastslow.stationary as stationary
+
+    shapes = []
+    density = stationary.invariant_density
+
+    def recording(spec, y, grid, *args, **kwargs):
+        shapes.append(grid.shape)
+        return density(spec, y, grid, *args, **kwargs)
+
+    monkeypatch.setattr(stationary, "invariant_density", recording)
+    cfg_path = write_cfg(tmp_path, base_config(tmp_path / "out"))
+    result = runner.invoke(main, ["validate", str(cfg_path)], catch_exceptions=False)
+    assert result.exit_code == 0
+    assert set(shapes) == {(201,)}
+
+
+@pytest.mark.parametrize("workload", ["cell-2d", "corrector-sweep"])
+def test_manifest_counts_cell_solves_and_densities(runner, tmp_path, workload):
+    """average, rate and delta record the family's distinct cell solves and
+    densities; on the workload models H and the fast flow ignore y, so one
+    of each serves all 17 slow nodes."""
+    from tests.test_poisson import _FAMILY_CONFIGS
+
+    out = tmp_path / "out"
+    cfg = dict(
+        _FAMILY_CONFIGS[workload],
+        scales={"epsilon": [0.1], "kappa": 0.25},
+        run={"T": 0.2, "h": 0.01, "N": 64, "seed": 1},
+        rate={"event": {"threshold": 0.5}, "mesh_size": 16},
+        delta={"eta": 0.5},
+        output_dir=str(out),
+    )
+    cfg_path = write_cfg(tmp_path, cfg)
+    for subcommand in ("average", "rate", "delta", "validate"):
+        result = runner.invoke(main, [subcommand, str(cfg_path)], catch_exceptions=False)
+        assert result.exit_code == 0, text_of(result)
+    outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+    for name in ("averaged.csv", "rate.csv", "rate_path.csv", "delta.csv"):
+        assert (outputs[name]["cell_solves"], outputs[name]["densities"]) == (1, 1)
+    assert "cell_solves" not in outputs["validate.csv"]
+
+
 def test_validate_reports_violations_for_degenerate_model(runner, tmp_path):
     cfg = base_config(tmp_path / "out", model={"benchmark": "constant"})
     cfg_path = write_cfg(tmp_path, cfg)
@@ -350,7 +395,8 @@ PINNED_SHA256 = {
     "ou/poisson.csv": "06b0627955f8469bc4f81ef63710e32617624bd61c6fe2feb847e2ca7f76726a",
     "ou/rate.csv": "235502d6e1c8993e9486f6489c7bd1a1bf56b5107c243cfb1194344b06998148",
     "ou/rate_path.csv": "33dee9386d148f55e3da1a60c3f30fdf0a8218ad78801ce98fece97fde6a5a9b",
-    "ou/validate.csv": "73feb114321ffe70faa99fd95d364a2b894d810db40a9f48393396039960ebf4",
+    # validate checks centering on the config's 201-node z-grid
+    "ou/validate.csv": "c1043dac7d610d098d0e064b860815b52f939a8bdb6d57f60d86c1996d4c3f3f",
     "double-well/averaged.csv": "8372bba32249d0b83ae39b619cad80f65ecfcad43cc61da41bfb74fc250cb4c5",
     "double-well/rate.csv": "c8ecc9900edbe250eb7fb0e009fe2717bea5aa1ed2dfebdb71dc1acabcb3ddae",
     "double-well/rate_path.csv": "de45922727ef3c4c78b5f307234588498efd7ea69baa2724f5903788d39d78ed",
@@ -717,18 +763,24 @@ _RUN_THEN_LIST_SCIPY = (
 )
 
 
-def scipy_loaded_after(*runs):
-    """Names of the SciPy modules loaded by importing the CLI and running
-    each (subcommand, config) pair, all in one fresh interpreter."""
+def fresh_python(code, *argv):
+    """The last line that code prints, run with argv in a fresh interpreter
+    that imports this checkout's fastslow."""
     src = os.path.dirname(os.path.dirname(fastslow.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, "-c", _RUN_THEN_LIST_SCIPY, *(str(a) for run in runs for a in run)],
+        [sys.executable, "-c", code, *(str(a) for a in argv)],
         env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
         timeout=300,
     )
     assert done.returncode == 0, done.stderr
-    return done.stdout.splitlines()[-1].split()[1:]
+    return done.stdout.splitlines()[-1]
+
+
+def scipy_loaded_after(*runs):
+    """Names of the SciPy modules loaded by importing the CLI and running
+    each (subcommand, config) pair, all in one fresh interpreter."""
+    return fresh_python(_RUN_THEN_LIST_SCIPY, *(a for run in runs for a in run)).split()[1:]
 
 
 def test_cli_import_loads_no_scipy():
@@ -769,6 +821,27 @@ def test_two_d_rate_loads_only_sparse_from_scipy(tmp_path):
     assert "sparse" in top
     assert top <= {"linalg", "sparse", "version"}
     assert (tmp_path / "out" / "rate.csv").is_file()
+
+
+def test_experiment_freezes_the_import_heap(tmp_path):
+    """Building an Experiment ends with gc.freeze(), so neither the run's
+    collections nor interpreter teardown walk the modules it imported."""
+    cfg = {
+        "model": {"inline": OU_2D_INLINE},
+        "grids": {"z_box": [[-5.0, 5.0], [-5.0, 5.0]], "z_nodes": 31, "y_nodes": 5},
+        "run": {"T": 1.0, "h": 1e-2, "seed": 3},
+        "output_dir": str(tmp_path / "out"),
+    }
+    code = (
+        "import gc, sys\n"
+        "from fastslow.cli import Experiment\n"
+        "before = gc.get_freeze_count()\n"
+        "Experiment(sys.argv[1])\n"
+        "print(before, gc.get_freeze_count())\n"
+    )
+    before, after = map(int, fresh_python(code, write_cfg(tmp_path, cfg)).split())
+    assert before == 0
+    assert after > 0
 
 
 def test_one_d_grid_solve_loads_scipy_mid_run(runner, tmp_path):

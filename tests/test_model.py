@@ -146,3 +146,28 @@ def test_validate_rejects_bad_boxes():
         validate_model(get_benchmark("ou"), BOX, [(-2.0, 2.0), (-2.0, 2.0)])
     with pytest.raises(ConfigError):
         validate_model(get_benchmark("ou"), BOX, [(-2.0, 2.0)], samples_per_axis=2)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_validate_centering_grid_has_density_nodes(monkeypatch, d):
+    """The centering check runs on density_nodes nodes per axis in 1-d and
+    in 2-d, and on the default z-grid's 601 or 101 when none is given."""
+    import fastslow.stationary as stationary
+    from tests.test_stationary import _two_dim_linear
+
+    shapes = []
+    density = stationary.invariant_density
+
+    def recording(spec, y, grid, *args, **kwargs):
+        shapes.append(grid.shape)
+        return density(spec, y, grid, *args, **kwargs)
+
+    monkeypatch.setattr(stationary, "invariant_density", recording)
+    spec = get_benchmark("ou") if d == 1 else _two_dim_linear()
+    box = [(-5.0, 5.0)] * d
+    report = validate_model(spec, box, [(-2.0, 2.0)], samples_per_axis=3, density_nodes=31)
+    assert report.centering_defect is not None
+    assert set(shapes) == {(31,) * d}
+    shapes.clear()
+    validate_model(spec, box, [(-2.0, 2.0)], samples_per_axis=3)
+    assert set(shapes) == {((601,), (101, 101))[d - 1]}

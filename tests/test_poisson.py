@@ -14,6 +14,7 @@ from fastslow import (
     PoissonFamily,
     RectGrid,
     averaged_coefficients,
+    get_benchmark,
     invariant_density,
     multilinear,
     solve_family,
@@ -242,6 +243,8 @@ def test_family_factors_once_per_distinct_fast_flow(splu_sizes, shifted):
     assert splu_sizes.count(31 * 31) == n_factored
     assert len(splu_sizes) == 2 * n_factored
     assert (family.diffusions[-1] is family.diffusions[0]) != shifted
+    # H ignores y, so the cell problem changes only with the flow
+    assert family.counts == {"cell_solves": n_factored, "densities": n_factored}
     _assert_family_is_per_node_solves(spec, family, y_grid, z_grid)
 
 
@@ -325,6 +328,49 @@ def test_averaged_table_samples_b_and_sigma_once_per_slow_node(tmp_path, workloa
     spec, calls = _counting_b_and_sigma(exp.spec)
     averaged_coefficients(spec, exp.y_grid, exp.z_grid)
     assert calls == {"b": 17, "sigma": 17}
+
+
+def _counting_node_solves(monkeypatch):
+    """The slow value of every node solve the test makes, in order."""
+    solves = []
+    solve = poisson._solve_on_mesh
+
+    def counting(y, *args, **kwargs):
+        solves.append(y)
+        return solve(y, *args, **kwargs)
+
+    monkeypatch.setattr(poisson, "_solve_on_mesh", counting)
+    return solves
+
+
+@pytest.mark.parametrize("workload", sorted(_FAMILY_CONFIGS))
+def test_family_solves_one_cell_problem_when_nothing_depends_on_y(
+    tmp_path, monkeypatch, workload
+):
+    """On the workload models b, sigma and H ignore y, so the 17 slow nodes
+    share one cell problem: one solve, whose u and grad u every node copies."""
+    exp = _workload(tmp_path, workload)
+    solves = _counting_node_solves(monkeypatch)
+    family = solve_family(exp.spec, exp.y_grid, exp.z_grid)
+    assert len(solves) == 1
+    assert family.counts == {"cell_solves": 1, "densities": 1}
+    for i in range(1, 17):
+        np.testing.assert_array_equal(family.u[i], family.u[0])
+        np.testing.assert_array_equal(family.grad_u[i], family.grad_u[0])
+
+
+def test_family_solves_each_distinct_right_hand_side(monkeypatch):
+    """ou with the centered H = z (1 + y^2) keeps one density and factor but
+    needs a solve per node, and the tables still equal per-node solves
+    bitwise."""
+    spec = replace(get_benchmark("ou"), H=lambda z, y: z * (1.0 + y**2))
+    y_grid = RectGrid.from_bounds([(-2.0, 2.0, 17)])
+    z_grid = RectGrid.from_bounds([(-6.0, 6.0, 201)])
+    solves = _counting_node_solves(monkeypatch)
+    family = solve_family(spec, y_grid, z_grid)
+    assert len(solves) == 17
+    assert family.counts == {"cell_solves": 17, "densities": 1}
+    _assert_family_is_per_node_solves(spec, family, y_grid, z_grid)
 
 
 def test_centering_row_splice_matches_lil_reference():
