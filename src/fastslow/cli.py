@@ -221,7 +221,7 @@ _TOP_KEYS = {
 class Experiment:
     """Parsed configuration plus the derived model and grids."""
 
-    def __init__(self, config_path):
+    def __init__(self, config_path, *, preload_sparse=True):
         try:
             with open(config_path, "r") as fh:
                 self.text = fh.read()
@@ -260,9 +260,10 @@ class Experiment:
                 f"scale relation fails: kappa={self.spec.kappa} must be below "
                 f"min(1 - m/2, 1/2) = {min(1 - self.spec.m / 2, 0.5)}"
             )
-        if self.spec.d >= 2:
+        if preload_sparse and self.spec.d >= 2:
             # the d >= 2 grid routes factor sparse operators; load SciPy's
-            # sparse stack in start-up rather than inside the first cell solve
+            # sparse stack in start-up rather than inside the first cell solve.
+            # The subcommands that only sample paths pass preload_sparse=False
             import scipy.sparse.linalg  # noqa: F401
 
         grids = _require_mapping(raw.get("grids", {}), "grids")
@@ -512,7 +513,7 @@ def validate(config_path):
 @_guarded
 def simulate(config_path):
     """Simulate one coupled trajectory and write its macro-mesh CSV."""
-    exp = Experiment(config_path)
+    exp = Experiment(config_path, preload_sparse=False)
     block = exp.block("simulate", allowed={"path_id"})
     out = OutputDir(exp, "simulate")
     rec = Recorder()
@@ -717,7 +718,7 @@ def rate(config_path):
 @_guarded
 def mdp_check(config_path, workers):
     """Monte Carlo tail sweep at the moderate-deviation log scaling."""
-    exp = Experiment(config_path)
+    exp = Experiment(config_path, preload_sparse=False)
     block = exp.block(
         "event", allowed={"functional", "threshold", "component"},
         required=("threshold",),
@@ -768,7 +769,7 @@ def mdp_check(config_path, workers):
 @_guarded
 def inequalities(config_path, workers):
     """Empirical exponential-inequality grid for martingale samplers."""
-    exp = Experiment(config_path)
+    exp = Experiment(config_path, preload_sparse=False)
     block = exp.block(
         "inequalities",
         allowed={"alpha", "B", "sampler", "n_steps", "qv_cap"},

@@ -2,7 +2,7 @@
 checks of the exponential martingale estimates behind it.
 
 All probabilities are plain Monte Carlo frequencies over paths driven by
-counter-based lane-block streams (``simulate``): path i is lane i % LANES of
+SFC64 lane-block streams (``simulate``): path i is lane i % LANES of
 block i // LANES under the run's seed, and consumes the same numbers no matter
 how the batch is cut, how many workers run or how many paths are drawn.
 Batches of ``DEFAULT_BATCH`` paths are whole blocks, so each batch draws only

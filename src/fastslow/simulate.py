@@ -17,8 +17,13 @@ the epsilon clock, path 0 of this kernel on ``stationary.frozen_model``.
 Randomness
 ----------
 Paths are grouped into lane blocks of ``LANES`` = 256: path i is lane
-i % LANES of block i // LANES, and block b of seed s draws from one
-counter-based Philox stream, ``path_generator(s, b)``.  The stream's layout is
+i % LANES of block i // LANES, and block b of seed s draws from one SFC64
+stream, ``path_generator(s, b)``, seeded by the SeedSequence of entropy s and
+spawn key (b,), the b-th child of ``SeedSequence(s).spawn``.  The spawn key
+keeps (s, b) apart from every other pair; an entropy list [s, b] would not,
+since [2**32, 0] and [0, 1], or [7, 0] and [7], hash to the same state.
+SFC64 draws normals 1.4-1.8x faster than Philox, and nothing here needs a
+counter-based generator's jump-ahead.  The stream's layout is
 (n_macro, chunk, LANES) in row-major order, with chunk = n_sub * d + l: for each
 macro step, first the n_sub * d fast increments of every lane, then the l slow
 ones, one row of LANES normals per increment component.  A block's lanes are
@@ -80,10 +85,10 @@ _BUFFER_LIMIT = 262_144
 
 
 def path_generator(seed, block=0):
-    """Philox generator of lane block ``block`` under ``seed``, keyed by
-    (seed, block)."""
-    key = (int(seed) & _MASK64) | ((int(block) & _MASK64) << 64)
-    return np.random.Generator(np.random.Philox(key=key))
+    """SFC64 generator of lane block ``block`` under ``seed``: the child of
+    ``SeedSequence(seed)`` with spawn key (block,), both ids taken mod 2**64."""
+    seq = np.random.SeedSequence(int(seed) & _MASK64, spawn_key=(int(block) & _MASK64,))
+    return np.random.Generator(np.random.SFC64(seq))
 
 
 def micro_substeps(h, epsilon, c_fast=0.1):

@@ -387,11 +387,13 @@ PINNED_CONFIG = {
 # re-baseline of the noise layout must update them in the open.
 PINNED_SHA256 = {
     "ou/averaged.csv": "fe725436ba1ffcf3a73609f0fff9fed25eed853a4c303dac88dcfdf58070bc4c",
-    "ou/delta.csv": "2fcc060db0a1d76d5d5d090da9e5c777972601b8da9bbacdfbb612a452b82d41",
+    # delta, inequalities, mc and path draw from the lane-block noise
+    # streams; no other entry draws noise
+    "ou/delta.csv": "b2f18c4d31e09c9a7134f580743877381ac8c5371e6bcef5ad98ae5d04a5261e",
     "ou/density.csv": "05c8ede5633a0622338920be90001bf04a2fd45fdd4f05cfc99a33393d9efd39",
-    "ou/inequalities.csv": "90374d37eb7f2f85c6f258a6de65a1c03435aca93948c1c2a9c12450b96951d0",
-    "ou/mc.csv": "16d5132bc14395bc4a7d7e6e6289c117d3e9cea803e347e7e80c60d992ea1dab",
-    "ou/path.csv": "a0838b5cbc57102f7964f0895f74c16140c46ec63a94afbd3372d9d71e30c1d3",
+    "ou/inequalities.csv": "37f92ffdc41b628e5d9005b7e924ad3f4326317c4ffe54e9ae1a1634cc4758b6",
+    "ou/mc.csv": "ba8d8e9a9cb1de8877cd2227ad0470681c9899919efd10efdc408b6761776559",
+    "ou/path.csv": "9994ae7d1e7c645d4b91187bce322ada9062dc40f484e31f45c997341b11e4ec",
     "ou/poisson.csv": "06b0627955f8469bc4f81ef63710e32617624bd61c6fe2feb847e2ca7f76726a",
     "ou/rate.csv": "235502d6e1c8993e9486f6489c7bd1a1bf56b5107c243cfb1194344b06998148",
     "ou/rate_path.csv": "33dee9386d148f55e3da1a60c3f30fdf0a8218ad78801ce98fece97fde6a5a9b",
@@ -406,7 +408,7 @@ PINNED_SHA256 = {
 # sha256 of density.csv from the empirical route, which runs the frozen flow
 # as path 0 of the kernel, on PINNED_CONFIG with a short trajectory.
 PINNED_EMPIRICAL_DENSITY = {"method": "empirical", "T": 5.0, "burn_in": 1.0}
-PINNED_EMPIRICAL_SHA256 = "91dec4e90dba3645e56435e21e78fea9704a1a2cf5ddf77d3f7c649b860ecdef"
+PINNED_EMPIRICAL_SHA256 = "32ad6828779aa0258d9df52cf8e55e6d42c29f8615033dfcfc8b8c13815da841"
 
 
 def test_empirical_density_bytes_are_pinned(runner, tmp_path):
@@ -842,6 +844,47 @@ def test_experiment_freezes_the_import_heap(tmp_path):
     before, after = map(int, fresh_python(code, write_cfg(tmp_path, cfg)).split())
     assert before == 0
     assert after > 0
+
+
+def test_two_d_experiment_preloads_sparse_only_when_asked(tmp_path):
+    """A d = 2 Experiment built the way the path-sampling subcommands build
+    it leaves scipy.sparse.linalg unloaded; one built the way rate builds it
+    loads it in start-up."""
+    cfg = {
+        "model": {"inline": OU_2D_INLINE},
+        "run": {"T": 1.0, "h": 1e-2, "seed": 3},
+        "output_dir": str(tmp_path / "out"),
+    }
+    code = (
+        "import sys\n"
+        "from fastslow.cli import Experiment\n"
+        "if sys.argv[2] == 'rate':\n"
+        "    Experiment(sys.argv[1])\n"
+        "else:\n"
+        "    Experiment(sys.argv[1], preload_sparse=False)\n"
+        "print('scipy.sparse.linalg' in sys.modules)\n"
+    )
+    cfg_path = write_cfg(tmp_path, cfg)
+    assert fresh_python(code, cfg_path, "simulate") == "False"
+    assert fresh_python(code, cfg_path, "rate") == "True"
+
+
+def test_two_d_path_sampling_subcommands_load_no_scipy(tmp_path):
+    """simulate, mdp-check and inequalities factor no sparse operator, so on
+    a d = 2 model they run without loading SciPy."""
+    cfg = {
+        "model": {"inline": OU_2D_INLINE},
+        "scales": {"epsilon": [0.1], "kappa": 0.25},
+        "run": {"T": 0.1, "h": 1e-2, "N": 1000, "seed": 3},
+        "output_dir": str(tmp_path / "out"),
+        "event": {"threshold": 0.5},
+        "inequalities": {"alpha": [1.0], "B": [1.0], "n_steps": 20},
+    }
+    cfg_path = write_cfg(tmp_path, cfg)
+    runs = [(name, cfg_path) for name in ("simulate", "mdp-check", "inequalities")]
+    assert scipy_loaded_after(*runs) == []
+    for name in ("path.csv", "mc.csv", "inequalities.csv"):
+        assert (tmp_path / "out" / name).is_file()
 
 
 def test_one_d_grid_solve_loads_scipy_mid_run(runner, tmp_path):

@@ -42,6 +42,61 @@ def test_path_generator_keying():
     np.testing.assert_array_equal(path_generator(7).standard_normal(4), a)
 
 
+@pytest.mark.parametrize("seed, block", [(0, 0), (7, 3), (2**40 + 5, 11)])
+def test_path_generator_is_the_spawned_sfc64_child(seed, block):
+    """Block b under seed s is SFC64 on the b-th child of SeedSequence(s)."""
+    child = np.random.SeedSequence(seed).spawn(block + 1)[block]
+    want = np.random.Generator(np.random.SFC64(child)).standard_normal(8)
+    np.testing.assert_array_equal(path_generator(seed, block).standard_normal(8), want)
+
+
+def test_path_generator_keeps_apart_what_an_entropy_list_merges():
+    """SeedSequence([2**32, 0]) and SeedSequence([0, 1]) hash to the same
+    state; the spawn key keeps (2**32, 0) and (0, 1) apart."""
+    a = path_generator(2**32, 0).standard_normal(4)
+    b = path_generator(0, 1).standard_normal(4)
+    assert not np.array_equal(a, b)
+
+
+def test_path_generator_takes_ids_mod_2_to_the_64():
+    np.testing.assert_array_equal(
+        path_generator(-1, 0).standard_normal(4),
+        path_generator(2**64 - 1, 0).standard_normal(4),
+    )
+
+
+def _ou_discrete_var_x(eps, h, kappa, T):
+    """Exact Var(X_T) of the kernel's scheme on ou (b = -z, sigma = sqrt2,
+    H = z, xi_0 = 0): the covariance of (xi, X) through n_sub micro steps
+    z <- (1 - h_sub/eps) z + sqrt(2 h_sub/eps) N(0, 1) per macro step, with
+    X += h eps^-kappa xi at the macro-left state."""
+    n_macro, n_sub = int(round(T / h)), micro_substeps(h, eps)
+    h_sub = h / n_sub
+    add_x = np.array([[1.0, 0.0], [h * eps**-kappa, 1.0]])
+    micro = np.array([[1.0 - h_sub / eps, 0.0], [0.0, 1.0]])
+    noise = np.diag([2.0 * h_sub / eps, 0.0])
+    C = np.zeros((2, 2))
+    for _ in range(n_macro):
+        C = add_x @ C @ add_x.T
+        for _ in range(n_sub):
+            C = micro @ C @ micro.T + noise
+    return C[1, 1]
+
+
+def test_kernel_variance_of_x_meets_the_exact_discrete_oracle(ou):
+    """The sample variance of X_T over 16 384 paths lies in the two-sided
+    99.9% chi-square band around the scheme's exact variance (0.19750 at
+    eps = 1e-2, h = 2e-3, n_sub = 2)."""
+    spec = ou.with_epsilon(1e-2)
+    T, h, n = 1.0, 2e-3, 16_384
+    var = _ou_discrete_var_x(spec.epsilon, h, spec.kappa, T)
+    assert var == pytest.approx(0.19750, abs=5e-6)
+    run = simulate_block(spec, T, h, 3, np.arange(n))
+    sample = np.var(run.X[:, 0], ddof=1)
+    lo, hi = var * chi2.ppf([0.0005, 0.9995], n - 1) / (n - 1)
+    assert lo <= sample <= hi, (lo, sample, hi)
+
+
 def test_lane_draws_follow_the_block_layout(ou):
     """Path i's raw increments are lane i % LANES of the (n_macro, chunk,
     LANES) stream of block i // LANES: the n_sub * d fast rows, then the l

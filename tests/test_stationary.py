@@ -135,8 +135,8 @@ def test_empirical_histogram_close_to_exact(ou):
 
 def test_empirical_blowup_is_reported_on_the_frozen_clock():
     """The frozen flow dz = z^3 dt + dB from z = 4 leaves the floats at
-    frozen step 12 on seed 17's noise; the error gives that step and its
-    frozen time 12 h, not the kernel's epsilon-scaled time."""
+    frozen step 11 on seed 17's noise; the error gives that step and its
+    frozen time 11 h, not the kernel's epsilon-scaled time."""
     exploding = ModelSpec(
         d=1, l=1, p=1,
         b=lambda z, y: z**3,
@@ -148,11 +148,11 @@ def test_empirical_blowup_is_reported_on_the_frozen_clock():
     )
     bins = RectGrid.from_bounds([(-4.0, 4.0, 33)])
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
-        SimulationBlowupError, match=r"step 12 \(t = 0\.12\)"
+        SimulationBlowupError, match=r"step 11 \(t = 0\.11\)"
     ) as err:
         invariant_density_empirical(exploding, np.array([0.0]), 10.0, 1.0, bins, 17)
-    assert err.value.time_index == 12
-    assert err.value.time == 12 * 0.01
+    assert err.value.time_index == 11
+    assert err.value.time == 11 * 0.01
 
 
 def test_empirical_horizon_is_checked_on_the_frozen_clock(ou):
