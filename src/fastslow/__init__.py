@@ -13,13 +13,7 @@ from .averaging import (
     averaged_coefficients,
     homogenization_defect,
 )
-from .deviations import (
-    CorrectorProbe,
-    SweepCell,
-    TermStat,
-    mdp_speed,
-    negligibility_sweep,
-)
+from .deviations import CorrectorProbe, mdp_speed
 from .errors import (
     ConfigError,
     ConvergenceError,
@@ -39,6 +33,7 @@ from .mcengine import (
     count_trend_violations,
     exponential_inequality_grid,
     gaussian_surrogate_sweep,
+    negligibility_sweep,
     negligibility_xi,
     stopped_brownian_sampler,
     tail_probability,
@@ -121,9 +116,6 @@ __all__ = [
     "homogenization_defect",
     # corrector deviations
     "CorrectorProbe",
-    "TermStat",
-    "SweepCell",
-    "negligibility_sweep",
     "mdp_speed",
     # rate function
     "DiscretePath",
@@ -140,6 +132,7 @@ __all__ = [
     "stopped_brownian_sampler",
     "negligibility_xi",
     "boundedness_Y",
+    "negligibility_sweep",
     "count_trend_violations",
     "wilson_interval",
 ]

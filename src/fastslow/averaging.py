@@ -20,9 +20,10 @@ import numpy as np
 
 from .errors import ConfigError, SingularOperatorError
 from .grids import RectGrid, multilinear
+from .mcengine import _sweep
 from .model import diffusion_matrix
 from .poisson import solve_family
-from .simulate import DefectIntegral, simulate_block
+from .simulate import DefectIntegral
 
 __all__ = [
     "AveragedModel",
@@ -135,12 +136,16 @@ def averaged_coefficients(spec, y_grid, z_grid):
 
 @dataclass
 class DefectCell:
-    """Per-epsilon summary of the pathwise homogenization defect."""
+    """Per-epsilon summary of the pathwise homogenization defect: the median
+    and 90% quantile over paths of its running sup.  ``error`` carries the
+    message of a simulation failure that aborted this cell only, whose
+    statistics are then NaN."""
 
     epsilon: float
     n_paths: int
     median: float
     q90: float
+    error: str = ""
 
 
 def homogenization_defect(
@@ -158,7 +163,8 @@ def homogenization_defect(
     """Per-epsilon statistics of sup_t || int_0^t V(xi_s, Y_s) ds || where V is
     a coefficient minus its averaged version: which selects F - Fbar,
     G G^T - Abar, or Q - Qbar (the last needs a cell-solution family and
-    raises ConfigError without one)."""
+    raises ConfigError without one).  The paths run through the sweep driver
+    of ``mcengine``, in whole-block batches."""
     if which not in ("F", "A", "Q"):
         raise ConfigError("which must be one of 'F', 'A', 'Q'")
     if which == "Q" and family is None:
@@ -173,17 +179,13 @@ def homogenization_defect(
         return _q_values(family.at(z, y).grad_u, diffusion_matrix(spec, z, y))
 
     fast, slow = {"F": (spec.F, avg.F_at), "A": (gg, avg.A_at), "Q": (q, avg.Q_at)}[which]
-    cells = []
-    for eps in epsilon_list:
-        spec_e = spec.with_epsilon(float(eps))
-        probe = DefectIntegral(fast, slow, h)
-        simulate_block(spec_e, T, h, seed, list(range(N)), probes=(probe,))
-        cells.append(
-            DefectCell(
-                epsilon=float(eps),
-                n_paths=N,
-                median=float(np.median(probe.sup)),
-                q90=float(np.quantile(probe.sup, 0.9)),
-            )
-        )
-    return cells
+    sweep = _sweep(
+        spec, epsilon_list, T, h, N, seed,
+        lambda spec_e: DefectIntegral(fast, slow, h), lambda spec_e, probe, run: probe.sup,
+    )
+    return [
+        DefectCell(spec_e.epsilon, N, np.nan, np.nan, error=sups)
+        if isinstance(sups, str)
+        else DefectCell(spec_e.epsilon, N, float(np.median(sups)), float(np.quantile(sups, 0.9)))
+        for spec_e, sups in sweep
+    ]

@@ -14,11 +14,13 @@ Exit codes: 0 success, 2 configuration/usage error, 3 numerical failure
 (the originating module's message is printed verbatim).  NumPy's
 ``LinAlgError`` and ``MemoryError`` also exit 3, printed as one line
 ``error: <Type>: <message>``; any other exception is a bug and surfaces as
-a traceback (exit 1).  An ``mdp-check`` cell that fails is NaN in
-``mc.csv``; its reason is kept in the manifest record under
-``failed_cells``.  The records of ``average``, ``rate`` and ``delta`` also
-carry the cell family's ``cell_solves`` and ``densities``: how many distinct
-cell problems and invariant densities it solved.
+a traceback (exit 1).  The sweeps of ``mdp-check`` and ``delta`` confine a
+numerical failure to its epsilon cell instead: the cell's rows are NaN in
+``mc.csv`` or ``delta.csv``, its epsilon and reason are kept in the manifest
+record under ``failed_cells``, and the run exits 0.  The records of
+``average``, ``rate`` and ``delta`` also carry the cell family's
+``cell_solves`` and ``densities``: how many distinct cell problems and
+invariant densities it solved.
 
 ``Experiment.__init__`` ends with ``gc.freeze()``.  The imported modules and
 the parsed config live until exit, so after the freeze neither the run's
@@ -45,13 +47,13 @@ import yaml
 
 from . import __version__
 from .averaging import averaged_coefficients
-from .deviations import negligibility_sweep
 from .errors import ConfigError, FastslowError, ManifestError
 from .grids import RectGrid
 from .mcengine import (
     Event,
     brownian_sampler,
     exponential_inequality_grid,
+    negligibility_sweep,
     stopped_brownian_sampler,
     tail_probability,
     wilson_interval,
@@ -452,6 +454,15 @@ def _columns(prefix, n):
     return [f"{prefix}_{i + 1}" for i in range(n)]
 
 
+def _keep_failed_cells(out, cells):
+    """Record each failed cell's epsilon and reason under ``failed_cells`` in
+    the manifest record; return the failed cells."""
+    failed = [c for c in cells if c.error]
+    if failed:
+        out.extra["failed_cells"] = [{"epsilon": c.epsilon, "error": c.error} for c in failed]
+    return failed
+
+
 def _write_table(path, columns, data):
     """A table of floats, one line per row of data, each value as _fmt."""
     _write_csv(path, ",".join(columns), ([_fmt(v) for v in row] for row in data))
@@ -634,18 +645,18 @@ def delta(config_path):
         out.path("delta.csv"),
         "epsilon,statistic,N,hits,p_hat,scaled_log,censored",
         (
-            [_fmt(c.epsilon), name, str(c.n_paths), str(t.n_hits), _fmt(t.p_hat),
-             _fmt(t.scaled_log), str(int(t.censored))]
+            [_fmt(c.epsilon), c.event, str(c.N), str(c.hits), _fmt(c.p_hat),
+             _fmt(c.scaled_log), str(int(c.censored))]
             for c in cells
-            for name, t in (
-                ("delta", c.delta), ("boundary", c.boundary),
-                ("drift", c.drift), ("slow_noise", c.slow_noise),
-            )
         ),
     )
+    # the four statistics of an epsilon share its one failure
+    failed = _keep_failed_cells(out, [c for c in cells if c.event == "delta"])
     out.extra.update(family.counts)
     out.finalize()
-    click.echo(f"delta: {len(cells)} epsilon cells -> {out.dir}")
+    for c in failed:
+        click.echo(f"delta eps={c.epsilon:g}: failed ({c.error})")
+    click.echo(f"delta: {len(exp.epsilon_list)} epsilon cells -> {out.dir}")
 
 
 def _rate_event(block, p, l):
@@ -748,9 +759,7 @@ def mdp_check(config_path, workers):
             for c in cells
         ),
     )
-    failed = [{"epsilon": c.epsilon, "error": c.error} for c in cells if c.error]
-    if failed:
-        out.extra["failed_cells"] = failed
+    _keep_failed_cells(out, cells)
     out.finalize()
     for c in cells:
         tag = " censored" if c.censored else ""

@@ -14,28 +14,24 @@ where the remainder collects three small pieces:
                                     + (eps^(1-2kappa)/2) tr(G G^T d2_y u) ) ds
             + eps^(3/2 - 2kappa)  int (d_y u)^T G dW .                 slow noise
 
-Everything here evaluates that decomposition on simulated paths: a streaming
-probe that rides the batch kernel without storing paths (``CorrectorProbe``),
-and a sweep measuring how fast sup |Delta| — and each term separately —
-becomes negligible on the deviation scale (``negligibility_sweep``).  Both
-read a cell-solution family that the caller tabulates on its own grids
-(``poisson.solve_family``).
+This module evaluates that decomposition on simulated paths with a
+streaming probe that rides the batch kernel without storing paths
+(``CorrectorProbe``), reading a cell-solution family that the caller
+tabulates on its own grids (``poisson.solve_family``).  The sweep measuring
+how fast sup |Delta| — and each term separately — becomes negligible on the
+deviation scale is ``mcengine.negligibility_sweep``: it runs the probe through
+the one sweep driver that every path statistic shares, so its batches, its
+determinism and its per-cell failures are those of the tail sweeps.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
-from .simulate import Probe, simulate_block
+from .simulate import Probe
 
 __all__ = [
     "CorrectorProbe",
-    "TermStat",
-    "SweepCell",
-    "negligibility_sweep",
     "mdp_speed",
 ]
 
@@ -141,84 +137,3 @@ class CorrectorProbe(Probe):
         track(self.sup_noise, noise)
         track(self.identity_residual, delta - formula)
         self.delta_T = delta
-
-
-@dataclass
-class TermStat:
-    """Tail frequency of one sup statistic at one epsilon.
-
-    ``error`` stays empty here; the field exists so term stats share the
-    trend-counting interface of tail-sweep cells.
-    """
-
-    n_hits: int
-    p_hat: float
-    scaled_log: float
-    censored: bool
-    error: str = ""
-
-
-@dataclass
-class SweepCell:
-    """Tail statistics of sup |Delta| (and its three terms) at one epsilon."""
-
-    epsilon: float
-    n_paths: int
-    delta: TermStat
-    boundary: TermStat
-    drift: TermStat
-    slow_noise: TermStat
-    median_sup: float
-    max_sup: float
-    max_identity_residual: float
-
-
-def _term_stat(sups, threshold, speed, n):
-    hits = int(np.sum(sups > threshold))
-    p_hat = hits / n
-    return TermStat(
-        n_hits=hits,
-        p_hat=p_hat,
-        scaled_log=speed * math.log(max(p_hat, 1.0 / n)),
-        censored=hits == 0,
-    )
-
-
-def negligibility_sweep(
-    spec,
-    epsilon_list,
-    eta,
-    T,
-    h,
-    N,
-    seed,
-    *,
-    family,
-):
-    """P(sup_t |Delta_t| > eta) along a decreasing epsilon list, with the
-    same statistic for each of the three remainder terms separately.
-
-    Cell solutions are epsilon-free, so the one tabulated family passed in
-    serves the whole sweep.  Zero-hit cells report the 1/N censor value with
-    a flag — an upper bound, not an estimate.
-    """
-    cells = []
-    for eps in epsilon_list:
-        spec_e = spec.with_epsilon(float(eps))
-        speed = mdp_speed(spec_e)
-        probe = CorrectorProbe(spec_e, family, h)
-        simulate_block(spec_e, T, h, seed, list(range(N)), probes=(probe,))
-        cells.append(
-            SweepCell(
-                epsilon=float(eps),
-                n_paths=N,
-                delta=_term_stat(probe.sup_abs_delta, eta, speed, N),
-                boundary=_term_stat(probe.sup_boundary, eta, speed, N),
-                drift=_term_stat(probe.sup_drift, eta, speed, N),
-                slow_noise=_term_stat(probe.sup_noise, eta, speed, N),
-                median_sup=float(np.median(probe.sup_abs_delta)),
-                max_sup=float(np.max(probe.sup_abs_delta)),
-                max_identity_residual=float(np.max(probe.identity_residual)),
-            )
-        )
-    return cells

@@ -97,13 +97,11 @@ class GridField:
     """Values tabulated on a RectGrid, optionally frozen at a slow value y.
 
     ``values`` has shape (*grid.shape, ...) — trailing axes carry vector or
-    matrix structure.  ``role`` is a free-form tag ('density', 'poisson',
-    'coefficient', ...) used for sanity messages only.
+    matrix structure.
     """
 
     grid: RectGrid
     values: np.ndarray
-    role: str = "field"
     y: np.ndarray | None = None
 
     def __post_init__(self):
@@ -118,18 +116,14 @@ class GridField:
     def integrate(self):
         return self.grid.integrate(self.values)
 
-    def at(self, points, clamp=False):
-        return multilinear(self.grid, self.values, points, clamp=clamp)
 
-
-def multilinear(grid, values, points, clamp=False):
+def multilinear(grid, values, points):
     """Multilinear interpolation of grid values at arbitrary points.
 
     points : array (..., grid.ndim).  Returns array (..., *extra) where extra
     are the trailing axes of ``values``.  Points outside the grid raise
-    GridDomainError unless ``clamp`` is set, in which case they are projected
-    onto the boundary (used where rare fast-state excursions must not abort a
-    long Monte Carlo sweep).
+    GridDomainError; a caller that must not abort on rare excursions projects
+    its points onto the grid first (``PoissonFamily.at``).
 
     One cell index and one set of corner weights serve every trailing entry,
     so stacking several tables along the trailing axes and interpolating once
@@ -143,8 +137,8 @@ def multilinear(grid, values, points, clamp=False):
         raise GridDomainError(
             f"interpolation points have dimension {pts.shape[-1]}, grid has {grid.ndim}"
         )
-    # one pass per axis: range check (or projection), then the flat index of
-    # each point's lower cell corner and the two linear weights of the axis
+    # one pass per axis: range check, then the flat index of each point's
+    # lower cell corner and the two linear weights of the axis
     extra = values.shape[grid.ndim :]
     table = values.reshape((-1,) + extra)
     stride = table.shape[0]
@@ -152,13 +146,11 @@ def multilinear(grid, values, points, clamp=False):
     axis_weights = []               # per axis: (1 - frac, frac, flat stride)
     for k, ax in enumerate(grid.axes):
         x = pts[..., k]
-        if clamp:
-            x = np.clip(x, ax[0], ax[-1])
-        elif x.size and not (x.min() >= ax[0] and x.max() <= ax[-1]):
+        if x.size and not (x.min() >= ax[0] and x.max() <= ax[-1]):
             bad = pts[~grid.contains(pts)][0]
             raise GridDomainError(f"point {bad} outside tabulated range")
         stride //= ax.size
-        t = (x - ax[0]) / (ax[1] - ax[0])           # >= 0, or a clamped NaN
+        t = (x - ax[0]) / (ax[1] - ax[0])           # >= 0
         i = np.maximum(np.minimum(t.astype(np.intp), ax.size - 2), 0)
         frac = t - i
         base = base + i * stride

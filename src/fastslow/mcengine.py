@@ -5,12 +5,22 @@ All probabilities are plain Monte Carlo frequencies over paths driven by
 SFC64 lane-block streams (``simulate``): path i is lane i % LANES of
 block i // LANES under the run's seed, and consumes the same numbers no matter
 how the batch is cut, how many workers run or how many paths are drawn.
-Batches of ``DEFAULT_BATCH`` paths are whole blocks, so each batch draws only
-its own blocks, and hit counts are integer sums, so every estimate is
-invariant under the worker count.  Frequencies are reported
-with 95% Wilson intervals, and the logarithm is taken at the deviation speed
-eps^(1 - 2 kappa).  Zero-hit cells are censored at 1/N and flagged: their
-scaled log is an upper bound, which is how the trend tests treat them.
+
+Every path statistic runs through one sweep driver, ``_sweep``: the tail
+sweep (``tail_probability``), the negligibility sweeps of xi, Y and the
+corrector remainder Delta (``negligibility_xi``, ``boundedness_Y``,
+``negligibility_sweep``) and the homogenization defect
+(``averaging.homogenization_defect``).  For each epsilon it steps whole-block
+batches of ``DEFAULT_BATCH`` paths, so each batch draws only its own blocks,
+and returns the cell's per-path values in id order, so every statistic is
+invariant under the batch cut and the worker count.  A ``FastslowError``
+(a blow-up, a slow state leaving its table) aborts only its own epsilon cell:
+that cell comes back with NaN statistics and the error's message.
+
+Tail frequencies are integer hit counts, reported with 95% Wilson intervals,
+and the logarithm is taken at the deviation speed eps^(1 - 2 kappa).
+Zero-hit cells are censored at 1/N and flagged: their scaled log is an upper
+bound, which is how the trend tests treat them.
 
 There is no importance sampling.  Cells whose probability falls well below
 1/N stay censored; for the Gaussian-tail sweep, where the surrogate law is
@@ -34,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .deviations import mdp_speed
+from .deviations import CorrectorProbe, mdp_speed
 from .errors import ConfigError, FastslowError
 from .simulate import LANES, SupX, SupXi, SupY, _NoiseSource, simulate_block
 
@@ -50,6 +60,7 @@ __all__ = [
     "stopped_brownian_sampler",
     "negligibility_xi",
     "boundedness_Y",
+    "negligibility_sweep",
     "count_trend_violations",
 ]
 
@@ -117,12 +128,6 @@ def wilson_interval(hits, n):
     return lo, hi
 
 
-def _scaled_log(hits, n, speed):
-    censored = hits == 0
-    p_for_log = max(hits, 1) / n
-    return speed * math.log(p_for_log), censored
-
-
 def _run_batches(job, N, workers):
     """Run ``job`` on consecutive path-id ranges of at most ``DEFAULT_BATCH``
     ids and return its results in id order, on a thread pool when
@@ -134,29 +139,51 @@ def _run_batches(job, N, workers):
     return [job(j) for j in jobs]
 
 
-def _cell(event, epsilon, N, hits, speed, *, C=None):
+def _sweep(spec, epsilon_list, T, h, N, seed, make_probe, read, *, workers=None):
+    """The one sweep driver: per-path values of every epsilon cell.
+
+    For each epsilon, whole-block batches of ``DEFAULT_BATCH`` path ids run
+    through the kernel with the probe ``make_probe(spec_e)`` (None rides no
+    probe), and ``read(spec_e, probe, run)`` reduces a batch to its per-path
+    values; the batches run on a pool of ``workers`` threads when it is > 1.
+    Returns one (spec_e, outcome) pair per epsilon, where outcome is the
+    cell's per-path values in id order, or the message "<Type>: <message>"
+    of the ``FastslowError`` that aborted that cell and no other.
+    """
+    out = []
+    for eps in epsilon_list:
+        spec_e = spec.with_epsilon(eps)
+
+        def batch(ids, spec_e=spec_e):
+            probe = make_probe(spec_e)
+            probes = () if probe is None else (probe,)
+            run = simulate_block(spec_e, T, h, seed, list(ids), probes=probes)
+            return read(spec_e, probe, run)
+
+        try:
+            out.append((spec_e, np.concatenate(_run_batches(batch, N, workers))))
+        except FastslowError as err:
+            out.append((spec_e, f"{type(err).__name__}: {err}"))
+    return out
+
+
+def _tail_cell(event, spec_e, N, outcome, *, column=None, C=None):
+    """The tail cell of one ``_sweep`` outcome: per-path exceedance flags
+    (their ``column`` when the flags are (N, k)), or the failure that took
+    their place, which leaves NaN statistics and its message in ``error``."""
+    if isinstance(outcome, str):
+        nan = math.nan
+        return TailEstimate(
+            event=event, epsilon=spec_e.epsilon, N=N, hits=0, p_hat=nan, ci_lo=nan,
+            ci_hi=nan, scaled_log=nan, censored=False, C=C, error=outcome,
+        )
+    hits = int(np.count_nonzero(outcome if column is None else outcome[:, column]))
     lo, hi = wilson_interval(hits, N)
-    s_log, censored = _scaled_log(hits, N, speed)
+    # a zero-hit cell is censored at 1/N: its scaled log is an upper bound
+    scaled_log = mdp_speed(spec_e) * math.log(max(hits, 1) / N)
     return TailEstimate(
-        event=event,
-        epsilon=epsilon,
-        N=N,
-        hits=int(hits),
-        p_hat=hits / N,
-        ci_lo=lo,
-        ci_hi=hi,
-        scaled_log=s_log,
-        censored=censored,
-        C=C,
-    )
-
-
-def _failed_cell(event, epsilon, N, err, *, C=None):
-    nan = math.nan
-    return TailEstimate(
-        event=event, epsilon=epsilon, N=N, hits=0, p_hat=nan, ci_lo=nan,
-        ci_hi=nan, scaled_log=nan, censored=False, C=C,
-        error=f"{type(err).__name__}: {err}",
+        event=event, epsilon=spec_e.epsilon, N=N, hits=hits, p_hat=hits / N,
+        ci_lo=lo, ci_hi=hi, scaled_log=scaled_log, censored=hits == 0, C=C,
     )
 
 
@@ -178,28 +205,17 @@ def tail_probability(
     N = int(N)
     if N < _MIN_PATHS:
         raise ConfigError(f"N must be at least {_MIN_PATHS} paths, got {N}")
+    sup_x = event.functional == "sup_x"
 
-    out = []
-    for eps in epsilon_list:
-        spec_e = spec.with_epsilon(eps)
-        speed = mdp_speed(spec_e)
+    def exceeds(spec_e, probe, run):
+        vals = probe.value if sup_x else run.X
+        return vals[:, event.component] > event.threshold
 
-        def count(ids, spec_e=spec_e):
-            probes = (SupX(),) if event.functional == "sup_x" else ()
-            run = simulate_block(spec_e, event.T, h, seed, list(ids), probes=probes)
-            if event.functional == "terminal_x":
-                vals = run.X[:, event.component]
-            else:
-                vals = probes[0].value[:, event.component]
-            return int(np.count_nonzero(vals > event.threshold))
-
-        try:
-            hits = sum(_run_batches(count, N, workers))
-        except FastslowError as err:
-            out.append(_failed_cell(event, eps, N, err))
-            continue
-        out.append(_cell(event, eps, N, hits, speed))
-    return out
+    sweep = _sweep(
+        spec, epsilon_list, event.T, h, N, seed,
+        lambda spec_e: SupX() if sup_x else None, exceeds, workers=workers,
+    )
+    return [_tail_cell(event, spec_e, N, flags) for spec_e, flags in sweep]
 
 
 def gaussian_surrogate_sweep(Q, T, threshold, epsilon_list, kappa):
@@ -358,24 +374,14 @@ def negligibility_xi(
         )
     N = int(N)
     label = f"eps^{l_exp} * sup_t ||xi||^{p_exp} > {eta}"
-    out = []
-    for eps in epsilon_list:
-        spec_e = spec.with_epsilon(eps)
-        speed = mdp_speed(spec_e)
-        scale = float(eps) ** l_exp
 
-        def count(ids, spec_e=spec_e, scale=scale):
-            sup_xi = SupXi()
-            simulate_block(spec_e, T, h, seed, list(ids), probes=(sup_xi,))
-            return int(np.count_nonzero(scale * sup_xi.value**p_exp > eta))
+    def exceeds(spec_e, probe, run):
+        return spec_e.epsilon**l_exp * probe.value**p_exp > eta
 
-        try:
-            hits = sum(_run_batches(count, N, workers))
-        except FastslowError as err:
-            out.append(_failed_cell(label, eps, N, err))
-            continue
-        out.append(_cell(label, eps, N, hits, speed))
-    return out
+    sweep = _sweep(
+        spec, epsilon_list, T, h, N, seed, lambda spec_e: SupXi(), exceeds, workers=workers,
+    )
+    return [_tail_cell(label, spec_e, N, flags) for spec_e, flags in sweep]
 
 
 def boundedness_Y(
@@ -392,17 +398,51 @@ def boundedness_Y(
     shared batch of paths at the model's own epsilon."""
     N = int(N)
     C_arr = np.asarray(list(C_list), float)
-    speed = mdp_speed(spec)
-
-    def count(ids):
-        sup_y = SupY()
-        simulate_block(spec, T, h, seed, list(ids), probes=(sup_y,))
-        return (sup_y.value[:, None] > C_arr[None, :]).sum(axis=0)
-
-    hits_per_C = np.sum(_run_batches(count, N, workers), axis=0)
+    ((spec_e, flags),) = _sweep(
+        spec, [spec.epsilon], T, h, N, seed, lambda spec_e: SupY(),
+        lambda spec_e, probe, run: probe.value[:, None] > C_arr[None, :], workers=workers,
+    )
     return [
-        _cell(f"sup_t |Y_t| > {C}", spec.epsilon, N, int(hits), speed, C=float(C))
-        for C, hits in zip(C_arr, hits_per_C)
+        _tail_cell(f"sup_t |Y_t| > {C}", spec_e, N, flags, column=j, C=float(C))
+        for j, C in enumerate(C_arr)
+    ]
+
+
+def negligibility_sweep(
+    spec,
+    epsilon_list,
+    eta,
+    T,
+    h,
+    N,
+    seed,
+    *,
+    family,
+):
+    """P(sup_t |Delta_t| > eta) along a decreasing epsilon list, with the
+    same statistic for each of the three remainder terms separately.
+
+    Returns one tail cell per epsilon and statistic, epsilon-major, with
+    ``event`` naming the statistic: delta, boundary, drift, slow_noise.
+    Cell solutions are epsilon-free, so the one tabulated family passed in
+    serves the whole sweep.  Zero-hit cells report the 1/N censor value with
+    a flag — an upper bound, not an estimate.
+    """
+    N = int(N)
+    terms = ("delta", "boundary", "drift", "slow_noise")
+
+    def exceeds(spec_e, probe, run):
+        sups = (probe.sup_abs_delta, probe.sup_boundary, probe.sup_drift, probe.sup_noise)
+        return np.stack(sups, axis=-1) > eta
+
+    sweep = _sweep(
+        spec, epsilon_list, T, h, N, seed,
+        lambda spec_e: CorrectorProbe(spec_e, family, h), exceeds,
+    )
+    return [
+        _tail_cell(name, spec_e, N, flags, column=j)
+        for spec_e, flags in sweep
+        for j, name in enumerate(terms)
     ]
 
 

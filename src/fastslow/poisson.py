@@ -329,8 +329,8 @@ def _solve_on_mesh(y, rhs_mesh, pi, method, mesh, window, coefs, factor=None):
     residual = _interior_residual(pi.grid, a[window], bvec[window], u_vals, rhs_user)
     y_arr = np.atleast_1d(np.asarray(y, float))
     sol = PoissonSolution(
-        u=GridField(pi.grid, u_vals, role="corrector", y=y_arr),
-        grad_u=GridField(pi.grid, grad_mesh[window], role="corrector_gradient", y=y_arr),
+        u=GridField(pi.grid, u_vals, y=y_arr),
+        grad_u=GridField(pi.grid, grad_mesh[window], y=y_arr),
         residual=residual,
         centering_defect=defect,
         y=y_arr,
@@ -475,7 +475,7 @@ def solve_family(spec, y_grid, z_grid):
         node = (*frozen_coefficients(spec, y, mesh), _sample_rhs(spec.H, mesh, y, spec.p, spec.l))
         same_flow = _same_bytes(node[:2], last[:2])
         if same_flow:
-            pi = GridField(z_grid, pi.values, role="density", y=y)
+            pi = GridField(z_grid, pi.values, y=y)
         else:
             factor = None
             # a copy, so the family holds the user-grid window, not the mesh

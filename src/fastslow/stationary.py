@@ -305,7 +305,7 @@ def frozen_density(grid, y, a, bvec):
     densities a family builds."""
     weight = _closed_form_weight if grid.ndim == 1 else _finite_volume_weight
     field = GridField(
-        grid, weight(a, bvec, grid), role="density", y=np.atleast_1d(np.asarray(y, float))
+        grid, weight(a, bvec, grid), y=np.atleast_1d(np.asarray(y, float))
     )
     _boundary_mass_check(field)
     return field
@@ -365,7 +365,7 @@ def invariant_density_empirical(spec, y, T, burn_in, bins, seed):
     Z = grid.integrate(vals)
     if Z <= 0:
         raise GridDomainError("trajectory never visited the histogram grid")
-    field = GridField(grid, vals / Z, role="density", y=np.atleast_1d(np.asarray(y, float)))
+    field = GridField(grid, vals / Z, y=np.atleast_1d(np.asarray(y, float)))
     _boundary_mass_check(field)
     return field
 
@@ -396,15 +396,13 @@ def invariant_density(spec, y, grid, method="auto", **kw):
 
 
 def check_centering(f, pi):
-    """Trapezoidal integral of f against a density field, per component."""
+    """Trapezoidal integral of the callable f(z, y) against a density field,
+    per component."""
     grid = pi.grid
-    if callable(f):
-        pts = grid.points().reshape(-1, grid.ndim)
-        y_arr = np.broadcast_to(pi.y, (pts.shape[0], pi.y.size)) if pi.y is not None else None
-        vals = np.asarray(f(pts, y_arr), float)
-        vals = vals.reshape(grid.shape + vals.shape[1:])
-    else:
-        vals = np.asarray(f, float)
+    pts = grid.points().reshape(-1, grid.ndim)
+    y_arr = np.broadcast_to(pi.y, (pts.shape[0], pi.y.size)) if pi.y is not None else None
+    vals = np.asarray(f(pts, y_arr), float)
+    vals = vals.reshape(grid.shape + vals.shape[1:])
     extra = vals.ndim - grid.ndim
     pw = pi.values.reshape(pi.values.shape + (1,) * extra)
     return np.atleast_1d(grid.integrate(vals * pw))

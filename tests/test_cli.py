@@ -293,6 +293,8 @@ def test_delta_sweep_table(runner, tmp_path):
         for name in ("delta", "boundary", "drift", "slow_noise")
     ]
     assert all(r[2] == "200" for r in rows)
+    record = json.loads((out / "manifest.json").read_text())["outputs"]["delta.csv"]
+    assert "failed_cells" not in record
 
 
 def test_mdp_check_worker_invariance(runner, tmp_path):
@@ -639,17 +641,6 @@ def test_unknown_sampler(runner, tmp_path):
     assert "unknown sampler 'levy'" in text_of(result)
 
 
-def test_delta_reports_grid_exit_as_runtime_error(runner, tmp_path):
-    cfg = base_config(tmp_path / "out", delta={"eta": 0.5})
-    cfg["grids"] = {"z_nodes": 201, "y_box": [[-0.05, 0.05]], "y_nodes": 5}
-    result = runner.invoke(main, ["delta", str(write_cfg(tmp_path, cfg))])
-    assert result.exit_code == 3
-    assert (
-        "error: slow state left the tabulated y-grid; extend the tabulation range"
-        in text_of(result)
-    )
-
-
 def _raising(exc):
     def callee(*args, **kwargs):
         raise exc
@@ -740,6 +731,37 @@ def test_mdp_check_keeps_failed_cell_reasons(runner, tmp_path):
     assert failed["epsilon"] == 0.01
     assert failed["error"].startswith("SimulationBlowupError: ")
     assert f"failed ({failed['error']})" in result.output
+
+
+# ou's fast flow with the escaping slow drift F = y^3 + 3: every path leaves
+# the tabulated y-box [-2, 2] before T = 0.5
+ESCAPING_INLINE = dict(OU_INLINE, F=[[{"c": 1.0, "y": [3]}, {"c": 3.0}]])
+
+
+def test_delta_keeps_failed_cell_reasons(runner, tmp_path):
+    """A slow state leaving the y-grid fails its epsilon cell, not the run:
+    delta exits 0, writes the cell's four statistics as NaN rows and keeps
+    each epsilon's reason in the manifest."""
+    out = tmp_path / "out"
+    cfg = base_config(out, delta={"eta": 0.5})
+    cfg["model"] = {"inline": ESCAPING_INLINE}
+    result = runner.invoke(
+        main, ["delta", str(write_cfg(tmp_path, cfg))], catch_exceptions=False
+    )
+    assert result.exit_code == 0
+    rows = [line.split(",") for line in (out / "delta.csv").read_text().splitlines()[1:]]
+    assert [(r[0], r[1]) for r in rows] == [
+        (eps, name)
+        for eps in ("0.1", "0.05")
+        for name in ("delta", "boundary", "drift", "slow_noise")
+    ]
+    assert all(r[2:] == ["1000", "0", "nan", "nan", "0"] for r in rows)
+    record = json.loads((out / "manifest.json").read_text())["outputs"]["delta.csv"]
+    reason = "GridDomainError: slow state left the tabulated y-grid; extend the tabulation range"
+    assert record["failed_cells"] == [
+        {"epsilon": 0.1, "error": reason}, {"epsilon": 0.05, "error": reason}
+    ]
+    assert f"failed ({reason})" in result.output
 
 
 # the 2-d inline model of the cell-2d benchmark: b = -z, sigma = sqrt2 I

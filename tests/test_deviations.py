@@ -88,29 +88,31 @@ def test_sweep_cells_and_censoring(ou, ou_family):
     cells = negligibility_sweep(
         ou, [0.1, 0.05], 0.25, 0.5, 0.01, 200, 9, family=ou_family
     )
-    assert [c.epsilon for c in cells] == [0.1, 0.05]
+    # four statistics per epsilon, epsilon-major
+    assert [(c.epsilon, c.event) for c in cells] == [
+        (eps, name)
+        for eps in (0.1, 0.05)
+        for name in ("delta", "boundary", "drift", "slow_noise")
+    ]
     for c in cells:
-        assert c.n_paths == 200
+        assert c.N == 200 and c.error == ""
         speed = mdp_speed(ou.with_epsilon(c.epsilon))
-        for stat in (c.delta, c.boundary, c.drift, c.slow_noise):
-            if stat.censored:
-                # a zero-hit cell reports the 1/N bound, flagged
-                assert stat.n_hits == 0
-                assert stat.scaled_log == pytest.approx(speed * np.log(1.0 / 200))
-            else:
-                assert stat.p_hat == pytest.approx(stat.n_hits / 200)
-            assert stat.scaled_log <= 0.0
-        assert c.max_sup >= c.median_sup >= 0.0
+        if c.censored:
+            # a zero-hit cell reports the 1/N bound, flagged
+            assert c.hits == 0
+            assert c.scaled_log == pytest.approx(speed * np.log(1.0 / 200))
+        else:
+            assert c.p_hat == pytest.approx(c.hits / 200)
+        assert c.scaled_log <= 0.0
     # an unreachable threshold censors every cell
     far = negligibility_sweep(ou, [0.1], 50.0, 0.1, 0.01, 50, 9, family=ou_family)
-    assert far[0].delta.censored and far[0].delta.n_hits == 0
+    assert far[0].censored and far[0].hits == 0
 
 
 def test_sweep_is_reproducible(ou, ou_family):
     a = negligibility_sweep(ou, [0.1], 0.25, 0.3, 0.01, 100, 5, family=ou_family)
     b = negligibility_sweep(ou, [0.1], 0.25, 0.3, 0.01, 100, 5, family=ou_family)
-    assert a[0].delta.n_hits == b[0].delta.n_hits
-    assert a[0].median_sup == b[0].median_sup
+    assert a == b
 
 
 # ---------------------------------------------------------------------------

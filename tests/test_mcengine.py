@@ -14,6 +14,8 @@ from fastslow import (
     count_trend_violations,
     exponential_inequality_grid,
     gaussian_surrogate_sweep,
+    homogenization_defect,
+    negligibility_sweep,
     negligibility_xi,
     stopped_brownian_sampler,
     tail_probability,
@@ -96,6 +98,33 @@ def test_failed_cell_isolates_its_epsilon(ou):
     assert failed.error.startswith("SimulationBlowupError: ")
     assert math.isnan(failed.p_hat) and math.isnan(failed.scaled_log)
     assert kept == alone and kept.error == ""
+
+
+def test_defect_and_level_sweeps_confine_a_failure_to_its_cell(ou, ou_avg):
+    """The b = 100 z model above, through the homogenization defect and the
+    level sweep of Y: the eps = 0.01 cells fail with their reason and NaN
+    statistics instead of raising, and the defect cell after the failure
+    equals a sweep that never met it.
+
+    F = z - y carries the growing fast state into Y, so the defect runs
+    three macro steps only: at eps = 0.1 Y then stays on the averaged table,
+    and at eps = 0.01 (ten micro steps per macro step) it leaves it."""
+    unstable = ModelSpec(
+        d=1, l=1, p=1,
+        b=lambda z, y: 100.0 * z, sigma=ou.sigma, F=ou.F, G=ou.G, H=ou.H,
+        epsilon=0.01, kappa=0.25, z0=[0.0], y0=[0.0],
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        failed, kept = homogenization_defect(unstable, ou_avg, "F", [0.01, 0.1], 0.03, 0.01, 64, 7)
+        levels = boundedness_Y(unstable, [0.5, 1.0], 0.5, 0.01, 1000, 7)
+    (alone,) = homogenization_defect(unstable, ou_avg, "F", [0.1], 0.03, 0.01, 64, 7)
+    assert failed.error.startswith("GridDomainError: ")
+    assert math.isnan(failed.median) and math.isnan(failed.q90)
+    assert kept == alone and kept.error == ""
+    assert [c.C for c in levels] == [0.5, 1.0]
+    for c in levels:
+        assert c.error.startswith("SimulationBlowupError: ")
+        assert c.hits == 0 and math.isnan(c.p_hat) and not c.censored
 
 
 def test_surrogate_sweep_matches_closed_form():
@@ -301,15 +330,32 @@ def test_negligibility_xi_sweep_shape(ou):
     assert count_trend_violations(cells) == 0
 
 
-def test_boundedness_y_levels_are_nested(ou, monkeypatch):
+def test_boundedness_y_levels_are_nested(ou):
     cells = boundedness_Y(ou, [0.5, 1.0, 2.0], 0.5, 0.01, 2000, 13)
     assert [c.C for c in cells] == [0.5, 1.0, 2.0]
     hits = [c.hits for c in cells]
     assert hits[0] >= hits[1] >= hits[2]  # larger level, rarer excursion
     assert cells[0].epsilon == ou.epsilon
+
+
+@pytest.mark.parametrize("sweep", ["boundedness_Y", "negligibility_sweep", "homogenization_defect"])
+def test_sweep_cells_do_not_depend_on_the_batch_cut(sweep, ou, ou_family, ou_avg, monkeypatch):
+    """N = 2000 runs as one batch, then as batches of 700 ids that split lane
+    blocks (on 3 workers where the sweep takes them): the cells are equal."""
+    run = {
+        "boundedness_Y": lambda: boundedness_Y(
+            ou, [0.5, 1.0, 2.0], 0.5, 0.01, 2000, 13, workers=3
+        ),
+        "negligibility_sweep": lambda: negligibility_sweep(
+            ou, [0.1, 0.05], 0.25, 0.5, 0.01, 2000, 9, family=ou_family
+        ),
+        "homogenization_defect": lambda: homogenization_defect(
+            ou, ou_avg, "F", [0.1, 0.01], 0.5, 0.01, 2000, 11
+        ),
+    }[sweep]
+    whole = run()
     monkeypatch.setattr(mcengine, "DEFAULT_BATCH", 700)
-    multi = boundedness_Y(ou, [0.5, 1.0, 2.0], 0.5, 0.01, 2000, 13, workers=3)
-    assert [c.hits for c in multi] == hits
+    assert run() == whole
 
 
 def _stub(scaled_log, censored=False, error=""):

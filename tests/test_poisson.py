@@ -405,6 +405,6 @@ def test_singular_generator_is_a_typed_error():
     )
     grid = RectGrid.from_bounds([(-3.0, 3.0, 31)])
     z = grid.axes[0]
-    pi = GridField(grid, np.exp(-0.5 * z**2) / np.sqrt(2.0 * np.pi), role="density")
+    pi = GridField(grid, np.exp(-0.5 * z**2) / np.sqrt(2.0 * np.pi))
     with pytest.raises(SingularOperatorError, match="singular"):
         solve_poisson(still, np.array([0.0]), lambda z, y: 0.0 * z, pi, method="grid_solve")

@@ -186,8 +186,3 @@ def test_centering_detects_shift(ou, ou_pi):
     second = check_centering(lambda z, y: z**2, ou_pi)
     assert second[0] == pytest.approx(1.0, abs=1e-6)
 
-
-def test_centering_accepts_node_arrays(ou_pi, z_grid):
-    vals = z_grid.axes[0] ** 2
-    got = check_centering(vals, ou_pi)
-    assert got[0] == pytest.approx(1.0, abs=1e-6)
