@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, SingularOperatorError
+from .errors import ConfigError, GridDomainError, SingularOperatorError
 from .grids import RectGrid, multilinear
 from .mcengine import _sweep
 from .model import diffusion_matrix
@@ -75,14 +75,26 @@ class AveragedModel:
     def l(self):
         return self.Fbar.shape[-1]
 
+    def _at(self, table, y):
+        """One table at the slow states y, which must lie on the y-grid."""
+        y = np.asarray(y, float)
+        try:
+            return multilinear(self.y_grid, table, y)
+        except GridDomainError:
+            if not np.all(self.y_grid.contains(y)):
+                raise GridDomainError(
+                    "slow state left the averaged table's y-grid; extend the tabulation range"
+                ) from None
+            raise
+
     def Q_at(self, y):
-        return multilinear(self.y_grid, self.Qbar, np.asarray(y, float))
+        return self._at(self.Qbar, y)
 
     def A_at(self, y):
-        return multilinear(self.y_grid, self.Abar, np.asarray(y, float))
+        return self._at(self.Abar, y)
 
     def F_at(self, y):
-        return multilinear(self.y_grid, self.Fbar, np.asarray(y, float))
+        return self._at(self.Fbar, y)
 
     def _require_margin(self, which):
         margin = self.min_eig_Q if which == "Q" else self.min_eig_A

@@ -18,9 +18,9 @@ a traceback (exit 1).  The sweeps of ``mdp-check`` and ``delta`` confine a
 numerical failure to its epsilon cell instead: the cell's rows are NaN in
 ``mc.csv`` or ``delta.csv``, its epsilon and reason are kept in the manifest
 record under ``failed_cells``, and the run exits 0.  The records of
-``average``, ``rate`` and ``delta`` also carry the cell family's
-``cell_solves`` and ``densities``: how many distinct cell problems and
-invariant densities it solved.
+``average``, ``rate``, ``delta`` and ``poisson`` also carry ``cell_solves``
+and ``densities``, the distinct cell problems and invariant densities their
+node steps solved; ``validate`` carries the ``densities`` of its check.
 
 ``Experiment.__init__`` ends with ``gc.freeze()``.  The imported modules and
 the parsed config live until exit, so after the freeze neither the run's
@@ -513,6 +513,7 @@ def validate(config_path):
         ("ok", str(int(report.ok))),
     ]
     _write_csv(out.path("validate.csv"), "check,value", rows)
+    out.extra.update(report.counts)
     for v in report.violations:
         click.echo(f"violation [{v.assumption}]: {v.detail}")
     out.finalize()
@@ -577,17 +578,17 @@ def poisson(config_path):
     y = np.asarray(_as_float_list(block.get("y", [0.0] * exp.spec.l), "poisson.y"))
     method = str(block.get("method", "auto"))
     out = OutputDir(exp, "poisson")
-    pi = invariant_density(exp.spec, y, exp.z_grid)
-    sol = solve_poisson(exp.spec, y, exp.spec.H, pi, method=method)
-    pts = sol.grid.points().reshape(-1, sol.grid.ndim)
+    sol = solve_poisson(exp.spec, y, exp.spec.H, exp.z_grid, method=method)
+    pts = exp.z_grid.points().reshape(-1, exp.spec.d)
     u = sol.u.values.reshape(len(pts), -1)
     grad = sol.grad_u.values.reshape(len(pts), -1)
     _write_table(
         out.path("poisson.csv"),
-        _columns("z", sol.grid.ndim) + _columns("u", u.shape[1])
+        _columns("z", exp.spec.d) + _columns("u", u.shape[1])
         + _columns("grad_u", grad.shape[1]),
         np.hstack([pts, u, grad]),
     )
+    out.extra.update(sol.counts)
     out.extra["residual"] = float(sol.residual)
     out.extra["centering_defect"] = float(np.max(np.abs(sol.centering_defect)))
     out.finalize()

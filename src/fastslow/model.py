@@ -17,7 +17,7 @@ it broadcasts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -122,6 +122,7 @@ class ValidationReport:
     growth_F: float
     bound_G: float
     violations: list
+    counts: dict = field(default_factory=dict)
 
     @property
     def ok(self):
@@ -249,36 +250,28 @@ def validate_model(
     # restoring drift there is none, so skip, and if the density solve still
     # fails, report that as a violation rather than raising (the whole point
     # of this function is to inspect broken models)
-    centering = None
+    centering = step = None
     skip = {"A_ellipticity", "A_dissipativity"}
     if spec.d <= 2 and not any(v.assumption in skip for v in violations):
         from .errors import FastslowError
-        from .stationary import invariant_density, check_centering
+        from .poisson import _NodeStep
+        from .stationary import check_centering
 
         nodes = density_nodes or (601 if spec.d == 1 else 101)
-        grid = RectGrid.from_bounds([(lo, hi, nodes) for lo, hi in z_box])
-        worst = 0.0
-        worst_y = None
+        step = _NodeStep(spec, RectGrid.from_bounds([(lo, hi, nodes) for lo, hi in z_box]))
+        worst, worst_y = 0.0, None
         try:
             for y in Y:
-                pi = invariant_density(spec, y, grid)
-                defect = np.max(np.abs(check_centering(spec.H, pi)))
+                defect = np.max(np.abs(check_centering(spec.H, step.density(y))))
                 if defect > worst:
                     worst, worst_y = float(defect), y
-            centering = worst
         except FastslowError as exc:
-            violations.append(
-                Violation("A_centering", None, worst_y, f"invariant density unavailable: {exc}")
-            )
-        if centering is not None and centering > centering_tol:
-            violations.append(
-                Violation(
-                    "A_centering",
-                    None,
-                    worst_y,
-                    f"max_y ||int H pi|| = {worst:.3e} > {centering_tol:g}",
-                )
-            )
+            detail = f"invariant density unavailable: {exc}"
+        else:
+            centering = worst
+            detail = f"max_y ||int H pi|| = {worst:.3e} > {centering_tol:g}"
+        if centering is None or centering > centering_tol:
+            violations.append(Violation("A_centering", None, worst_y, detail))
 
     growth_F = float(
         np.max(np.linalg.norm(vals["F"], axis=-1) / (1.0 + np.linalg.norm(yy, axis=-1)))
@@ -294,6 +287,7 @@ def validate_model(
         growth_F=growth_F,
         bound_G=bound_G,
         violations=violations,
+        counts={"densities": step.counts["densities"] if step else 0},
     )
 
 

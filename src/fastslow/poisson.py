@@ -18,28 +18,23 @@ Two routes:
   (zero-derivative) closure at the boundary, one grid equation replaced by
   the centering constraint, sparse direct solve.
 
-Both routes solve on a mesh built once per call: the requested grid padded
-on each side (and refined 4-fold for the 1-d closed form).  Truncating the
-domain at the user grid imposes a zero-flux condition *there*, whose
-boundary layer (size ~ exp(-L(L - |z|))/L for Gaussian-type weights) would
-pollute the outermost nodes of the answer; the padding pushes the layer
-outside the returned window.  So the right-hand side is a callable,
-sampled on the mesh.  It is sampled there once per slow node, as are b and
-a = sigma sigma^T, and those arrays, with their window on the user grid,
-feed the density, the route and the residual check.  A family keeps each
-node's density and user-grid a, which the averaged table integrates against.
+Both routes solve on the requested grid padded on each side (and refined
+4-fold for the 1-d closed form).  Truncating the domain at the user grid
+would impose a zero-flux condition there, whose boundary layer (size
+~ exp(-L(L - |z|))/L for Gaussian-type weights) would pollute the outermost
+nodes; the padding pushes the layer outside the returned window.
 
-A family over a y-grid (``solve_family``) reuses work across slow nodes.  In
-the paper the fast diffusion does not depend on the slow state; only H, F
-and G may.  So the frozen operator, its invariant density and its anchored
-LU factor are the same at every node, and when H ignores y as well (as in
-every benchmark and workload model) so is the whole cell problem.  The
-family samples b, a and H on the mesh once per node and makes one reuse
-decision from them: when all three match the previous node's bytes, it
-copies that node's u and grad u and solves nothing; when only b and a
-match, it keeps the density and factor and solves for the new H.  A model
-whose fast coefficients depend on y still factors once per node.  The
-family counts its distinct cell solves and densities in ``counts``.
+One node step (``_NodeStep``) serves every caller: ``solve_family`` takes it
+at each y-node, ``solve_poisson`` once, and ``model.validate_model``'s
+centering check takes its density half at each y sample, on its own grid.
+It samples b, a = sigma sigma^T and the rhs once on the mesh, and the
+density, the route and the residual read those arrays.  In the paper the
+fast diffusion does not depend on the slow state, so one density and one
+anchored LU factor serve every node: the step builds them only when b and a
+change bytes from the last node's, and solves only when the rhs changes too
+(so when H ignores y as well, as in every benchmark and workload model, one
+cell problem serves every node).  Its ``counts`` of densities and cell
+solves reach the family, the solution and the validation report.
 
 ``scipy.sparse`` is imported inside the grid route's assembly and anchoring
 (``_assemble_generator``, ``_replace_row``) and the factor comes from
@@ -50,7 +45,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from itertools import product
 from typing import NamedTuple
 
@@ -59,6 +54,7 @@ import numpy as np
 from .errors import FredholmError, GridDomainError
 from .grids import GridField, RectGrid, corrected_cumtrapz, multilinear
 from .stationary import (
+    _on_grid,
     frozen_coefficients,
     frozen_density,
     sparse_lu,
@@ -85,18 +81,15 @@ class PoissonSolution:
     u.values has shape (*grid.shape, p); grad_u.values (*grid.shape, p, d).
     residual is the max interior-node value of ||L_y u + rhs|| under the same
     finite-difference stencil the grid route uses, so 'discrete
-    self-consistency' is checkable without re-solving.
+    self-consistency' is checkable without re-solving.  ``solve_poisson``
+    sets counts to its node step's ``{"cell_solves": 1, "densities": 1}``.
     """
 
     u: GridField
     grad_u: GridField
     residual: float
     centering_defect: np.ndarray
-    y: np.ndarray
-
-    @property
-    def grid(self):
-        return self.u.grid
+    counts: dict = field(default_factory=dict)
 
 
 def _solve_mesh(user_grid, method):
@@ -117,16 +110,6 @@ def _solve_mesh(user_grid, method):
         axes.append(fine)
         window.append(slice(n_add * r, (n_add + ax.size - 1) * r + 1, r))
     return RectGrid(tuple(axes)), tuple(window)
-
-
-def _sample_rhs(rhs, grid, y, p, l):
-    """A callable rhs (z, y) -> (..., p) sampled at the grid nodes."""
-    pts = grid.points().reshape(-1, grid.ndim)
-    y_arr = np.broadcast_to(np.atleast_1d(np.asarray(y, float)), (pts.shape[0], l))
-    vals = np.asarray(rhs(pts, y_arr), float)
-    if vals.ndim == 1:
-        vals = vals[:, None]
-    return vals.reshape(grid.shape + (p,))
 
 
 def _fredholm_check(rhs_vals, pi):
@@ -309,44 +292,68 @@ def _route(spec, grid, method):
     return method
 
 
-def _solve_on_mesh(y, rhs_mesh, pi, method, mesh, window, coefs, factor=None):
-    """The solution at one slow node from the rhs, a and b sampled on the
-    solve mesh, and the grid route's anchored factor (given, or made here)."""
-    rhs_user = rhs_mesh[window]
-    _fredholm_check(rhs_user, pi)
-    a, bvec = coefs
-    if method == "closed_form_1d":
-        u_mesh, grad_mesh = _closed_form_1d(mesh.axes[0], a, bvec, rhs_mesh)
-    else:
-        factor = factor or _anchored_lu(a, bvec, pi, mesh, window)
-        u_mesh, grad_mesh = _grid_solve(mesh, factor, rhs_mesh)
+class _NodeStep:
+    """The cell step of one model on one z-grid, taken at one slow node
+    after another (see the module docstring).  ``density(y)`` samples b and
+    a on the mesh and builds the density from their window only when they
+    changed bytes; a kept density takes the current y.  ``solve(y, rhs)``
+    samples the rhs there too and solves only when the flow or the rhs
+    changed.  With no method the mesh is the z-grid itself, for ``density``
+    alone.  ``counts`` holds the densities built and the problems solved."""
 
-    # exact discrete centering against the user-grid density
-    u_vals = u_mesh[window]
-    mean = np.atleast_1d(pi.grid.integrate(u_vals * pi.values[..., None]))
-    u_vals = u_vals - mean
-    defect = np.atleast_1d(pi.grid.integrate(u_vals * pi.values[..., None]))
-    residual = _interior_residual(pi.grid, a[window], bvec[window], u_vals, rhs_user)
-    y_arr = np.atleast_1d(np.asarray(y, float))
-    sol = PoissonSolution(
-        u=GridField(pi.grid, u_vals, y=y_arr),
-        grad_u=GridField(pi.grid, grad_mesh[window], y=y_arr),
-        residual=residual,
-        centering_defect=defect,
-        y=y_arr,
-    )
-    return sol, factor
+    def __init__(self, spec, grid, method=None):
+        self.spec, self.grid, self.method = spec, grid, method and _route(spec, grid, method)
+        self.mesh, self.window = (
+            _solve_mesh(grid, self.method) if method else (grid, (slice(None),) * grid.ndim)
+        )
+        self.counts = {"cell_solves": 0, "densities": 0}
+        self.flow, self.rhs = (None, None), (None,)    # the last node's mesh samples
+
+    def density(self, y):
+        flow = frozen_coefficients(self.spec, y, self.mesh)
+        if _same_bytes(flow, self.flow):
+            self.pi = GridField(self.grid, self.pi.values, y=y)
+            return self.pi
+        # a copy, so a family holds the user-grid window, not the mesh
+        self.a = np.ascontiguousarray(flow[0][self.window])
+        self.pi = frozen_density(self.grid, y, self.a, flow[1][self.window])
+        self.flow, self.rhs, self.factor = flow, (None,), None
+        self.counts["densities"] += 1
+        return self.pi
+
+    def solve(self, y, rhs):
+        pi, grid, mesh, window = self.density(y), self.grid, self.mesh, self.window
+        [rhs_mesh] = _on_grid(mesh, y, self.spec.l, rhs)
+        rhs_mesh = rhs_mesh.reshape(mesh.shape + (self.spec.p,))
+        if _same_bytes((rhs_mesh,), self.rhs):
+            return self.sol
+        a, bvec = self.flow
+        _fredholm_check(rhs_mesh[window], pi)
+        if self.method == "closed_form_1d":
+            u_mesh, grad_mesh = _closed_form_1d(mesh.axes[0], a, bvec, rhs_mesh)
+        else:
+            self.factor = self.factor or _anchored_lu(a, bvec, pi, mesh, window)
+            u_mesh, grad_mesh = _grid_solve(mesh, self.factor, rhs_mesh)
+        # exact discrete centering against the user-grid density
+        u_vals = u_mesh[window]
+        u_vals = u_vals - np.atleast_1d(grid.integrate(u_vals * pi.values[..., None]))
+        self.sol = PoissonSolution(
+            u=GridField(grid, u_vals, y=y),
+            grad_u=GridField(grid, grad_mesh[window], y=y),
+            residual=_interior_residual(grid, a[window], bvec[window], u_vals, rhs_mesh[window]),
+            centering_defect=np.atleast_1d(grid.integrate(u_vals * pi.values[..., None])),
+        )
+        self.rhs = (rhs_mesh,)
+        self.counts["cell_solves"] += 1
+        return self.sol
 
 
-def solve_poisson(spec, y, rhs, pi, method="auto"):
-    """Solve L_y u = -rhs, centered against pi.  rhs: callable (z, y) -> (..., p),
-    sampled on the padded solve mesh."""
-    method = _route(spec, pi.grid, method)
-    mesh, window = _solve_mesh(pi.grid, method)
-    return _solve_on_mesh(
-        y, _sample_rhs(rhs, mesh, y, spec.p, spec.l), pi, method, mesh, window,
-        frozen_coefficients(spec, y, mesh),
-    )[0]
+def solve_poisson(spec, y, rhs, grid, method="auto"):
+    """Solve L_y u = -rhs on the z-grid, centered against the frozen density
+    at y: one node step, which samples b, sigma and the callable rhs
+    (z, y) -> (..., p) once each.  ``counts`` on the solution are its own."""
+    step = _NodeStep(spec, grid, method)
+    return replace(step.solve(y, rhs), counts=step.counts)
 
 
 # ---------------------------------------------------------------------------
@@ -454,47 +461,26 @@ class PoissonFamily:
 
 
 def solve_family(spec, y_grid, z_grid):
-    """Tabulate the cell solution of the model's H over a y-grid.
-
-    b, sigma and H are sampled once per slow node, on the solve mesh.  When
-    b and a match the previous node's bytes, its density and the grid
-    route's anchored factor are kept; when H matches too, its u and grad u
-    are copied and nothing is solved (see the module docstring).  Either
-    way the tables equal per-node solves exactly.  Each node's density and
-    the user-grid window of its a = sigma sigma^T are kept as ``densities``
-    and ``diffusions``; nodes that reuse a density share its arrays."""
-    method = _route(spec, z_grid, "auto")
-    mesh, window = _solve_mesh(z_grid, method)
+    """Tabulate the cell solution of the model's H over a y-grid, one node
+    step per y-node (see the module docstring), equal to per-node solves
+    bit for bit.  Each node's density and the user-grid window of its
+    a = sigma sigma^T are kept as ``densities`` and ``diffusions``; nodes
+    that reuse a density share its arrays."""
+    step = _NodeStep(spec, z_grid, "auto")
     y_nodes = y_grid.points().reshape(-1, y_grid.ndim)
     u = np.empty((len(y_nodes),) + z_grid.shape + (spec.p,))
     g = np.empty((len(y_nodes),) + z_grid.shape + (spec.p, spec.d))
     dens, diffs = [], []
-    counts = {"cell_solves": 0, "densities": 0}
-    last = (None, None, None)   # the previous node's a, b and H on the mesh
     for i, y in enumerate(y_nodes):
-        node = (*frozen_coefficients(spec, y, mesh), _sample_rhs(spec.H, mesh, y, spec.p, spec.l))
-        same_flow = _same_bytes(node[:2], last[:2])
-        if same_flow:
-            pi = GridField(z_grid, pi.values, y=y)
-        else:
-            factor = None
-            # a copy, so the family holds the user-grid window, not the mesh
-            a = np.ascontiguousarray(node[0][window])
-            pi = frozen_density(z_grid, y, a, node[1][window])
-            counts["densities"] += 1
-        if not (same_flow and _same_bytes(node[2:], last[2:])):
-            try:
-                sol, factor = _solve_on_mesh(y, node[2], pi, method, mesh, window, node[:2], factor)
-            except FredholmError as err:
-                raise FredholmError(f"at slow node y = {y}: {err}") from err
-            counts["cell_solves"] += 1
-        last = node
-        u[i] = sol.u.values
-        g[i] = sol.grad_u.values
-        dens.append(pi)
-        diffs.append(a)
-    u = u.reshape(y_grid.shape + z_grid.shape + (spec.p,))
-    g = g.reshape(y_grid.shape + z_grid.shape + (spec.p, spec.d))
+        try:
+            sol = step.solve(y, spec.H)
+        except FredholmError as err:
+            raise FredholmError(f"at slow node y = {y}: {err}") from err
+        u[i], g[i] = sol.u.values, sol.grad_u.values
+        dens.append(step.pi)
+        diffs.append(step.a)
     return PoissonFamily(
-        y_grid, z_grid, u, g, densities=dens, diffusions=diffs, spec=spec, counts=counts
+        y_grid, z_grid, u.reshape(y_grid.shape + u.shape[1:]),
+        g.reshape(y_grid.shape + g.shape[1:]), densities=dens, diffusions=diffs, spec=spec,
+        counts=step.counts,
     )

@@ -15,11 +15,11 @@ nodes of path 0 of the simulation kernel on the time-changed ``frozen_model``.
 
 The closed-form and finite-volume routes read b and a only through their
 values at the grid nodes, so both start from those sampled arrays
-(``frozen_density``); ``frozen_coefficients`` samples them.  A cell-problem
-family over a y-grid (``poisson.solve_family``) samples them once per slow
-node on its solve mesh and hands the user-grid window to ``frozen_density``.
-In the paper the fast dynamics do not depend on the slow state, so the
-family sees the same samples at every node and keeps the first density.
+(``frozen_density``); ``frozen_coefficients`` samples them.  Besides
+``invariant_density``, only the node step of ``poisson`` calls
+``frozen_density``; it serves the cell family, the one-node solve and the
+centering check of ``validate_model``, and builds a density only when the
+samples change (in the paper they never do across slow nodes).
 
 SciPy is imported inside the functions that build or factor a sparse
 operator (``sparse_lu`` and the finite-volume route), not at module level,
@@ -71,14 +71,21 @@ def _boundary_mass_check(field):
         )
 
 
+def _on_grid(grid, y, l, *fs):
+    """Each f(z, y) at the grid nodes with the l-vector y held fixed (None
+    stays None), shaped (*grid.shape, ...)."""
+    pts = grid.points().reshape(-1, grid.ndim)
+    if y is not None:
+        y = np.broadcast_to(np.atleast_1d(np.asarray(y, float)), (pts.shape[0], l))
+    vals = [np.asarray(f(pts, y), float) for f in fs]
+    return [v.reshape(grid.shape + v.shape[1:]) for v in vals]
+
+
 def frozen_coefficients(spec, y, grid):
     """a = sigma sigma^T and b of the frozen fast flow at the grid nodes,
     shaped (*grid.shape, d, d) and (*grid.shape, d)."""
-    pts = grid.points().reshape(-1, grid.ndim)
-    y_arr = np.broadcast_to(np.atleast_1d(np.asarray(y, float)), (pts.shape[0], spec.l))
-    a = diffusion_matrix(spec, pts, y_arr).reshape(grid.shape + (spec.d, spec.d))
-    bvec = np.asarray(spec.b(pts, y_arr), float).reshape(grid.shape + (spec.d,))
-    return a, bvec
+    a, bvec = _on_grid(grid, y, spec.l, lambda z, w: diffusion_matrix(spec, z, w), spec.b)
+    return a, bvec.reshape(grid.shape + (spec.d,))
 
 
 def sparse_lu(A):
@@ -300,9 +307,9 @@ def frozen_density(grid, y, a, bvec):
     """Invariant density of the frozen flow at slow value y, from a and b
     sampled at the grid nodes: closed form on one axis, finite volume on two.
 
-    ``poisson.solve_family`` calls it with its own samples.  It is public so
-    that per-layer tracing, which wraps each module's ``__all__``, counts the
-    densities a family builds."""
+    The node step of ``poisson`` calls it for every cell solve and centering
+    check.  It is public so that per-layer tracing, which wraps each module's
+    ``__all__``, counts the densities built."""
     weight = _closed_form_weight if grid.ndim == 1 else _finite_volume_weight
     field = GridField(
         grid, weight(a, bvec, grid), y=np.atleast_1d(np.asarray(y, float))
@@ -398,11 +405,6 @@ def invariant_density(spec, y, grid, method="auto", **kw):
 def check_centering(f, pi):
     """Trapezoidal integral of the callable f(z, y) against a density field,
     per component."""
-    grid = pi.grid
-    pts = grid.points().reshape(-1, grid.ndim)
-    y_arr = np.broadcast_to(pi.y, (pts.shape[0], pi.y.size)) if pi.y is not None else None
-    vals = np.asarray(f(pts, y_arr), float)
-    vals = vals.reshape(grid.shape + vals.shape[1:])
-    extra = vals.ndim - grid.ndim
-    pw = pi.values.reshape(pi.values.shape + (1,) * extra)
-    return np.atleast_1d(grid.integrate(vals * pw))
+    [vals] = _on_grid(pi.grid, pi.y, np.size(pi.y), f)
+    pw = pi.values.reshape(pi.values.shape + (1,) * (vals.ndim - pi.grid.ndim))
+    return np.atleast_1d(pi.grid.integrate(vals * pw))

@@ -108,16 +108,9 @@ def test_validate_report_and_manifest(runner, tmp_path):
 def test_validate_checks_centering_on_the_config_z_grid(runner, tmp_path, monkeypatch):
     """validate builds its density grid from grids.z_nodes (201 here), not
     from a node count of its own."""
-    import fastslow.stationary as stationary
+    from tests.test_poisson import _counting_densities
 
-    shapes = []
-    density = stationary.invariant_density
-
-    def recording(spec, y, grid, *args, **kwargs):
-        shapes.append(grid.shape)
-        return density(spec, y, grid, *args, **kwargs)
-
-    monkeypatch.setattr(stationary, "invariant_density", recording)
+    shapes = _counting_densities(monkeypatch)
     cfg_path = write_cfg(tmp_path, base_config(tmp_path / "out"))
     result = runner.invoke(main, ["validate", str(cfg_path)], catch_exceptions=False)
     assert result.exit_code == 0
@@ -127,8 +120,9 @@ def test_validate_checks_centering_on_the_config_z_grid(runner, tmp_path, monkey
 @pytest.mark.parametrize("workload", ["cell-2d", "corrector-sweep"])
 def test_manifest_counts_cell_solves_and_densities(runner, tmp_path, workload):
     """average, rate and delta record the family's distinct cell solves and
-    densities; on the workload models H and the fast flow ignore y, so one
-    of each serves all 17 slow nodes."""
+    densities, poisson its one node step's, and validate the densities of its
+    centering check; on the workload models H and the fast flow ignore y, so
+    one of each serves all 17 slow nodes and all 5 y samples."""
     from tests.test_poisson import _FAMILY_CONFIGS
 
     out = tmp_path / "out"
@@ -141,13 +135,14 @@ def test_manifest_counts_cell_solves_and_densities(runner, tmp_path, workload):
         output_dir=str(out),
     )
     cfg_path = write_cfg(tmp_path, cfg)
-    for subcommand in ("average", "rate", "delta", "validate"):
+    for subcommand in ("average", "rate", "delta", "validate", "poisson"):
         result = runner.invoke(main, [subcommand, str(cfg_path)], catch_exceptions=False)
         assert result.exit_code == 0, text_of(result)
     outputs = json.loads((out / "manifest.json").read_text())["outputs"]
-    for name in ("averaged.csv", "rate.csv", "rate_path.csv", "delta.csv"):
+    for name in ("averaged.csv", "rate.csv", "rate_path.csv", "delta.csv", "poisson.csv"):
         assert (outputs[name]["cell_solves"], outputs[name]["densities"]) == (1, 1)
     assert "cell_solves" not in outputs["validate.csv"]
+    assert outputs["validate.csv"]["densities"] == 1
 
 
 def test_validate_reports_violations_for_degenerate_model(runner, tmp_path):
@@ -423,6 +418,36 @@ def test_empirical_density_bytes_are_pinned(runner, tmp_path):
     assert result.exit_code == 0, text_of(result)
     got = hashlib.sha256((out / "density.csv").read_bytes()).hexdigest()
     assert got == PINNED_EMPIRICAL_SHA256
+
+
+# sha256 of the cell-problem CSVs on the 2-d cell-2d config and of the
+# nonlinear double-well poisson.csv, recorded while validate and poisson still
+# built their densities on their own, before they shared the family's node step.
+PINNED_CELL_SHA256 = {
+    "cell-2d/poisson.csv": "86d85ddaa4ac04ec8d9684f48e8e0479348019d1372641942e55a77728b165c9",
+    "cell-2d/validate.csv": "41834cd77ae1e6a9d2bd84754d84f90dc2ef4ea53aa71cb971076e12cd2ae4fb",
+    "double-well/poisson.csv": "2bc1e67514af748d86d6246153b8676d4f5449eba5499216f46bbff1defc4061",
+}
+
+
+def test_cell_problem_bytes_are_pinned(runner, tmp_path):
+    from tests.test_poisson import _FAMILY_CONFIGS
+
+    runs = (
+        ("cell-2d", _FAMILY_CONFIGS["cell-2d"], ("validate", "poisson")),
+        ("double-well", {"model": {"inline": DOUBLE_WELL_INLINE}}, ("poisson",)),
+    )
+    got = {}
+    for tag, overrides, subcommands in runs:
+        out = tmp_path / tag
+        cfg = dict(PINNED_CONFIG, **overrides, output_dir=str(out))
+        cfg_path = write_cfg(tmp_path, cfg, f"{tag}.yaml")
+        for subcommand in subcommands:
+            result = runner.invoke(main, [subcommand, str(cfg_path)], catch_exceptions=False)
+            assert result.exit_code == 0, text_of(result)
+        for csv in sorted(out.glob("*.csv")):
+            got[f"{tag}/{csv.name}"] = hashlib.sha256(csv.read_bytes()).hexdigest()
+    assert got == PINNED_CELL_SHA256
 
 
 def test_csv_bytes_are_pinned(runner, tmp_path):

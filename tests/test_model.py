@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -152,17 +154,10 @@ def test_validate_rejects_bad_boxes():
 def test_validate_centering_grid_has_density_nodes(monkeypatch, d):
     """The centering check runs on density_nodes nodes per axis in 1-d and
     in 2-d, and on the default z-grid's 601 or 101 when none is given."""
-    import fastslow.stationary as stationary
+    from tests.test_poisson import _counting_densities
     from tests.test_stationary import _two_dim_linear
 
-    shapes = []
-    density = stationary.invariant_density
-
-    def recording(spec, y, grid, *args, **kwargs):
-        shapes.append(grid.shape)
-        return density(spec, y, grid, *args, **kwargs)
-
-    monkeypatch.setattr(stationary, "invariant_density", recording)
+    shapes = _counting_densities(monkeypatch)
     spec = get_benchmark("ou") if d == 1 else _two_dim_linear()
     box = [(-5.0, 5.0)] * d
     report = validate_model(spec, box, [(-2.0, 2.0)], samples_per_axis=3, density_nodes=31)
@@ -171,3 +166,17 @@ def test_validate_centering_grid_has_density_nodes(monkeypatch, d):
     shapes.clear()
     validate_model(spec, box, [(-2.0, 2.0)], samples_per_axis=3)
     assert set(shapes) == {((601,), (101, 101))[d - 1]}
+
+
+@pytest.mark.parametrize("y_box, worst", [((-2.0, 1.0), -2.0), ((-1.0, 2.0), 2.0)])
+def test_validate_reused_density_follows_y(y_box, worst):
+    """The ou fast flow ignores y, so one density serves every y sample, but
+    H = z + y is sampled at each sample's own y: int (z + y) pi = y exactly,
+    so the defect is the largest |y| and is found where it occurs."""
+    ou = get_benchmark("ou")
+    spec = replace(ou, H=lambda z, y: z + y)
+    report = validate_model(spec, BOX, [y_box])
+    assert report.counts == {"densities": 1}
+    assert abs(report.centering_defect - 2.0) <= 1e-12
+    [violation] = [v for v in report.violations if v.assumption == "A_centering"]
+    np.testing.assert_array_equal(violation.witness_y, [worst])

@@ -19,12 +19,13 @@ from fastslow import (
     multilinear,
     solve_family,
     solve_poisson,
+    validate_model,
 )
 from fastslow.errors import FredholmError, GridDomainError, SingularOperatorError
 
 
-def test_linear_cell_problem_exact(ou, ou_pi, z_grid):
-    sol = solve_poisson(ou, np.array([0.0]), ou.H, ou_pi)
+def test_linear_cell_problem_exact(ou, z_grid):
+    sol = solve_poisson(ou, np.array([0.0]), ou.H, z_grid)
     z = z_grid.axes[0]
     assert np.max(np.abs(sol.u.values[:, 0] - z)) < 1e-6
     assert np.max(np.abs(sol.grad_u.values[:, 0, 0] - 1.0)) < 1e-6
@@ -32,24 +33,24 @@ def test_linear_cell_problem_exact(ou, ou_pi, z_grid):
     assert np.max(np.abs(sol.centering_defect)) < 1e-8
 
 
-def test_quadratic_observable_cell_problem(ou, ou_pi, z_grid):
+def test_quadratic_observable_cell_problem(ou, z_grid):
     """For the linear fast flow with unit stationary variance the centered
     square observable z^2 - 1 has cell solution (z^2 - 1) / 2."""
-    sol = solve_poisson(ou, np.array([0.0]), lambda z, y: z**2 - 1.0, ou_pi)
+    sol = solve_poisson(ou, np.array([0.0]), lambda z, y: z**2 - 1.0, z_grid)
     z = z_grid.axes[0]
     exact = 0.5 * (z**2 - 1.0)
     assert np.max(np.abs(sol.u.values[:, 0] - exact)) < 1e-5
     assert np.max(np.abs(sol.grad_u.values[:, 0, 0] - z)) < 1e-4
 
 
-def test_uncentered_rhs_rejected(ou, ou_pi):
+def test_uncentered_rhs_rejected(ou, z_grid):
     with pytest.raises(FredholmError):
-        solve_poisson(ou, np.array([0.0]), lambda z, y: z + 0.5, ou_pi)
+        solve_poisson(ou, np.array([0.0]), lambda z, y: z + 0.5, z_grid)
 
 
-def test_grid_route_agrees_with_closed_form(ou, ou_pi, z_grid):
-    a = solve_poisson(ou, np.array([0.0]), ou.H, ou_pi, method="closed_form_1d")
-    b = solve_poisson(ou, np.array([0.0]), ou.H, ou_pi, method="grid_solve")
+def test_grid_route_agrees_with_closed_form(ou, z_grid):
+    a = solve_poisson(ou, np.array([0.0]), ou.H, z_grid, method="closed_form_1d")
+    b = solve_poisson(ou, np.array([0.0]), ou.H, z_grid, method="grid_solve")
     assert np.max(np.abs(a.u.values - b.u.values)) < 5e-4
     assert np.max(np.abs(b.centering_defect)) < 1e-8
 
@@ -60,7 +61,7 @@ def test_two_dim_cell_problem():
     spec = _two_dim_linear()
     grid = RectGrid.from_bounds([(-5.0, 5.0, 41)] * 2)
     pi = invariant_density(spec, np.array([0.0]), grid)
-    sol = solve_poisson(spec, np.array([0.0]), spec.H, pi)
+    sol = solve_poisson(spec, np.array([0.0]), spec.H, grid)
     # the first fast coordinate solves its own cell problem
     exact = grid.points()[..., 0]
     core = pi.values > 1e-6  # judge accuracy where the density lives
@@ -218,7 +219,7 @@ def _shifted_two_dim():
 def _assert_family_is_per_node_solves(spec, family, y_grid, z_grid):
     for i, y in enumerate(y_grid.points().reshape(-1, y_grid.ndim)):
         pi = invariant_density(spec, y, z_grid)
-        sol = solve_poisson(spec, y, spec.H, pi)
+        sol = solve_poisson(spec, y, spec.H, z_grid)
         np.testing.assert_array_equal(family.densities[i].values, pi.values)
         np.testing.assert_array_equal(family.densities[i].y, y)
         # the quadrature's a is bitwise the a sampled on the user grid
@@ -331,15 +332,16 @@ def test_averaged_table_samples_b_and_sigma_once_per_slow_node(tmp_path, workloa
 
 
 def _counting_node_solves(monkeypatch):
-    """The slow value of every node solve the test makes, in order."""
+    """The user-grid rhs of every cell solve the test makes, in order: each
+    solve starts with the Fredholm check of its rhs."""
     solves = []
-    solve = poisson._solve_on_mesh
+    check = poisson._fredholm_check
 
-    def counting(y, *args, **kwargs):
-        solves.append(y)
-        return solve(y, *args, **kwargs)
+    def counting(rhs_vals, pi):
+        solves.append(rhs_vals)
+        return check(rhs_vals, pi)
 
-    monkeypatch.setattr(poisson, "_solve_on_mesh", counting)
+    monkeypatch.setattr(poisson, "_fredholm_check", counting)
     return solves
 
 
@@ -373,6 +375,66 @@ def test_family_solves_each_distinct_right_hand_side(monkeypatch):
     _assert_family_is_per_node_solves(spec, family, y_grid, z_grid)
 
 
+def _counting_densities(monkeypatch):
+    """The grid shape of every density the node step builds, in order."""
+    shapes = []
+    build = poisson.frozen_density
+
+    def counting(grid, *args, **kwargs):
+        shapes.append(grid.shape)
+        return build(grid, *args, **kwargs)
+
+    monkeypatch.setattr(poisson, "frozen_density", counting)
+    return shapes
+
+
+def test_validate_keeps_one_density_when_the_fast_flow_ignores_y(tmp_path, monkeypatch):
+    """validate's centering check on the cell-2d config: the five y samples
+    see the same b and a, so one finite-volume density serves them all."""
+    exp = _workload(tmp_path, "cell-2d")
+    shapes = _counting_densities(monkeypatch)
+    report = validate_model(exp.spec, exp.z_box, exp.y_box, density_nodes=exp.z_grid.shape[0])
+    assert report.ok
+    assert shapes == [(101, 101)]
+    assert report.counts == {"densities": 1}
+
+
+def test_validate_builds_a_density_per_sample_when_the_fast_flow_moves(monkeypatch):
+    """b moves with y, so each of the five y samples needs its own density,
+    and the check reads what it read when it built them one by one."""
+    shapes = _counting_densities(monkeypatch)
+    report = validate_model(_shifted_two_dim(), [(-6.0, 6.0)] * 2, [(-2.0, 2.0)])
+    assert report.ok
+    assert len(shapes) == 5
+    assert report.counts == {"densities": 5}
+    assert report.centering_defect == 7.8236028766554e-16
+
+
+@pytest.mark.parametrize("workload", sorted(_FAMILY_CONFIGS))
+def test_poisson_subcommand_samples_b_and_sigma_once(tmp_path, monkeypatch, workload):
+    """The poisson subcommand's one node step samples the fast coefficients
+    once, on the padded mesh, for the density, the solve and the residual."""
+    from click.testing import CliRunner
+
+    from fastslow.cli import Experiment, main
+
+    _workload(tmp_path, workload)
+    calls = []
+    init = Experiment.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self.spec, counts = _counting_b_and_sigma(self.spec)
+        calls.append(counts)
+
+    monkeypatch.setattr(Experiment, "__init__", counting_init)
+    result = CliRunner().invoke(
+        main, ["poisson", str(tmp_path / "exp.yaml")], catch_exceptions=False
+    )
+    assert result.exit_code == 0, result.output
+    assert calls == [{"b": 1, "sigma": 1}]
+
+
 def test_centering_row_splice_matches_lil_reference():
     from tests.test_stationary import _two_dim_linear
 
@@ -394,17 +456,9 @@ def test_centering_row_splice_matches_lil_reference():
 def test_singular_generator_is_a_typed_error():
     """A frozen flow that does not move makes the grid operator exactly
     singular; the failure is a SingularOperatorError, not a bare RuntimeError."""
-    still = ModelSpec(
-        d=1, l=1, p=1,
-        b=lambda z, y: 0.0 * z,
-        sigma=lambda z, y: np.zeros(z.shape[:-1] + (1, 1)),
-        F=lambda z, y: 0.0 * y,
-        G=lambda z, y: np.broadcast_to(np.eye(1), y.shape[:-1] + (1, 1)),
-        H=lambda z, y: z,
-        epsilon=0.1, kappa=0.25,
-    )
     grid = RectGrid.from_bounds([(-3.0, 3.0, 31)])
     z = grid.axes[0]
     pi = GridField(grid, np.exp(-0.5 * z**2) / np.sqrt(2.0 * np.pi))
+    a, bvec = np.zeros(grid.shape + (1, 1)), np.zeros(grid.shape + (1,))   # b = sigma = 0
     with pytest.raises(SingularOperatorError, match="singular"):
-        solve_poisson(still, np.array([0.0]), lambda z, y: 0.0 * z, pi, method="grid_solve")
+        poisson._anchored_lu(a, bvec, pi, grid, (slice(None),))
