@@ -333,7 +333,7 @@ def _make_ou(epsilon, kappa):
 def _make_double_well(epsilon, kappa):
     return ModelSpec(
         d=1, l=1, p=1,
-        b=lambda z, y: z - z**3,
+        b=lambda z, y: z - z * z * z,
         sigma=constant_coefficient(_SQRT2 * np.eye(1)),
         F=lambda z, y: -y + z,
         G=constant_coefficient(np.eye(1)),

@@ -367,6 +367,48 @@ def test_inline_model_matches_benchmark(runner, tmp_path):
     assert np.array_equal(ref, got)
 
 
+def test_inline_double_well_drift_is_the_benchmark_bit_for_bit():
+    """Inline powers are products, z * z * z, as in the benchmark's lambda."""
+    inline = _build_inline_model(DOUBLE_WELL_INLINE, 0.1, 0.25, 1.0)
+    bench = fastslow.get_benchmark("double-well")
+    rng = np.random.default_rng(5)
+    z = rng.normal(scale=3.0, size=(4000, 1))
+    y = rng.normal(size=(4000, 1))
+    got, ref = inline.b(z, y), bench.b(z, y)
+    assert got.shape == ref.shape == (4000, 1)
+    assert got.tobytes() == ref.tobytes()
+    # the libm pow it replaced differs only by rounding: z^3 by at most
+    # 2 eps |z|^3 (two products against pow), and each side's subtraction
+    # rounds by half an ulp of the result
+    old = z - z**3
+    tol = np.finfo(float).eps * (2 * np.abs(z) ** 3 + np.abs(old))
+    assert np.all(np.abs(got - old) <= tol)
+
+
+def test_inline_monomial_is_exact_on_small_integers():
+    """2 z^3 y^2 on small integers is exact in double precision."""
+    spec = _build_inline_model(
+        dict(OU_INLINE, H=[[{"c": 2.0, "z": [3], "y": [2]}]]), 0.1, 0.25, 1.0
+    )
+    ints = [(zi, yi) for zi in range(-7, 8) for yi in range(-5, 6)]
+    z = np.array([[zi] for zi, _ in ints], float)
+    y = np.array([[yi] for _, yi in ints], float)
+    exact = np.array([[2 * zi**3 * yi**2] for zi, yi in ints], float)
+    assert np.array_equal(spec.H(z, y), exact)
+
+
+def test_constant_inline_tables_are_shared_read_only_views():
+    """sigma and G of OU_INLINE have no powers: each call hands out the same
+    read-only broadcast view, as the benchmark's constant coefficients do."""
+    spec = _build_inline_model(OU_INLINE, 0.1, 0.25, 1.0)
+    z, y = np.zeros((7, 1)), np.ones((7, 1))
+    for coef, value in ((spec.sigma, SQRT2), (spec.G, 1.0)):
+        first = coef(z, y)
+        assert coef(z.copy(), y.copy()) is first
+        assert first.shape == (7, 1, 1) and not first.flags.writeable
+        assert np.all(first == value)
+
+
 # One small ou config that every writing subcommand accepts; it runs in well
 # under a second.
 PINNED_CONFIG = {
@@ -396,9 +438,12 @@ PINNED_SHA256 = {
     "ou/rate_path.csv": "33dee9386d148f55e3da1a60c3f30fdf0a8218ad78801ce98fece97fde6a5a9b",
     # validate checks centering on the config's 201-node z-grid
     "ou/validate.csv": "c1043dac7d610d098d0e064b860815b52f939a8bdb6d57f60d86c1996d4c3f3f",
-    "double-well/averaged.csv": "8372bba32249d0b83ae39b619cad80f65ecfcad43cc61da41bfb74fc250cb4c5",
-    "double-well/rate.csv": "c8ecc9900edbe250eb7fb0e009fe2717bea5aa1ed2dfebdb71dc1acabcb3ddae",
-    "double-well/rate_path.csv": "de45922727ef3c4c78b5f307234588498efd7ea69baa2724f5903788d39d78ed",
+    # the double-well entries moved when inline powers became products: z * z * z
+    # differs from libm pow(z, 3) in the last bit, which moves these numbers by
+    # at most 5.3e-15 (Qbar); every ou entry held
+    "double-well/averaged.csv": "9fa556bddbc18d6c101ac6646c60b98403291c9ff1bcb0ed3de34bc285be388a",
+    "double-well/rate.csv": "ee23778360afb4b3c65a44469fefb6b4e7502074d4dbaf108fe52d6b2b28175f",
+    "double-well/rate_path.csv": "48d28a4211f75b360b253b97bad4460da26aa219ca3ffae456d5943d0906ed13",
 }
 
 
@@ -426,7 +471,9 @@ def test_empirical_density_bytes_are_pinned(runner, tmp_path):
 PINNED_CELL_SHA256 = {
     "cell-2d/poisson.csv": "86d85ddaa4ac04ec8d9684f48e8e0479348019d1372641942e55a77728b165c9",
     "cell-2d/validate.csv": "41834cd77ae1e6a9d2bd84754d84f90dc2ef4ea53aa71cb971076e12cd2ae4fb",
-    "double-well/poisson.csv": "2bc1e67514af748d86d6246153b8676d4f5449eba5499216f46bbff1defc4061",
+    # moved when inline powers became products (z * z * z, not libm pow(z, 3)):
+    # u differs by at most 4.4e-16; both cell-2d entries held
+    "double-well/poisson.csv": "ecbe51ef595b76cde06da943ccaff4912e600fdf8f260ba0b67d8914eb7225a5",
 }
 
 
@@ -578,15 +625,58 @@ def _inline_with(key, value):
             _inline_with("F", [[{"c": -1.0, "w": [1]}]]),
             "unknown key 'w' in model.inline.F[0][0]",
         ),
+        (
+            _inline_with("b", [[{"c": -1.0, "z": [1.5]}]]),
+            "model.inline.b[0][0].z powers must be whole numbers, got [1.5]",
+        ),
+        (
+            _inline_with("H", [[{"c": "abc", "z": [1]}]]),
+            "model.inline.H[0][0].c must be a number, got 'abc'",
+        ),
+        (
+            _inline_with("F", [[{"c": 1.0, "z": ["x"]}]]),
+            "model.inline.F[0][0].z powers must be whole numbers, got ['x']",
+        ),
+        (
+            _inline_with("b", [[{"c": -1.0, "z": 1}]]),
+            "model.inline.b[0][0].z must be a list of powers, got 1",
+        ),
+        (
+            _inline_with("F", [[{"c": -1.0, "y": [True]}]]),
+            "model.inline.F[0][0].y powers must be whole numbers, got [True]",
+        ),
+        (
+            _inline_with("G", [[[{"c": True}]]]),
+            "model.inline.G[0][0][0].c must be a number, got True",
+        ),
     ],
     ids=["vector-count", "matrix-rows", "matrix-columns", "power-length",
-         "negative-power", "unknown-term-key"],
+         "negative-power", "unknown-term-key", "fractional-power",
+         "string-coefficient", "string-power", "scalar-powers", "bool-power",
+         "bool-coefficient"],
 )
 def test_inline_schema_errors_name_their_path(runner, tmp_path, model, message):
     cfg = base_config(tmp_path / "out", model=model)
     result = runner.invoke(main, ["validate", str(write_cfg(tmp_path, cfg))])
     assert result.exit_code == 2
     assert f"config error: {message}" in text_of(result)
+
+
+@pytest.mark.parametrize(
+    "subcommand, key", [("poisson", "y"), ("density", "y"), ("rate", "y0")]
+)
+def test_slow_state_of_the_wrong_length_is_a_config_error(
+    runner, tmp_path, subcommand, key
+):
+    """ou has l = 1, so a two-number slow state exits 2 before any work."""
+    block = {key: [0.0, 1.0]}
+    if subcommand == "rate":
+        block["event"] = {"threshold": 0.5}
+    cfg = base_config(tmp_path / "out", **{subcommand: block})
+    result = runner.invoke(main, [subcommand, str(write_cfg(tmp_path, cfg))])
+    assert result.exit_code == 2
+    assert f"config error: {subcommand}.{key} must list l=1 numbers, got 2" in text_of(result)
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
