@@ -29,13 +29,11 @@ from .mcengine import (
     Event,
     TailEstimate,
     boundedness_Y,
-    brownian_sampler,
     count_trend_violations,
     exponential_inequality_grid,
     gaussian_surrogate_sweep,
     negligibility_sweep,
     negligibility_xi,
-    stopped_brownian_sampler,
     tail_probability,
     wilson_interval,
 )
@@ -128,8 +126,6 @@ __all__ = [
     "tail_probability",
     "gaussian_surrogate_sweep",
     "exponential_inequality_grid",
-    "brownian_sampler",
-    "stopped_brownian_sampler",
     "negligibility_xi",
     "boundedness_Y",
     "negligibility_sweep",

@@ -51,10 +51,8 @@ from .errors import ConfigError, FastslowError, ManifestError
 from .grids import RectGrid
 from .mcengine import (
     Event,
-    brownian_sampler,
     exponential_inequality_grid,
     negligibility_sweep,
-    stopped_brownian_sampler,
     tail_probability,
     wilson_interval,
 )
@@ -94,16 +92,21 @@ def _only_read_by(mapping, where, keys, reader):
 
 
 def _number(kind, value, where):
+    """value as a float or an int; an int key takes only whole numbers, never
+    a bool, a fraction or a numeric string."""
     try:
-        return kind(value)
+        number = kind(value)
     except (TypeError, ValueError, OverflowError) as err:
         raise ConfigError(f"{where} must be a number, got {value!r}") from err
+    if kind is int and (isinstance(value, bool) or number != value):
+        raise ConfigError(f"{where} must be a whole number, got {value!r}")
+    return number
 
 
 def _as_float_list(value, where):
-    if np.isscalar(value):
-        return [float(value)]
     try:
+        if np.isscalar(value):
+            return [float(value)]
         return [float(v) for v in value]
     except (TypeError, ValueError) as err:
         raise ConfigError(f"{where} must be a number or list of numbers") from err
@@ -230,7 +233,7 @@ def _build_inline_model(block, epsilon, kappa, m):
         allowed={"d", "l", "p", "b", "sigma", "F", "G", "H", "z0", "y0", "name"},
         required=("d", "l", "p", "b", "sigma", "F", "G", "H"),
     )
-    d, l, p = int(block["d"]), int(block["l"]), int(block["p"])
+    d, l, p = (_number(int, block[k], f"{where}.{k}") for k in "dlp")
     return ModelSpec(
         d=d,
         l=l,
@@ -280,8 +283,8 @@ class Experiment:
         scales = _require_mapping(raw.get("scales", {}), "scales")
         _check_keys(scales, "scales", allowed={"epsilon", "kappa", "m"})
         self.epsilon_list = _as_float_list(scales.get("epsilon", [0.1]), "scales.epsilon")
-        self.kappa = float(scales.get("kappa", 0.25))
-        self.m = float(scales.get("m", 1.0))
+        self.kappa = _number(float, scales.get("kappa", 0.25), "scales.kappa")
+        self.m = _number(float, scales.get("m", 1.0), "scales.m")
 
         model = _require_mapping(raw["model"], "model")
         _check_keys(model, "model", allowed={"benchmark", "inline"})
@@ -406,7 +409,6 @@ class OutputDir:
 
     def __init__(self, exp, subcommand):
         self.dir = exp.output_dir
-        os.makedirs(self.dir, exist_ok=True)
         self.manifest_path = os.path.join(self.dir, "manifest.json")
         # fail before any work is done if the final merge would lose records
         self._previous_outputs()
@@ -419,6 +421,8 @@ class OutputDir:
     def path(self, name):
         if os.path.basename(name) != name:
             raise ConfigError(f"output name {name!r} must not contain directories")
+        # made at the first write, so a run that fails before it leaves none
+        os.makedirs(self.dir, exist_ok=True)
         self.files.append(name)
         return os.path.join(self.dir, name)
 
@@ -576,11 +580,10 @@ def simulate(config_path):
     """Simulate one coupled trajectory and write its macro-mesh CSV."""
     exp = Experiment(config_path, preload_sparse=False)
     block = exp.block("simulate", allowed={"path_id"})
+    path_id = _number(int, block.get("path_id", 0), "simulate.path_id")
     out = OutputDir(exp, "simulate")
     rec = Recorder()
-    run = simulate_block(
-        exp.spec, exp.T, exp.h, exp.seed, [int(block.get("path_id", 0))], probes=(rec,)
-    )
+    run = simulate_block(exp.spec, exp.T, exp.h, exp.seed, [path_id], probes=(rec,))
     _write_table(
         out.path("path.csv"),
         ["t"] + _columns("xi", exp.spec.d) + _columns("Y", exp.spec.l)
@@ -602,8 +605,11 @@ def density(config_path):
     method = str(block.get("method", "auto"))
     kw = {}
     if method == "empirical":
-        T, burn_in = float(block.get("T", 200.0)), float(block.get("burn_in", 20.0))
-        kw = dict(T=T, burn_in=burn_in, seed=exp.seed)
+        kw = dict(
+            T=_number(float, block.get("T", 200.0), "density.T"),
+            burn_in=_number(float, block.get("burn_in", 20.0), "density.burn_in"),
+            seed=exp.seed,
+        )
     else:
         _only_read_by(block, "density", ("T", "burn_in"), "method 'empirical'")
     out = OutputDir(exp, "density")
@@ -685,7 +691,7 @@ def delta(config_path):
     """Sweep the corrector remainder tails over the epsilon list."""
     exp = Experiment(config_path)
     block = exp.block("delta", allowed={"eta"})
-    eta = float(block.get("eta", 0.5))
+    eta = _number(float, block.get("eta", 0.5), "delta.eta")
     out = OutputDir(exp, "delta")
     family = solve_family(exp.spec, exp.y_grid, exp.z_grid)
     cells = negligibility_sweep(
@@ -727,10 +733,10 @@ def _rate_event(block, p, l):
         raise ConfigError(
             "rate minimization supports terminal_x half-space events only"
         )
-    comp = int(event.get("component", 0))
+    comp = _number(int, event.get("component", 0), "rate.event.component")
     if not 0 <= comp < p:
         raise ConfigError(f"event component {comp} outside 0..{p - 1}")
-    level = float(event["threshold"])
+    level = _number(float, event["threshold"], "rate.event.threshold")
     if level < 0.0:
         raise ConfigError(
             "half-space level below zero is reached at zero cost; "
@@ -750,7 +756,7 @@ def rate(config_path):
     block = exp.block(
         "rate", allowed={"event", "target", "mesh_size", "y0"},
     )
-    mesh_size = int(block.get("mesh_size", 128))
+    mesh_size = _number(int, block.get("mesh_size", 128), "rate.mesh_size")
     y0 = exp.slow_state(block, "rate", "y0")
     target = _rate_event(block, exp.spec.p, exp.spec.l)
     out = OutputDir(exp, "rate")
@@ -784,9 +790,9 @@ def mdp_check(config_path, workers):
     )
     event = Event(
         functional=str(block.get("functional", "terminal_x")),
-        threshold=float(block["threshold"]),
+        threshold=_number(float, block["threshold"], "event.threshold"),
         T=exp.T,
-        component=int(block.get("component", 0)),
+        component=_number(int, block.get("component", 0), "event.component"),
     )
     out = OutputDir(exp, "mdp-check")
     cells = tail_probability(
@@ -825,7 +831,7 @@ def mdp_check(config_path, workers):
 @_workers_option
 @_guarded
 def inequalities(config_path, workers):
-    """Empirical exponential-inequality grid for martingale samplers."""
+    """Empirical exponential-inequality grid of Brownian motion, plain or stopped."""
     exp = Experiment(config_path, preload_sparse=False)
     block = exp.block(
         "inequalities",
@@ -834,20 +840,21 @@ def inequalities(config_path, workers):
     alphas = _as_float_list(block.get("alpha", [0.5, 1.0, 2.0, 4.0]), "inequalities.alpha")
     Bs = _as_float_list(block.get("B", [0.5, 1.0, 2.0]), "inequalities.B")
     name = str(block.get("sampler", "brownian"))
-    n_steps = int(block.get("n_steps", 1000))
+    n_steps = _number(int, block.get("n_steps", 1000), "inequalities.n_steps")
     if name == "brownian":
         _only_read_by(block, "inequalities", ("qv_cap",), "sampler 'stopped'")
-        sampler = brownian_sampler(n_steps=n_steps, workers=workers)
+        qv_cap = None
     elif name == "stopped":
-        sampler = stopped_brownian_sampler(
-            float(block.get("qv_cap", 1.0)), n_steps=n_steps, workers=workers
-        )
+        qv_cap = _number(float, block.get("qv_cap", 1.0), "inequalities.qv_cap")
     else:
         raise ConfigError(f"unknown sampler {name!r}; choose 'brownian' or 'stopped'")
     out = OutputDir(exp, "inequalities")
     rows = []
     worst = 0.0
-    for cell in exponential_inequality_grid(sampler, alphas, Bs, exp.T, exp.N, exp.seed):
+    cells = exponential_inequality_grid(
+        alphas, Bs, exp.T, exp.N, exp.seed, n_steps=n_steps, qv_cap=qv_cap, workers=workers
+    )
+    for cell in cells:
         lo, hi = wilson_interval(cell.hits, cell.N)
         sigma = (hi - lo) / (2.0 * 1.959963984540054)
         violated = int(cell.frequency > cell.bound + 3.0 * sigma)

@@ -27,13 +27,14 @@ There is no importance sampling.  Cells whose probability falls well below
 known exactly, ``gaussian_surrogate_sweep`` evaluates the tail in closed form
 instead of sampling it.
 
-An exponential-inequality grid is scored from one draw: the martingale sampler
-runs once, and every (alpha, B) cell is an integer hit count over those paths.
-The two martingale samplers step through the kernel's noise source with one
-normal per step (chunk 1), so their path i is lane i % LANES of block
-i // LANES too, whatever N.  They step their paths in whole-block batches of
-``DEFAULT_BATCH`` on the same worker pool as the sweeps and concatenate the
-per-path results in id order, so ``workers`` only changes wall time.
+An exponential-inequality grid (``exponential_inequality_grid``) is scored
+from one draw of Brownian paths, plain or stopped when the bracket reaches a
+cap, and every (alpha, B) cell is an integer hit count over those paths.  The
+paths step through the kernel's noise source with one normal per step
+(chunk 1), so path i is lane i % LANES of block i // LANES too, whatever N.
+They step in whole-block batches of ``DEFAULT_BATCH`` on the same worker pool
+as the sweeps and are concatenated in id order, so ``workers`` only changes
+wall time.
 """
 
 from __future__ import annotations
@@ -56,8 +57,6 @@ __all__ = [
     "gaussian_surrogate_sweep",
     "InequalityCell",
     "exponential_inequality_grid",
-    "brownian_sampler",
-    "stopped_brownian_sampler",
     "negligibility_xi",
     "boundedness_Y",
     "negligibility_sweep",
@@ -259,14 +258,18 @@ class InequalityCell:
     bound: float
 
 
-def exponential_inequality_grid(martingale_sampler, alphas, Bs, T, N, seed):
+def exponential_inequality_grid(
+    alphas, Bs, T, N, seed, *, n_steps=1000, qv_cap=None, workers=None
+):
     """Score every (alpha, B) cell of the exponential-inequality grid from one
-    draw of N martingale paths.
+    draw of N Brownian paths of ``n_steps`` steps on [0, T].
 
-    The sampler is called exactly once and must return (running sup of |M|,
-    terminal quadratic variation) per path; a sampler that does not track the
-    quadratic variation cannot form the conjunction and is rejected.  Cells
-    come back alpha-major, in the order of ``alphas`` then ``Bs``.
+    Without ``qv_cap`` the martingale is W itself, with bracket <W>_T = T.
+    With it, W is stopped at the first step where the summed bracket
+    h + h + ... reaches qv_cap (a stopping time, so the bound still
+    applies), and <M>_T is that sum.  The bracket is the same on every path,
+    so one number scores every B.  Cells come back alpha-major, in the order
+    of ``alphas`` then ``Bs``.
     """
     alphas = [float(a) for a in alphas]
     Bs = [float(B) for B in Bs]
@@ -275,24 +278,25 @@ def exponential_inequality_grid(martingale_sampler, alphas, Bs, T, N, seed):
     N = int(N)
     if N < 1:
         raise ConfigError(f"N must be at least 1 path, got {N}")
-    sup_abs, qv = martingale_sampler(N, T, seed)
-    if qv is None:
-        raise ConfigError(
-            "sampler returned no quadratic variation; the bounded-bracket "
-            "event cannot be formed"
-        )
-    sup_abs = np.asarray(sup_abs, float)
-    qv = np.asarray(qv, float)
-    if sup_abs.shape != (N,) or qv.shape != (N,):
-        raise ConfigError(
-            f"sampler returned sup_abs of shape {sup_abs.shape} and qv of shape "
-            f"{qv.shape}; both must be ({N},)"
-        )
+    if n_steps < 1:
+        raise ConfigError(f"n_steps must be at least 1, got {n_steps}")
+    h = T / n_steps
+    if qv_cap is None:
+        # T itself: n_steps terms of h can sum past it (1000 x 1e-3 does)
+        qv, n_taken = T, n_steps
+    elif not qv_cap > 0.0:
+        raise ConfigError("qv_cap must be positive")
+    else:
+        qv, n_taken = 0.0, 0
+        while n_taken < n_steps and qv < qv_cap:
+            qv += h
+            n_taken += 1
+    sup_abs = _brownian_sup(N, seed, n_taken, math.sqrt(h), workers)
     cells = []
     for alpha in alphas:
-        reached = sup_abs >= alpha
+        hits_alpha = int(np.count_nonzero(sup_abs >= alpha))
         for B in Bs:
-            hits = int(np.count_nonzero(reached & (qv <= B)))
+            hits = hits_alpha if qv <= B else 0
             bound = 2.0 * math.exp(-(alpha * alpha) / (2.0 * B))
             cells.append(InequalityCell(alpha, B, N, hits, hits / N, bound))
     return cells
@@ -313,36 +317,6 @@ def _brownian_sup(N, seed, n_taken, sq_h, workers):
         return sup_abs
 
     return np.concatenate(_run_batches(run, N, workers))
-
-
-def brownian_sampler(n_steps=1000, workers=None):
-    """Sampler of standard Brownian paths; predictable bracket <W>_t = t."""
-
-    def sample(N, T, seed):
-        sup_abs = _brownian_sup(N, seed, n_steps, math.sqrt(T / n_steps), workers)
-        return sup_abs, np.full(N, T)
-
-    return sample
-
-
-def stopped_brownian_sampler(qv_cap, n_steps=1000, workers=None):
-    """Brownian motion stopped when its bracket reaches qv_cap (a stopping
-    time), so <M>_T = min(T, qv_cap) while the bound still applies."""
-    if not qv_cap > 0.0:
-        raise ConfigError("qv_cap must be positive")
-
-    def sample(N, T, seed):
-        # the bracket h + h + ... is the same on every path, so the stopping
-        # step is known before any path is drawn
-        h = T / n_steps
-        qv, n_taken = 0.0, 0
-        while n_taken < n_steps and qv < qv_cap:
-            qv += h
-            n_taken += 1
-        sup_abs = _brownian_sup(N, seed, n_taken, math.sqrt(h), workers)
-        return sup_abs, np.full(N, qv)
-
-    return sample
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +420,7 @@ def negligibility_sweep(
     ]
 
 
-def count_trend_violations(cells, *, tol=0.0):
+def count_trend_violations(cells):
     """Number of adjacent scaled_log increases along a sweep.
 
     A censored later cell never counts: its value is only an upper bound, so
@@ -456,6 +430,6 @@ def count_trend_violations(cells, *, tol=0.0):
     for a, b in zip(cells[:-1], cells[1:]):
         if b.censored or a.error or b.error:
             continue
-        if b.scaled_log > a.scaled_log + tol:
+        if b.scaled_log > a.scaled_log:
             bad += 1
     return bad

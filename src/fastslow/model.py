@@ -133,21 +133,17 @@ def _axis_samples(box, n):
     return [np.linspace(lo, hi, n) for lo, hi in box]
 
 
-def validate_model(
-    spec,
-    z_box,
-    y_box,
-    samples_per_axis=5,
-    *,
-    ellipticity_tol=1e-12,
-    centering_tol=1e-6,
-    density_nodes=None,
-):
+_SAMPLES_PER_AXIS = 5
+_ELLIPTICITY_TOL = 1e-12
+_CENTERING_TOL = 1e-6
+
+
+def validate_model(spec, z_box, y_box, *, density_nodes=None):
     """Probe the model's assumptions on a sample grid and report violations.
 
-    z_box, y_box: per-axis (lo, hi) bounds of the probing box.  The checks are
-    deterministic (pure grid evaluation, no randomness) and refining a nested
-    sample grid can only add violations, never remove them.
+    z_box, y_box: per-axis (lo, hi) bounds of the probing box, sampled at
+    ``_SAMPLES_PER_AXIS`` evenly spaced points per axis.  The checks are
+    deterministic (pure grid evaluation, no randomness).
 
     Checked: uniform ellipticity of a = sigma sigma^T, drift dissipativity
     <z, b> <= -r ||z||^2 outside a ball, finiteness of every coefficient,
@@ -158,13 +154,11 @@ def validate_model(
     are summarized by their sampled constants; finite samples cannot refute
     them.
     """
-    if samples_per_axis < 3:
-        raise ConfigError("samples_per_axis must be >= 3")
     if len(z_box) != spec.d or len(y_box) != spec.l:
         raise ConfigError("probing boxes must match model dimensions")
 
-    z_axes = _axis_samples(z_box, samples_per_axis)
-    y_axes = _axis_samples(y_box, samples_per_axis)
+    z_axes = _axis_samples(z_box, _SAMPLES_PER_AXIS)
+    y_axes = _axis_samples(y_box, _SAMPLES_PER_AXIS)
     Z = np.stack(np.meshgrid(*z_axes, indexing="ij"), axis=-1).reshape(-1, spec.d)
     Y = np.stack(np.meshgrid(*y_axes, indexing="ij"), axis=-1).reshape(-1, spec.l)
 
@@ -194,14 +188,14 @@ def validate_model(
     eigs = np.linalg.eigvalsh(a)
     lam_min = float(eigs[..., 0].min())
     lam_max = float(eigs[..., -1].max())
-    if lam_min <= ellipticity_tol:
+    if lam_min <= _ELLIPTICITY_TOL:
         i = int(np.argmin(eigs[..., 0]))
         violations.append(
             Violation(
                 "A_ellipticity",
                 zz[i],
                 yy[i],
-                f"smallest eigenvalue of a is {eigs[i, 0]:.3e} <= {ellipticity_tol:g}",
+                f"smallest eigenvalue of a is {eigs[i, 0]:.3e} <= {_ELLIPTICITY_TOL:g}",
             )
         )
 
@@ -269,8 +263,8 @@ def validate_model(
             detail = f"invariant density unavailable: {exc}"
         else:
             centering = worst
-            detail = f"max_y ||int H pi|| = {worst:.3e} > {centering_tol:g}"
-        if centering is None or centering > centering_tol:
+            detail = f"max_y ||int H pi|| = {worst:.3e} > {_CENTERING_TOL:g}"
+        if centering is None or centering > _CENTERING_TOL:
             violations.append(Violation("A_centering", None, worst_y, detail))
 
     growth_F = float(

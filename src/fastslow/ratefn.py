@@ -36,6 +36,7 @@ __all__ = [
 ]
 
 _IC_TOL = 1e-12
+_GRAD_TOL = 1e-8  # gradient 2-norm at which the minimizer stops
 
 
 @dataclass(frozen=True)
@@ -87,12 +88,9 @@ def action(path, avg, *, y0=None):
 def _terminal_constraint(target, p, l):
     """Normalize a terminal constraint into (particular point, nullspace basis).
 
-    target: None (free); a length-p vector fixing X_T; or a pair (C, rhs)
-    with C of shape (k, p + l) acting on the stacked (X_T, Y_T)."""
-    if target is None:
-        C = np.zeros((0, p + l))
-        rhs = np.zeros(0)
-    elif isinstance(target, tuple) and len(target) == 2 and np.ndim(target[0]) == 2:
+    target: a length-p vector fixing X_T, or a pair (C, rhs) with C of shape
+    (k, p + l) acting on the stacked (X_T, Y_T)."""
+    if isinstance(target, tuple) and len(target) == 2 and np.ndim(target[0]) == 2:
         C = np.asarray(target[0], float)
         rhs = np.asarray(target[1], float).ravel()
         if C.shape != (rhs.size, p + l):
@@ -106,8 +104,6 @@ def _terminal_constraint(target, p, l):
         C = np.hstack([np.eye(p), np.zeros((p, l))])
         rhs = x_tar
     k = C.shape[0]
-    if k == 0:
-        return np.zeros(p + l), np.eye(p + l)
     if np.linalg.matrix_rank(C) < k:
         raise ConfigError("terminal constraint matrix is rank-deficient")
     t_particular, *_ = np.linalg.lstsq(C, rhs, rcond=None)
@@ -175,14 +171,13 @@ def minimize_endpoint(
     mesh_size,
     *,
     y0,
-    tol=1e-8,
     max_iter=100_000,
 ):
     """Minimize the action over paths with (X_T, Y_T) on an affine target set.
 
     Returns (DiscretePath, ActionValue).  Declares convergence when the
-    gradient 2-norm falls below tol; raises after max_iter iterations with
-    the last value and gradient norm attached.
+    gradient 2-norm falls below ``_GRAD_TOL``; raises after max_iter
+    iterations with the last value and gradient norm attached.
     """
     if mesh_size < 8:
         raise ConfigError("mesh_size must be at least 8")
@@ -245,7 +240,7 @@ def minimize_endpoint(
     step = h / 4.0
     g_norm = float(np.linalg.norm(g))
     it = 0
-    while g_norm > tol:
+    while g_norm > _GRAD_TOL:
         if it >= max_iter:
             raise ConvergenceError(
                 f"endpoint minimization hit the {max_iter}-iteration cap",

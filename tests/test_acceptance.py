@@ -25,7 +25,6 @@ from fastslow.grids import RectGrid
 from fastslow.mcengine import (
     Event,
     boundedness_Y,
-    brownian_sampler,
     count_trend_violations,
     exponential_inequality_grid,
     gaussian_surrogate_sweep,
@@ -222,10 +221,9 @@ def test_criterion_5_mdp_scaling(ou):
 
 
 def test_criterion_6_exponential_inequality_grid():
-    sampler = brownian_sampler(n_steps=1000)
     N = 100_000
     cells = exponential_inequality_grid(
-        sampler, (0.5, 1.0, 2.0, 4.0), (0.5, 1.0, 2.0), 1.0, N, 17
+        (0.5, 1.0, 2.0, 4.0), (0.5, 1.0, 2.0), 1.0, N, 17, n_steps=1000
     )
     assert len(cells) == 12
     violations = []

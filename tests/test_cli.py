@@ -756,6 +756,71 @@ def test_unknown_sampler(runner, tmp_path):
     assert "unknown sampler 'levy'" in text_of(result)
 
 
+@pytest.mark.parametrize(
+    "subcommand, key, value",
+    [
+        ("simulate", "scales.kappa", "x"),
+        ("simulate", "scales.m", "x"),
+        ("simulate", "scales.epsilon", "x"),
+        ("simulate", "run.N", 1000.9),
+        ("simulate", "run.seed", True),
+        ("simulate", "grids.z_nodes", 201.5),
+        ("simulate", "simulate.path_id", "x"),
+        ("mdp-check", "event.threshold", "x"),
+        ("mdp-check", "event.component", 0.7),
+        ("inequalities", "inequalities.n_steps", "x"),
+        ("inequalities", "inequalities.n_steps", 10.5),
+        ("inequalities", "inequalities.qv_cap", "x"),
+        ("delta", "delta.eta", "x"),
+        ("rate", "rate.mesh_size", "x"),
+        ("rate", "rate.mesh_size", 16.5),
+        ("rate", "rate.event.threshold", "x"),
+        ("rate", "rate.event.component", 0.5),
+        ("density", "density.T", "x"),
+        ("density", "density.burn_in", "x"),
+        ("validate", "model.inline.d", "x"),
+        ("validate", "model.inline.l", 1.5),
+        ("validate", "model.inline.p", True),
+    ],
+    ids=lambda v: v if isinstance(v, str) and "." in v else None,
+)
+def test_config_scalars_are_typed(runner, tmp_path, subcommand, key, value):
+    """A scalar that is not a number, or an integer key given a bool or a
+    fraction, is a one-line config error naming its key, raised before the
+    output directory exists, not a traceback or a silent truncation."""
+    out = tmp_path / "out"
+    cfg = base_config(
+        out,
+        model={"inline": dict(OU_INLINE)} if key.startswith("model.") else {"benchmark": "ou"},
+        event={"threshold": 0.5},
+        inequalities={"sampler": "stopped"},
+        delta={"eta": 0.5},
+        rate={"event": {"threshold": 0.5}, "mesh_size": 16},
+        density={"method": "empirical"},
+        simulate={},
+    )
+    *path, last = key.split(".")
+    section = cfg
+    for name in path:
+        section = section[name]
+    section[last] = value
+    result = runner.invoke(main, [subcommand, str(write_cfg(tmp_path, cfg))])
+    assert result.exit_code == 2, text_of(result)
+    assert result.stderr.startswith(f"config error: {key} must be a")
+    assert result.stderr.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sampler", ["brownian", "stopped"])
+@pytest.mark.parametrize("n_steps", [0, -5])
+def test_inequalities_n_steps_below_one_exits_2(runner, tmp_path, sampler, n_steps):
+    cfg = base_config(tmp_path / "out", inequalities={"sampler": sampler, "n_steps": n_steps})
+    result = runner.invoke(main, ["inequalities", str(write_cfg(tmp_path, cfg))])
+    assert result.exit_code == 2
+    assert result.stderr == f"config error: n_steps must be at least 1, got {n_steps}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def _raising(exc):
     def callee(*args, **kwargs):
         raise exc

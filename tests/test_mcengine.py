@@ -10,14 +10,12 @@ from fastslow import (
     ModelSpec,
     TailEstimate,
     boundedness_Y,
-    brownian_sampler,
     count_trend_violations,
     exponential_inequality_grid,
     gaussian_surrogate_sweep,
     homogenization_defect,
     negligibility_sweep,
     negligibility_xi,
-    stopped_brownian_sampler,
     tail_probability,
     wilson_interval,
 )
@@ -152,16 +150,15 @@ def test_surrogate_sweep_validates_inputs():
         gaussian_surrogate_sweep(-1.0, 1.0, 1.0, [0.1], 0.25)
 
 
-def _one_cell(sampler, alpha, B, N, seed):
+def _one_cell(alpha, B, N, seed, **kw):
     """The 1 x 1 inequality grid: one (alpha, B) cell on its own draw."""
-    (cell,) = exponential_inequality_grid(sampler, [alpha], [B], 1.0, N, seed)
+    (cell,) = exponential_inequality_grid([alpha], [B], 1.0, N, seed, **kw)
     return cell
 
 
 def test_brownian_tails_respect_exponential_bound():
-    sampler = brownian_sampler(n_steps=400)
     for alpha, B in [(1.0, 1.0), (2.0, 1.0), (3.0, 1.0)]:
-        cell = _one_cell(sampler, alpha, B, 20_000, 3)
+        cell = _one_cell(alpha, B, 20_000, 3, n_steps=400)
         freq, bound = cell.frequency, cell.bound
         sigma3 = 3.0 * math.sqrt(max(freq, 1.0 / 20_000) / 20_000)
         assert freq <= bound + sigma3
@@ -169,66 +166,27 @@ def test_brownian_tails_respect_exponential_bound():
 
 
 def test_stopped_bracket_never_exceeds_cap():
-    sampler = stopped_brownian_sampler(0.5, n_steps=300)
-    sup_abs, qv = sampler(5000, 1.0, 11)
-    assert np.all(qv <= 0.5 + 1e-12)
-    cell = _one_cell(sampler, 1.5, 0.5, 5000, 11)
+    """A bracket above the cap would empty the B = cap cell: it scores every
+    path that reaches alpha, as B = 2 does."""
+    at_cap, above = exponential_inequality_grid(
+        [1.0], [0.5 + 1e-12, 2.0], 1.0, 5000, 11, n_steps=300, qv_cap=0.5
+    )
+    assert at_cap.hits == above.hits > 0
+    cell = _one_cell(1.5, 0.5, 5000, 11, n_steps=300, qv_cap=0.5)
     assert cell.frequency <= cell.bound
 
 
-def test_sampler_without_bracket_is_rejected():
-    def bare(N, T, seed):
-        return np.zeros(N), None
+def _spy_draws(monkeypatch):
+    """Record the per-path running sups of every ``_brownian_sup`` call."""
+    draws = []
+    draw = mcengine._brownian_sup
 
-    with pytest.raises(ConfigError):
-        _one_cell(bare, 1.0, 1.0, 1000, 0)
-    with pytest.raises(ConfigError, match="no quadratic variation"):
-        exponential_inequality_grid(bare, [0.5, 1.0], [1.0, 2.0], 1.0, 1000, 0)
-    with pytest.raises(ConfigError):
-        _one_cell(brownian_sampler(), -1.0, 1.0, 1000, 0)
+    def spied(*args):
+        draws.append(draw(*args))
+        return draws[-1]
 
-
-def _counting(sampler):
-    calls = []
-
-    def counted(N, T, seed):
-        calls.append((N, T, seed))
-        return sampler(N, T, seed)
-
-    return counted, calls
-
-
-@pytest.mark.parametrize(
-    "sampler",
-    [brownian_sampler(n_steps=200), stopped_brownian_sampler(0.5, n_steps=200)],
-    ids=["brownian", "stopped"],
-)
-def test_inequality_grid_draws_once_and_matches_per_cell_checks(sampler):
-    alphas, Bs = [0.5, 1.0, 2.0], [0.25, 0.5, 1.0]
-    counted, calls = _counting(sampler)
-    cells = exponential_inequality_grid(counted, alphas, Bs, 1.0, 3000, 5)
-    assert len(calls) == 1
-    assert [(c.alpha, c.B) for c in cells] == [(a, B) for a in alphas for B in Bs]
-    sup_abs, qv = sampler(3000, 1.0, 5)
-    for cell in cells:
-        assert isinstance(cell.hits, int) and cell.frequency == cell.hits / 3000
-        assert _one_cell(sampler, cell.alpha, cell.B, 3000, 5) == cell
-        # the per-cell formula the grid replaces, on the same draw
-        assert cell.frequency == float(np.mean((sup_abs >= cell.alpha) & (qv <= cell.B)))
-
-
-@pytest.mark.parametrize(
-    "sampler",
-    [brownian_sampler(n_steps=50), stopped_brownian_sampler(0.3, n_steps=50)],
-    ids=["brownian", "stopped"],
-)
-def test_sampler_path_does_not_depend_on_n(sampler):
-    """Martingale path i is lane i % LANES of block i // LANES: the same at N
-    and 2N, with N = 700 ending inside a block."""
-    small = sampler(700, 1.0, 9)
-    large = sampler(1400, 1.0, 9)
-    for got, want in zip(small, large):
-        np.testing.assert_array_equal(got, want[:700])
+    monkeypatch.setattr(mcengine, "_brownian_sup", spied)
+    return draws
 
 
 def _single_source_brownian(N, T, seed, n_steps):
@@ -261,43 +219,91 @@ def _single_source_stopped(qv_cap, N, T, seed, n_steps):
     return sup_abs, qv
 
 
+def _reference(qv_cap, *args):
+    if qv_cap is None:
+        return _single_source_brownian(*args)
+    return _single_source_stopped(qv_cap, *args)
+
+
+def _assert_cells_score(cells, sup_abs, qv):
+    """Each cell is the per-path count of {sup |M| >= alpha, <M>_T <= B}."""
+    for cell in cells:
+        hits = np.count_nonzero((sup_abs >= cell.alpha) & (qv <= cell.B))
+        assert isinstance(cell.hits, int) and cell.hits == hits
+        assert cell.frequency == cell.hits / cell.N
+
+
+@pytest.mark.parametrize("qv_cap", [None, 0.5], ids=["brownian", "stopped"])
+def test_inequality_grid_draws_once_and_matches_per_cell_checks(qv_cap, monkeypatch):
+    """B = 0.5 is the cap and B = 1.0 is T, so a bracket off by one rounding
+    in either direction would move a cell."""
+    alphas, Bs = [0.5, 1.0, 2.0], [0.25, 0.5, 1.0]
+    draws = _spy_draws(monkeypatch)
+    cells = exponential_inequality_grid(alphas, Bs, 1.0, 3000, 5, n_steps=200, qv_cap=qv_cap)
+    assert len(draws) == 1
+    assert [(c.alpha, c.B) for c in cells] == [(a, B) for a in alphas for B in Bs]
+    _assert_cells_score(cells, *_reference(qv_cap, 3000, 1.0, 5, 200))
+    for cell in cells:
+        assert _one_cell(cell.alpha, cell.B, 3000, 5, n_steps=200, qv_cap=qv_cap) == cell
+
+
+def test_plain_bracket_is_T_and_a_capped_one_is_summed():
+    """Without a cap the bracket is T itself, so the B = T cell counts every
+    path that reaches alpha.  With a cap at or above T it is the sum of the
+    1000 steps, 1.0000000000000007, as the stopped reference sums it, which
+    empties that cell."""
+    plain = exponential_inequality_grid([0.5], [1.0, 2.0], 1.0, 500, 2)
+    assert plain[0].hits == plain[1].hits > 0
+    capped = exponential_inequality_grid([0.5], [1.0, 2.0], 1.0, 500, 2, qv_cap=5.0)
+    assert (capped[0].hits, capped[1].hits) == (0, plain[1].hits)
+
+
+@pytest.mark.parametrize("qv_cap", [None, 0.3], ids=["brownian", "stopped"])
+def test_sampler_path_does_not_depend_on_n(qv_cap, monkeypatch):
+    """Martingale path i is lane i % LANES of block i // LANES: the same at N
+    and 2N, with N = 700 ending inside a block."""
+    draws = _spy_draws(monkeypatch)
+    for N in (700, 1400):
+        exponential_inequality_grid([1.0], [1.0], 1.0, N, 9, n_steps=50, qv_cap=qv_cap)
+    small, large = draws
+    np.testing.assert_array_equal(small, large[:700])
+
+
 @pytest.mark.parametrize(
-    "factory, reference",
-    [
-        (brownian_sampler, _single_source_brownian),
-        (
-            lambda n_steps, workers: stopped_brownian_sampler(0.37, n_steps, workers),
-            lambda *args: _single_source_stopped(0.37, *args),
-        ),
-    ],
-    ids=["brownian", "stopped"],
+    "qv_cap", [None, 0.37, 5.0], ids=["brownian", "stopped", "stopped-cap-above-T"]
 )
-def test_sampler_does_not_depend_on_workers_or_batch(factory, reference):
+def test_sampler_does_not_depend_on_workers_or_batch(qv_cap, monkeypatch):
     """The last whole-block batch is partial and ends inside a block; serial,
-    pooled and single-source stepping give the same bits."""
+    pooled and single-source stepping give the same bits, and the same cells,
+    the cap and T among the B levels."""
     N, n_steps = DEFAULT_BATCH + 700, 40
-    want = reference(N, 1.0, 4, n_steps)
+    sup_abs, qv = _reference(qv_cap, N, 1.0, 4, n_steps)
+    draws = _spy_draws(monkeypatch)
     for workers in (1, 2):
-        got = factory(n_steps, workers)(N, 1.0, 4)
-        for g, w in zip(got, want):
-            assert g.shape == (N,)
-            np.testing.assert_array_equal(g, w)
+        cells = exponential_inequality_grid(
+            [0.25, 0.5, 1.0], [0.37, 1.0, 2.0], 1.0, N, 4,
+            n_steps=n_steps, qv_cap=qv_cap, workers=workers,
+        )
+        assert draws[-1].shape == (N,)
+        np.testing.assert_array_equal(draws[-1], sup_abs)
+        _assert_cells_score(cells, sup_abs, qv)
 
 
-def test_stopped_sampler_rejects_unusable_cap():
+def test_stopped_sampler_rejects_unusable_cap(monkeypatch):
+    draws = _spy_draws(monkeypatch)
     for cap in (0.0, -1.0, math.nan):
         with pytest.raises(ConfigError, match="qv_cap must be positive"):
-            stopped_brownian_sampler(cap)
+            exponential_inequality_grid([1.0], [1.0], 1.0, 1000, 0, qv_cap=cap)
+    assert draws == []
 
 
-@pytest.mark.parametrize("short", ["sup_abs", "qv"])
-def test_inequality_grid_rejects_wrong_path_count(short):
-    def sampler(N, T, seed):
-        sup_abs, qv = brownian_sampler(n_steps=10)(N, T, seed)
-        return (sup_abs[:-1], qv) if short == "sup_abs" else (sup_abs, qv[:-1])
-
-    with pytest.raises(ConfigError, match=r"must be \(1000,\)"):
-        exponential_inequality_grid(sampler, [0.5, 1.0], [1.0], 1.0, 1000, 0)
+@pytest.mark.parametrize("qv_cap", [None, 0.5], ids=["brownian", "stopped"])
+@pytest.mark.parametrize("n_steps", [0, -5])
+def test_inequality_grid_rejects_n_steps_below_one(n_steps, qv_cap, monkeypatch):
+    draws = _spy_draws(monkeypatch)
+    with pytest.raises(ConfigError, match=f"n_steps must be at least 1, got {n_steps}"):
+        exponential_inequality_grid([1.0], [1.0], 1.0, 1000, 0, n_steps=n_steps, qv_cap=qv_cap)
+    assert draws == []
 
 
 @pytest.mark.parametrize(
@@ -310,11 +316,11 @@ def test_inequality_grid_rejects_wrong_path_count(short):
         ([1.0], [1.0], 0),
     ],
 )
-def test_inequality_grid_rejects_bad_input_before_sampling(alphas, Bs, N):
-    counted, calls = _counting(brownian_sampler(n_steps=10))
+def test_inequality_grid_rejects_bad_input_before_sampling(alphas, Bs, N, monkeypatch):
+    draws = _spy_draws(monkeypatch)
     with pytest.raises(ConfigError, match="must be positive|at least 1 path"):
-        exponential_inequality_grid(counted, alphas, Bs, 1.0, N, 0)
-    assert calls == []
+        exponential_inequality_grid(alphas, Bs, 1.0, N, 0, n_steps=10)
+    assert draws == []
 
 
 def test_negligibility_xi_hypothesis_guards(ou):
@@ -372,8 +378,6 @@ def _stub(scaled_log, censored=False, error=""):
 def test_trend_violation_counting():
     assert count_trend_violations([_stub(-0.1), _stub(-0.2), _stub(-0.3)]) == 0
     assert count_trend_violations([_stub(-0.3), _stub(-0.2), _stub(-0.4)]) == 1
-    # tolerance forgives small inversions
-    assert count_trend_violations([_stub(-0.3), _stub(-0.29)], tol=0.02) == 0
     # censored or failed later cells are upper bounds, not evidence
     assert count_trend_violations([_stub(-0.3), _stub(-0.1, censored=True)]) == 0
     assert count_trend_violations([_stub(-0.3), _stub(-0.1, error="boom")]) == 0

@@ -146,8 +146,6 @@ def test_validate_flags_degenerate_diffusion():
 def test_validate_rejects_bad_boxes():
     with pytest.raises(ConfigError):
         validate_model(get_benchmark("ou"), BOX, [(-2.0, 2.0), (-2.0, 2.0)])
-    with pytest.raises(ConfigError):
-        validate_model(get_benchmark("ou"), BOX, [(-2.0, 2.0)], samples_per_axis=2)
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -160,11 +158,11 @@ def test_validate_centering_grid_has_density_nodes(monkeypatch, d):
     shapes = _counting_densities(monkeypatch)
     spec = get_benchmark("ou") if d == 1 else _two_dim_linear()
     box = [(-5.0, 5.0)] * d
-    report = validate_model(spec, box, [(-2.0, 2.0)], samples_per_axis=3, density_nodes=31)
+    report = validate_model(spec, box, [(-2.0, 2.0)], density_nodes=31)
     assert report.centering_defect is not None
     assert set(shapes) == {(31,) * d}
     shapes.clear()
-    validate_model(spec, box, [(-2.0, 2.0)], samples_per_axis=3)
+    validate_model(spec, box, [(-2.0, 2.0)])
     assert set(shapes) == {((601,), (101, 101))[d - 1]}
 
 
