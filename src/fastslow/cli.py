@@ -1,14 +1,23 @@
 """Experiment runner: configuration-driven subcommands over the library.
 
-Every subcommand takes one structured config file (YAML), validated against a
-strict schema — unknown keys are rejected by name, because a silently ignored
-typo in ``kappa`` or ``epsilon`` would invalidate every scaling claim
-downstream.  Outputs are CSV files written only inside ``output_dir``, next
-to a ``manifest.json`` recording the artifact version, the config hash, the
-seed, and a content hash per output file, which is what ``compare`` checks
-before juxtaposing two pipelines.  The CSV bytes are a pure function of the
-config (wall time lives only in the manifest), so identical runs are
-byte-identical at any worker count.
+Every subcommand takes one structured config file (YAML), read against one
+table, ``_TABLE``, that gives each key its kind, default, bound and reader:
+the subcommand, or the ``method: empirical`` or ``sampler: stopped`` variant,
+that reads it.  ``Experiment(config_path, subcommand)`` walks the table once
+over the common sections and that subcommand's own.  An unknown key, a key
+the chosen variant would ignore, and a value of the wrong kind or out of
+bounds are config errors that name the key, raised before any work, because
+a silently ignored typo in ``kappa`` or ``epsilon`` would invalidate every
+scaling claim downstream.  The rules that tie keys together (one model
+source, the scale relation, one rate target, an event component below p, a
+rate level of at least 0) are checked in code.
+
+Outputs are CSV files written only inside ``output_dir``, next to a
+``manifest.json`` recording the artifact version, the config hash, the seed,
+and a content hash per output file, which is what ``compare`` checks before
+juxtaposing two pipelines.  The CSV bytes are a pure function of the config
+(wall time lives only in the manifest), so identical runs are byte-identical
+at any worker count.
 
 Exit codes: 0 success, 2 configuration/usage error, 3 numerical failure
 (the originating module's message is printed verbatim).  NumPy's
@@ -36,9 +45,12 @@ from __future__ import annotations
 import gc
 import hashlib
 import json
+import math
 import os
 import sys
 import time
+from collections import namedtuple
+from dataclasses import replace
 from functools import wraps
 
 import click
@@ -56,7 +68,7 @@ from .mcengine import (
     tail_probability,
     wilson_interval,
 )
-from .model import constant_coefficient, get_benchmark, validate_model, ModelSpec
+from .model import BENCHMARKS, constant_coefficient, get_benchmark, validate_model, ModelSpec
 from .poisson import solve_family, solve_poisson
 from .ratefn import minimize_endpoint
 from .simulate import Recorder, simulate_block
@@ -66,64 +78,14 @@ _ARTIFACT = "fastslow"
 
 
 # ---------------------------------------------------------------------------
-# strict-schema helpers
-# ---------------------------------------------------------------------------
-
-def _require_mapping(obj, where):
-    if not isinstance(obj, dict):
-        raise ConfigError(f"section {where!r} must be a mapping")
-    return obj
-
-
-def _check_keys(mapping, where, allowed, required=()):
-    for key in mapping:
-        if key not in allowed:
-            raise ConfigError(f"unknown key {key!r} in {where}")
-    for key in required:
-        if key not in mapping:
-            raise ConfigError(f"missing key {key!r} in {where}")
-
-
-def _only_read_by(mapping, where, keys, reader):
-    """Reject keys of mapping that only another choice reads, by name."""
-    for key in keys:
-        if key in mapping:
-            raise ConfigError(f"key {key!r} in {where} is read only by {reader}")
-
-
-def _number(kind, value, where):
-    """value as a float or an int; an int key takes only whole numbers, never
-    a bool, a fraction or a numeric string."""
-    try:
-        number = kind(value)
-    except (TypeError, ValueError, OverflowError) as err:
-        raise ConfigError(f"{where} must be a number, got {value!r}") from err
-    if kind is int and (isinstance(value, bool) or number != value):
-        raise ConfigError(f"{where} must be a whole number, got {value!r}")
-    return number
-
-
-def _as_float_list(value, where):
-    try:
-        if np.isscalar(value):
-            return [float(value)]
-        return [float(v) for v in value]
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"{where} must be a number or list of numbers") from err
-
-
-# ---------------------------------------------------------------------------
 # inline polynomial models
 # ---------------------------------------------------------------------------
 
 def _term_coefficient(value, where):
     """A term's c: a finite int or float; a bool or a string is a typo."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if isinstance(value, str):
         raise ConfigError(f"{where}.c must be a number, got {value!r}")
-    c = _number(float, value, f"{where}.c")
-    if not np.isfinite(c):
-        raise ConfigError(f"{where}.c must be finite, got {value!r}")
-    return c
+    return _number(value, f"{where}.c")
 
 
 def _term_powers(value, where):
@@ -225,48 +187,244 @@ def _poly_table(table, d, l, shape, where):
     return fn
 
 
-def _build_inline_model(block, epsilon, kappa, m):
-    where = "model.inline"
-    _check_keys(
-        block,
-        where,
-        allowed={"d", "l", "p", "b", "sigma", "F", "G", "H", "z0", "y0", "name"},
-        required=("d", "l", "p", "b", "sigma", "F", "G", "H"),
-    )
-    d, l, p = (_number(int, block[k], f"{where}.{k}") for k in "dlp")
-    return ModelSpec(
-        d=d,
-        l=l,
-        p=p,
-        b=_poly_table(block["b"], d, l, (d,), f"{where}.b"),
-        sigma=_poly_table(block["sigma"], d, l, (d, d), f"{where}.sigma"),
-        F=_poly_table(block["F"], d, l, (l,), f"{where}.F"),
-        G=_poly_table(block["G"], d, l, (l, l), f"{where}.G"),
-        H=_poly_table(block["H"], d, l, (p,), f"{where}.H"),
-        epsilon=epsilon,
-        kappa=kappa,
-        m=m,
-        z0=block.get("z0"),
-        y0=block.get("y0"),
-        name=str(block.get("name", "inline")),
-    )
-
-
 # ---------------------------------------------------------------------------
-# config loading
+# the config table
 # ---------------------------------------------------------------------------
 
-_TOP_KEYS = {
-    "model", "scales", "grids", "run", "output_dir",
-    "simulate", "density", "poisson", "average", "delta", "rate",
-    "event", "inequalities",
+def _require_mapping(obj, where):
+    if not isinstance(obj, dict):
+        raise ConfigError(f"section {where!r} must be a mapping")
+    return obj
+
+
+def _check_keys(mapping, where, allowed):
+    for key in mapping:
+        if key not in allowed:
+            raise ConfigError(f"unknown key {key!r} in {where}")
+
+
+def _number(value, where, kind=float):
+    """value as a finite float, or an int for kind int; a bool, a word or, for
+    an int, a fraction is a typo, never a number."""
+    try:
+        number = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{where} must be a number, got {value!r}") from None
+    if isinstance(value, bool) or number != value and kind is int:
+        whole = "whole " if kind is int else ""
+        raise ConfigError(f"{where} must be a {whole}number, got {value!r}")
+    if not math.isfinite(number):
+        raise ConfigError(f"{where}={value!r} must be finite")
+    return number
+
+
+def _reals(value, where, axis=None, n=None):
+    """A number or a list of them, as finite floats: exactly n of them when
+    the model's axis fixes n, else at least one."""
+    numbers = [_number(v, where) for v in (value if isinstance(value, list) else [value])]
+    if n is not None and len(numbers) != n:
+        raise ConfigError(f"{where} must list {axis}={n} numbers, got {len(numbers)}")
+    if not numbers:
+        raise ConfigError(f"{where} must list at least one number")
+    return numbers
+
+
+def _box(value, where, axis, n):
+    """One (lo, hi) pair of finite numbers with lo < hi per model axis."""
+    if not (
+        isinstance(value, list) and len(value) == n
+        and all(isinstance(pair, list) and len(pair) == 2 for pair in value)
+    ):
+        raise ConfigError(f"{where} must list {axis}={n} (lo, hi) pairs, got {value!r}")
+    box = [(_number(lo, where), _number(hi, where)) for lo, hi in value]
+    if any(lo >= hi for lo, hi in box):
+        raise ConfigError(f"{where} needs lo < hi on every axis, got {value!r}")
+    return box
+
+
+# One row per config key, in reading order: the scales before the model, the
+# model before the keys its d and l size, a variant's key before those it gates.
+#   kind     how _typed reads it; axes after it, as in ``box d``, size it by d, l, p
+#   default  of an absent key, a function of the model when d or l sets it;
+#            _REQUIRED when it must be given; None when an absent key is unread
+#   bound    the (op, limit) a number must meet, or the names of a choice
+#   reader   of a section, its subcommand (None: every one); of a key, the
+#            ``key: value`` variant of its section that reads it
+_Key = namedtuple("_Key", "kind default bound reader", defaults=(None, None, None))
+_REQUIRED = "required"
+
+
+_TABLE = {
+    "scales": _Key("section", {}),
+    "scales.epsilon": _Key("reals", [0.1]),
+    "scales.kappa": _Key("real", 0.25),
+    "scales.m": _Key("real", 1.0),
+    "model": _Key("model", _REQUIRED),
+    "model.benchmark": _Key("choice", None, tuple(BENCHMARKS)),
+    "model.inline": _Key("inline"),
+    "model.inline.d": _Key("whole", _REQUIRED, (">=", 1)),
+    "model.inline.l": _Key("whole", _REQUIRED, (">=", 1)),
+    "model.inline.p": _Key("whole", _REQUIRED, (">=", 1)),
+    "model.inline.b": _Key("poly d", _REQUIRED),
+    "model.inline.sigma": _Key("poly dd", _REQUIRED),
+    "model.inline.F": _Key("poly l", _REQUIRED),
+    "model.inline.G": _Key("poly ll", _REQUIRED),
+    "model.inline.H": _Key("poly p", _REQUIRED),
+    "model.inline.z0": _Key("state d"),
+    "model.inline.y0": _Key("state l"),
+    "model.inline.name": _Key("text", "inline"),
+    "grids": _Key("section", {}),
+    "grids.z_box": _Key("box d", lambda spec: [[-6.0, 6.0]] * spec.d),
+    "grids.z_nodes": _Key("whole", lambda spec: 601 if spec.d == 1 else 101),
+    "grids.y_box": _Key("box l", lambda spec: [[-4.0, 4.0]] * spec.l),
+    "grids.y_nodes": _Key("whole", lambda spec: 41 if spec.l == 1 else 15),
+    "run": _Key("section", _REQUIRED),
+    "run.T": _Key("real", _REQUIRED, (">", 0.0)),
+    "run.h": _Key("real", _REQUIRED, (">", 0.0)),
+    "run.N": _Key("whole", 10_000, (">=", 1)),
+    "run.seed": _Key("whole", _REQUIRED),
+    "output_dir": _Key("text", _REQUIRED),
+    "simulate": _Key("section", {}, None, "simulate"),
+    "simulate.path_id": _Key("whole", 0),
+    "density": _Key("section", {}, None, "density"),
+    "density.y": _Key("state l", lambda spec: [0.0] * spec.l),
+    "density.method": _Key("choice", "auto", ("auto", "closed_form", "grid", "empirical")),
+    "density.T": _Key("real", 200.0, None, "method: empirical"),
+    "density.burn_in": _Key("real", 20.0, None, "method: empirical"),
+    "poisson": _Key("section", {}, None, "poisson"),
+    "poisson.y": _Key("state l", lambda spec: [0.0] * spec.l),
+    "poisson.method": _Key("choice", "auto", ("auto", "closed_form_1d", "grid_solve")),
+    "average": _Key("section", {}, None, "average"),
+    "delta": _Key("section", {}, None, "delta"),
+    "delta.eta": _Key("real", 0.5),
+    "rate": _Key("section", {}, None, "rate"),
+    "rate.event": _Key("section"),
+    "rate.event.functional": _Key("choice", "terminal_x", ("terminal_x",)),
+    "rate.event.threshold": _Key("real", _REQUIRED),
+    "rate.event.component": _Key("whole", 0, (">=", 0)),
+    "rate.target": _Key("reals"),
+    "rate.mesh_size": _Key("whole", 128),
+    "rate.y0": _Key("state l", lambda spec: [0.0] * spec.l),
+    "event": _Key("section", {}, None, "mdp-check"),
+    "event.functional": _Key("text", "terminal_x"),  # Event checks the name
+    "event.threshold": _Key("real", _REQUIRED),
+    "event.component": _Key("whole", 0, (">=", 0)),
+    "inequalities": _Key("section", {}, None, "inequalities"),
+    "inequalities.alpha": _Key("reals", [0.5, 1.0, 2.0, 4.0]),
+    "inequalities.B": _Key("reals", [0.5, 1.0, 2.0]),
+    "inequalities.sampler": _Key("choice", "brownian", ("brownian", "stopped")),
+    "inequalities.n_steps": _Key("whole", 1000),
+    "inequalities.qv_cap": _Key("real", 1.0, None, "sampler: stopped"),
 }
 
 
-class Experiment:
-    """Parsed configuration plus the derived model and grids."""
+def _walk(mapping, section, values, subcommand=None):
+    """Check mapping, the config at section, against the table, and store the
+    typed value of each key it reads, given or default, under the key's
+    dotted path.  A section that only another subcommand reads is skipped."""
+    rows = {p.rpartition(".")[2]: (p, k) for p, k in _TABLE.items()
+            if p.rpartition(".")[0] == section}
+    where = section or "config"
+    _check_keys(mapping, where, rows)
+    for name, (path, key) in rows.items():
+        if key.kind == "section":
+            if key.reader not in (None, subcommand):
+                continue
+        elif key.reader:
+            choice, wanted = key.reader.split(": ")
+            if values[f"{section}.{choice}"] != wanted:
+                if name in mapping:
+                    raise ConfigError(
+                        f"key {name!r} in {where} is read only by {choice} {wanted!r}"
+                    )
+                continue
+        if name in mapping:
+            value = mapping[name]
+        elif key.default is _REQUIRED:
+            raise ConfigError(f"missing key {name!r} in {where}")
+        elif key.default is None:
+            continue
+        else:
+            value = key.default(values["model"]) if callable(key.default) else key.default
+        if key.kind == "section":
+            _walk(_require_mapping(value, path), path, values, subcommand)
+        else:
+            values[path] = _typed(value, path, key, values)
 
-    def __init__(self, config_path, *, preload_sparse=True):
+
+def _typed(value, where, key, values):
+    """value read as its row's kind and held to its bound."""
+    kind, _, axes = key.kind.partition(" ")
+    section = where.rpartition(".")[0]
+    model = values.get("model")
+    # an inline model's own d, l and p size its keys, before the model exists
+    n = [getattr(model, a) if model else values[f"{section}.{a}"] for a in axes]
+    if kind == "model":
+        return _model(_require_mapping(value, where), values)
+    if kind == "inline":
+        return _build_inline_model(_require_mapping(value, where), *_scales(values))
+    if kind == "poly":
+        d, l = values[f"{section}.d"], values[f"{section}.l"]
+        return _poly_table(value, d, l, tuple(n), where)
+    if kind == "box":
+        return _box(value, where, axes, *n)
+    if kind == "state":
+        return np.asarray(_reals(value, where, axes, *n))
+    if kind == "choice":
+        if isinstance(value, str) and value in key.bound:
+            return value
+        *head, last = map(repr, key.bound)
+        either = f"{', '.join(head)} or {last}" if head else last
+        name = where.rpartition(".")[2]
+        raise ConfigError(f"{where}: unknown {name} {value!r}; choose {either}")
+    if kind == "text":
+        if isinstance(value, str) and value:
+            return value
+        raise ConfigError(f"{where} must be a non-empty string, got {value!r}")
+    if kind == "reals":
+        return _reals(value, where)
+    number = _number(value, where, int if kind == "whole" else float)
+    op, limit = key.bound or (None, None)
+    if op and not (number > limit if op == ">" else number >= limit):
+        raise ConfigError(f"{where}={number!r} must be {op} {limit}")
+    return number
+
+
+def _build_inline_model(block, epsilon, kappa, m):
+    fields = {}
+    _walk(block, "model.inline", fields)
+    fields = {path.rpartition(".")[2]: value for path, value in fields.items()}
+    return ModelSpec(epsilon=epsilon, kappa=kappa, m=m, **fields)
+
+
+def _scales(values):
+    return values["scales.epsilon"][0], values["scales.kappa"], values["scales.m"]
+
+
+def _model(model, values):
+    """The model section's spec at the first epsilon, with the scales set."""
+    if ("benchmark" in model) == ("inline" in model):
+        raise ConfigError("model must give exactly one of 'benchmark' or 'inline'")
+    _walk(model, "model", values)
+    spec = values.get("model.inline")
+    if spec is None:
+        eps0, kappa, m = _scales(values)
+        spec = get_benchmark(values["model.benchmark"], epsilon=eps0, kappa=kappa)
+        spec = replace(spec, m=m) if m != 1.0 else spec
+    if not spec.kappa_admissible():
+        raise ConfigError(
+            f"scale relation fails: kappa={spec.kappa} must be below "
+            f"min(1 - m/2, 1/2) = {min(1 - spec.m / 2, 0.5)}"
+        )
+    return spec
+
+
+class Experiment:
+    """A config read against the table for one subcommand (None: the common
+    sections only), plus the model and grids it defines; ``values`` holds each
+    read key's typed value under its dotted path."""
+
+    def __init__(self, config_path, subcommand=None):
         try:
             with open(config_path, "r") as fh:
                 self.text = fh.read()
@@ -276,88 +434,31 @@ class Experiment:
             raw = yaml.safe_load(self.text)
         except yaml.YAMLError as err:
             raise ConfigError(f"config is not valid YAML: {err}") from err
-        raw = _require_mapping(raw if raw is not None else {}, "config")
-        _check_keys(raw, "config", _TOP_KEYS, required=("model", "run", "output_dir"))
-        self.raw = raw
-
-        scales = _require_mapping(raw.get("scales", {}), "scales")
-        _check_keys(scales, "scales", allowed={"epsilon", "kappa", "m"})
-        self.epsilon_list = _as_float_list(scales.get("epsilon", [0.1]), "scales.epsilon")
-        self.kappa = _number(float, scales.get("kappa", 0.25), "scales.kappa")
-        self.m = _number(float, scales.get("m", 1.0), "scales.m")
-
-        model = _require_mapping(raw["model"], "model")
-        _check_keys(model, "model", allowed={"benchmark", "inline"})
-        if ("benchmark" in model) == ("inline" in model):
-            raise ConfigError("model must give exactly one of 'benchmark' or 'inline'")
-        eps0 = self.epsilon_list[0]
-        if "benchmark" in model:
-            self.spec = get_benchmark(str(model["benchmark"]), epsilon=eps0, kappa=self.kappa)
-            if self.m != 1.0:
-                from dataclasses import replace
-                self.spec = replace(self.spec, m=self.m)
-        else:
-            self.spec = _build_inline_model(
-                _require_mapping(model["inline"], "model.inline"), eps0, self.kappa, self.m
-            )
-        if not self.spec.kappa_admissible():
-            raise ConfigError(
-                f"scale relation fails: kappa={self.spec.kappa} must be below "
-                f"min(1 - m/2, 1/2) = {min(1 - self.spec.m / 2, 0.5)}"
-            )
-        if preload_sparse and self.spec.d >= 2:
-            # the d >= 2 grid routes factor sparse operators; load SciPy's
-            # sparse stack in start-up rather than inside the first cell solve.
-            # The subcommands that only sample paths pass preload_sparse=False
-            import scipy.sparse.linalg  # noqa: F401
-
-        grids = _require_mapping(raw.get("grids", {}), "grids")
-        _check_keys(grids, "grids", allowed={"z_box", "z_nodes", "y_box", "y_nodes"})
-        d, l = self.spec.d, self.spec.l
-        z_box = grids.get("z_box", [[-6.0, 6.0]] * d)
-        y_box = grids.get("y_box", [[-4.0, 4.0]] * l)
-        z_nodes = _number(int, grids.get("z_nodes", 601 if d == 1 else 101), "grids.z_nodes")
-        y_nodes = _number(int, grids.get("y_nodes", 41 if l == 1 else 15), "grids.y_nodes")
-        if len(z_box) != d or len(y_box) != l:
-            raise ConfigError("z_box / y_box must list one (lo, hi) pair per axis")
+        self.values = values = {}
+        _walk(_require_mapping(raw if raw is not None else {}, "config"), "", values, subcommand)
+        self.spec = spec = values["model"]
+        for path in ("event.component", "rate.event.component"):
+            if values.get(path, 0) >= spec.p:
+                raise ConfigError(f"{path}={values[path]} must be below p={spec.p}")
+        z_nodes, y_nodes = values["grids.z_nodes"], values["grids.y_nodes"]
         if min(z_nodes, y_nodes) < 3:
             # slow derivatives and gradients are second-order differences
             raise ConfigError(
                 f"grids.z_nodes and grids.y_nodes must be >= 3, got {z_nodes} and {y_nodes}"
             )
-        self.z_box, self.y_box = z_box, y_box
-        self.z_grid = RectGrid.from_bounds([(lo, hi, z_nodes) for lo, hi in z_box])
-        self.y_grid = RectGrid.from_bounds([(lo, hi, y_nodes) for lo, hi in y_box])
-
-        run = _require_mapping(raw["run"], "run")
-        _check_keys(run, "run", allowed={"T", "h", "N", "seed"}, required=("T", "h", "seed"))
-        self.T = _number(float, run["T"], "run.T")
-        self.h = _number(float, run["h"], "run.h")
-        self.N = _number(int, run.get("N", 10_000), "run.N")
-        self.seed = _number(int, run["seed"], "run.seed")
-        if not (0.0 < self.T < np.inf and 0.0 < self.h < np.inf and self.N >= 1):
-            raise ConfigError(
-                f"run needs finite T > 0, finite h > 0 and N >= 1, "
-                f"got T={self.T!r}, h={self.h!r}, N={self.N}"
-            )
-
-        self.output_dir = str(raw["output_dir"])
+        self.z_box, self.y_box = values["grids.z_box"], values["grids.y_box"]
+        self.z_grid = RectGrid.from_bounds([(lo, hi, z_nodes) for lo, hi in self.z_box])
+        self.y_grid = RectGrid.from_bounds([(lo, hi, y_nodes) for lo, hi in self.y_box])
+        self.epsilon_list = values["scales.epsilon"]
+        self.T, self.h, self.N, self.seed = (values[f"run.{k}"] for k in ("T", "h", "N", "seed"))
+        self.output_dir = values["output_dir"]
+        if subcommand not in ("simulate", "mdp-check", "inequalities") and spec.d >= 2:
+            # the d >= 2 grid routes factor sparse operators; load SciPy's
+            # sparse stack in start-up rather than inside the first cell
+            # solve.  The three subcommands named only sample paths
+            import scipy.sparse.linalg  # noqa: F401
         # the modules and the config live until exit (see the module docstring)
         gc.freeze()
-
-    def block(self, name, allowed, required=()):
-        block = _require_mapping(self.raw.get(name, {}), name)
-        _check_keys(block, name, allowed=allowed, required=required)
-        return block
-
-    def slow_state(self, block, section, key):
-        """The slow state at block[key]: one number per slow axis, the origin
-        when the key is absent."""
-        l, where = self.spec.l, f"{section}.{key}"
-        y = _as_float_list(block.get(key, [0.0] * l), where)
-        if len(y) != l:
-            raise ConfigError(f"{where} must list l={l} numbers, got {len(y)}")
-        return np.asarray(y)
 
     def averaged_model(self):
         return averaged_coefficients(self.spec, self.y_grid, self.z_grid)
@@ -531,10 +632,6 @@ def main():
     """Fast-slow SDE averaging, correctors, and deviation experiments."""
 
 
-def _config_argument(fn):
-    return click.argument("config_path", type=click.Path(exists=False, dir_okay=False))(fn)
-
-
 _workers_option = click.option(
     "--workers",
     type=click.IntRange(min=1),
@@ -544,27 +641,35 @@ _workers_option = click.option(
 )
 
 
-@main.command()
-@_config_argument
-@_guarded
-def validate(config_path):
+def _subcommand(name, *options):
+    """Register fn as the subcommand name of one config file: fn(exp, out,
+    **options) gets the Experiment read for name and its OutputDir."""
+
+    def register(fn):
+        @wraps(fn)
+        def run(config_path, **kwargs):
+            exp = Experiment(config_path, name)
+            fn(exp, OutputDir(exp, name), **kwargs)
+
+        run = _guarded(run)
+        for option in options:
+            run = option(run)
+        path = click.Path(exists=False, dir_okay=False)
+        return main.command(name)(click.argument("config_path", type=path)(run))
+
+    return register
+
+
+@_subcommand("validate")
+def validate(exp, out):
     """Probe model assumptions on the configured boxes; write a report."""
-    exp = Experiment(config_path)
-    out = OutputDir(exp, "validate")
     report = validate_model(
         exp.spec, exp.z_box, exp.y_box, density_nodes=exp.z_grid.shape[0]
     )
-    rows = [
-        ("lambda_min", _fmt(report.lambda_min)),
-        ("lambda_max", _fmt(report.lambda_max)),
-        ("dissipativity_r", _fmt(report.dissipativity_r) if report.dissipativity_r is not None else "nan"),
-        ("dissipativity_C", _fmt(report.dissipativity_C) if report.dissipativity_C is not None else "nan"),
-        ("centering_defect", _fmt(report.centering_defect) if report.centering_defect is not None else "nan"),
-        ("growth_F", _fmt(report.growth_F)),
-        ("bound_G", _fmt(report.bound_G)),
-        ("violations", str(len(report.violations))),
-        ("ok", str(int(report.ok))),
-    ]
+    checks = ("lambda_min", "lambda_max", "dissipativity_r", "dissipativity_C",
+              "centering_defect", "growth_F", "bound_G")
+    rows = [(k, "nan" if getattr(report, k) is None else _fmt(getattr(report, k))) for k in checks]
+    rows += [("violations", str(len(report.violations))), ("ok", str(int(report.ok)))]
     _write_csv(out.path("validate.csv"), "check,value", rows)
     out.extra.update(report.counts)
     for v in report.violations:
@@ -573,16 +678,11 @@ def validate(config_path):
     click.echo(f"validate: ok={report.ok} -> {out.dir}")
 
 
-@main.command()
-@_config_argument
-@_guarded
-def simulate(config_path):
+@_subcommand("simulate")
+def simulate(exp, out):
     """Simulate one coupled trajectory and write its macro-mesh CSV."""
-    exp = Experiment(config_path, preload_sparse=False)
-    block = exp.block("simulate", allowed={"path_id"})
-    path_id = _number(int, block.get("path_id", 0), "simulate.path_id")
-    out = OutputDir(exp, "simulate")
     rec = Recorder()
+    path_id = exp.values["simulate.path_id"]
     run = simulate_block(exp.spec, exp.T, exp.h, exp.seed, [path_id], probes=(rec,))
     _write_table(
         out.path("path.csv"),
@@ -594,26 +694,13 @@ def simulate(config_path):
     click.echo(f"simulate: {run.times.size - 1} steps -> {out.dir}")
 
 
-@main.command()
-@_config_argument
-@_guarded
-def density(config_path):
+@_subcommand("density")
+def density(exp, out):
     """Invariant density of the frozen fast flow at one slow value."""
-    exp = Experiment(config_path)
-    block = exp.block("density", allowed={"y", "method", "T", "burn_in"})
-    y = exp.slow_state(block, "density", "y")
-    method = str(block.get("method", "auto"))
-    kw = {}
-    if method == "empirical":
-        kw = dict(
-            T=_number(float, block.get("T", 200.0), "density.T"),
-            burn_in=_number(float, block.get("burn_in", 20.0), "density.burn_in"),
-            seed=exp.seed,
-        )
-    else:
-        _only_read_by(block, "density", ("T", "burn_in"), "method 'empirical'")
-    out = OutputDir(exp, "density")
-    pi = invariant_density(exp.spec, y, exp.z_grid, method=method, **kw)
+    v, kw = exp.values, {}
+    if v["density.method"] == "empirical":
+        kw = dict(T=v["density.T"], burn_in=v["density.burn_in"], seed=exp.seed)
+    pi = invariant_density(exp.spec, v["density.y"], exp.z_grid, method=v["density.method"], **kw)
     _write_table(
         out.path("density.csv"),
         _columns("z", pi.grid.ndim) + ["pi"],
@@ -623,16 +710,10 @@ def density(config_path):
     click.echo(f"density: mass={float(pi.grid.integrate(pi.values)):.6f} -> {out.dir}")
 
 
-@main.command()
-@_config_argument
-@_guarded
-def poisson(config_path):
+@_subcommand("poisson")
+def poisson(exp, out):
     """Solve the centered cell problem at one slow value."""
-    exp = Experiment(config_path)
-    block = exp.block("poisson", allowed={"y", "method"})
-    y = exp.slow_state(block, "poisson", "y")
-    method = str(block.get("method", "auto"))
-    out = OutputDir(exp, "poisson")
+    y, method = exp.values["poisson.y"], exp.values["poisson.method"]
     sol = solve_poisson(exp.spec, y, exp.spec.H, exp.z_grid, method=method)
     pts = exp.z_grid.points().reshape(-1, exp.spec.d)
     u = sol.u.values.reshape(len(pts), -1)
@@ -647,20 +728,13 @@ def poisson(config_path):
     out.extra["residual"] = float(sol.residual)
     out.extra["centering_defect"] = float(np.max(np.abs(sol.centering_defect)))
     out.finalize()
-    click.echo(
-        f"poisson: residual={sol.residual:.3e} "
-        f"centering={np.max(np.abs(sol.centering_defect)):.3e} -> {out.dir}"
-    )
+    click.echo(f"poisson: residual={sol.residual:.3e} "
+               f"centering={out.extra['centering_defect']:.3e} -> {out.dir}")
 
 
-@main.command()
-@_config_argument
-@_guarded
-def average(config_path):
+@_subcommand("average")
+def average(exp, out):
     """Tabulate averaged coefficients over the configured y-grid."""
-    exp = Experiment(config_path)
-    exp.block("average", allowed=set())
-    out = OutputDir(exp, "average")
     avg = exp.averaged_model()
     p, l = avg.p, avg.l
     _write_table(
@@ -678,21 +752,14 @@ def average(config_path):
     )
     out.extra.update(avg.counts)
     out.finalize()
-    click.echo(
-        f"average: {avg.y_grid.n_nodes} y-nodes, "
-        f"margin={avg.nonsingularity_margin:.3e} -> {out.dir}"
-    )
+    click.echo(f"average: {avg.y_grid.n_nodes} y-nodes, "
+               f"margin={avg.nonsingularity_margin:.3e} -> {out.dir}")
 
 
-@main.command()
-@_config_argument
-@_guarded
-def delta(config_path):
+@_subcommand("delta")
+def delta(exp, out):
     """Sweep the corrector remainder tails over the epsilon list."""
-    exp = Experiment(config_path)
-    block = exp.block("delta", allowed={"eta"})
-    eta = _number(float, block.get("eta", 0.5), "delta.eta")
-    out = OutputDir(exp, "delta")
+    eta = exp.values["delta.eta"]
     family = solve_family(exp.spec, exp.y_grid, exp.z_grid)
     cells = negligibility_sweep(
         exp.spec, exp.epsilon_list, eta, exp.T, exp.h, exp.N, exp.seed, family=family
@@ -715,94 +782,53 @@ def delta(config_path):
     click.echo(f"delta: {len(exp.epsilon_list)} epsilon cells -> {out.dir}")
 
 
-def _rate_event(block, p, l):
+def _rate_event(values, p, l):
     """The terminal target of the rate minimization: the X vector of a
     'target', or the half-space constraint (C, [level]) of a terminal_x
     'event' on the stacked (X_T, Y_T)."""
-    event = block.get("event")
-    target = block.get("target")
-    if (event is None) == (target is None):
+    target = values.get("rate.target")
+    level = values.get("rate.event.threshold")
+    if (level is None) == (target is None):
         raise ConfigError("rate needs exactly one of 'event' or 'target'")
     if target is not None:
-        return np.asarray(_as_float_list(target, "rate.target"))
-    event = _require_mapping(event, "rate.event")
-    _check_keys(event, "rate.event", allowed={"functional", "threshold", "component"},
-                required=("threshold",))
-    functional = str(event.get("functional", "terminal_x"))
-    if functional != "terminal_x":
-        raise ConfigError(
-            "rate minimization supports terminal_x half-space events only"
-        )
-    comp = _number(int, event.get("component", 0), "rate.event.component")
-    if not 0 <= comp < p:
-        raise ConfigError(f"event component {comp} outside 0..{p - 1}")
-    level = _number(float, event["threshold"], "rate.event.threshold")
+        return np.asarray(target)
     if level < 0.0:
         raise ConfigError(
             "half-space level below zero is reached at zero cost; "
             "the prediction is 0 and no minimizer path exists"
         )
     C = np.zeros((1, p + l))
-    C[0, comp] = 1.0
+    C[0, values["rate.event.component"]] = 1.0
     return C, np.array([level])
 
 
-@main.command()
-@_config_argument
-@_guarded
-def rate(config_path):
+@_subcommand("rate")
+def rate(exp, out):
     """Minimize the path action for a terminal target or half-space event."""
-    exp = Experiment(config_path)
-    block = exp.block(
-        "rate", allowed={"event", "target", "mesh_size", "y0"},
-    )
-    mesh_size = _number(int, block.get("mesh_size", 128), "rate.mesh_size")
-    y0 = exp.slow_state(block, "rate", "y0")
-    target = _rate_event(block, exp.spec.p, exp.spec.l)
-    out = OutputDir(exp, "rate")
+    v = exp.values
+    mesh_size = v["rate.mesh_size"]
+    target = _rate_event(v, exp.spec.p, exp.spec.l)
     avg = exp.averaged_model()
-    path, value = minimize_endpoint(avg, exp.T, target, mesh_size, y0=y0)
+    path, value = minimize_endpoint(avg, exp.T, target, mesh_size, y0=v["rate.y0"])
     _write_table(
         out.path("rate_path.csv"),
         ["t"] + _columns("X", avg.p) + _columns("Y", avg.l),
         np.hstack([path.times[:, None], path.X, path.Y]),
     )
-    _write_csv(
-        out.path("rate.csv"),
-        "J_star,T,mesh_size",
-        [[_fmt(value.J), _fmt(exp.T), str(mesh_size)]],
-    )
+    _write_csv(out.path("rate.csv"), "J_star,T,mesh_size",
+               [[_fmt(value.J), _fmt(exp.T), str(mesh_size)]])
     out.extra.update(avg.counts)
     out.finalize()
     click.echo(f"rate: J*={value.J:.6f} (finite-horizon T={exp.T}) -> {out.dir}")
 
 
-@main.command("mdp-check")
-@_config_argument
-@_workers_option
-@_guarded
-def mdp_check(config_path, workers):
+@_subcommand("mdp-check", _workers_option)
+def mdp_check(exp, out, workers):
     """Monte Carlo tail sweep at the moderate-deviation log scaling."""
-    exp = Experiment(config_path, preload_sparse=False)
-    block = exp.block(
-        "event", allowed={"functional", "threshold", "component"},
-        required=("threshold",),
-    )
-    event = Event(
-        functional=str(block.get("functional", "terminal_x")),
-        threshold=_number(float, block["threshold"], "event.threshold"),
-        T=exp.T,
-        component=_number(int, block.get("component", 0), "event.component"),
-    )
-    out = OutputDir(exp, "mdp-check")
+    v = exp.values
+    event = Event(v["event.functional"], v["event.threshold"], exp.T, v["event.component"])
     cells = tail_probability(
-        exp.spec,
-        event,
-        exp.epsilon_list,
-        exp.N,
-        exp.h,
-        exp.seed,
-        workers=workers,
+        exp.spec, event, exp.epsilon_list, exp.N, exp.h, exp.seed, workers=workers
     )
     _write_csv(
         out.path("mc.csv"),
@@ -820,61 +846,31 @@ def mdp_check(config_path, workers):
         if c.error:
             click.echo(f"mdp-check eps={c.epsilon:g}: failed ({c.error})")
         else:
-            click.echo(
-                f"mdp-check eps={c.epsilon:g}: p_hat={c.p_hat:.3e} "
-                f"scaled_log={c.scaled_log:.4f}{tag}"
-            )
+            click.echo(f"mdp-check eps={c.epsilon:g}: p_hat={c.p_hat:.3e} "
+                       f"scaled_log={c.scaled_log:.4f}{tag}")
 
 
-@main.command()
-@_config_argument
-@_workers_option
-@_guarded
-def inequalities(config_path, workers):
+@_subcommand("inequalities", _workers_option)
+def inequalities(exp, out, workers):
     """Empirical exponential-inequality grid of Brownian motion, plain or stopped."""
-    exp = Experiment(config_path, preload_sparse=False)
-    block = exp.block(
-        "inequalities",
-        allowed={"alpha", "B", "sampler", "n_steps", "qv_cap"},
-    )
-    alphas = _as_float_list(block.get("alpha", [0.5, 1.0, 2.0, 4.0]), "inequalities.alpha")
-    Bs = _as_float_list(block.get("B", [0.5, 1.0, 2.0]), "inequalities.B")
-    name = str(block.get("sampler", "brownian"))
-    n_steps = _number(int, block.get("n_steps", 1000), "inequalities.n_steps")
-    if name == "brownian":
-        _only_read_by(block, "inequalities", ("qv_cap",), "sampler 'stopped'")
-        qv_cap = None
-    elif name == "stopped":
-        qv_cap = _number(float, block.get("qv_cap", 1.0), "inequalities.qv_cap")
-    else:
-        raise ConfigError(f"unknown sampler {name!r}; choose 'brownian' or 'stopped'")
-    out = OutputDir(exp, "inequalities")
+    v = exp.values
     rows = []
     worst = 0.0
     cells = exponential_inequality_grid(
-        alphas, Bs, exp.T, exp.N, exp.seed, n_steps=n_steps, qv_cap=qv_cap, workers=workers
+        v["inequalities.alpha"], v["inequalities.B"], exp.T, exp.N, exp.seed,
+        n_steps=v["inequalities.n_steps"], qv_cap=v.get("inequalities.qv_cap"), workers=workers,
     )
     for cell in cells:
         lo, hi = wilson_interval(cell.hits, cell.N)
         sigma = (hi - lo) / (2.0 * 1.959963984540054)
         violated = int(cell.frequency > cell.bound + 3.0 * sigma)
         worst = max(worst, cell.frequency - cell.bound)
-        rows.append(
-            [
-                _fmt(cell.alpha), _fmt(cell.B), str(cell.N), _fmt(cell.frequency),
-                _fmt(cell.bound), _fmt(sigma), str(violated),
-            ]
-        )
-    _write_csv(
-        out.path("inequalities.csv"),
-        "alpha,B,N,frequency,bound,sigma,violated",
-        rows,
-    )
+        rows.append([_fmt(cell.alpha), _fmt(cell.B), str(cell.N), _fmt(cell.frequency),
+                     _fmt(cell.bound), _fmt(sigma), str(violated)])
+    _write_csv(out.path("inequalities.csv"), "alpha,B,N,frequency,bound,sigma,violated", rows)
     out.finalize()
-    click.echo(
-        f"inequalities: {len(rows)} cells, worst frequency-bound gap "
-        f"{worst:.3e} -> {out.dir}"
-    )
+    click.echo(f"inequalities: {len(rows)} cells, worst frequency-bound gap "
+               f"{worst:.3e} -> {out.dir}")
 
 
 # ---------------------------------------------------------------------------

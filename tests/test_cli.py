@@ -19,7 +19,7 @@ import yaml
 from click.testing import CliRunner
 
 import fastslow
-from fastslow.cli import _build_inline_model, main
+from fastslow.cli import _REQUIRED, _TABLE, _build_inline_model, main
 from fastslow.mcengine import DEFAULT_BATCH
 
 SQRT2 = 1.4142135623730951
@@ -821,6 +821,90 @@ def test_inequalities_n_steps_below_one_exits_2(runner, tmp_path, sampler, n_ste
     assert not (tmp_path / "out").exists()
 
 
+# one wrong value per way a kind can be wrong; the inline polynomial tables
+# (kind poly) have their own cases in test_inline_schema_errors_name_their_path
+_BAD_BY_KIND = {
+    "real": [True, float("nan"), float("inf"), "x"],
+    "whole": [True, 1.5, "x"],
+    "reals": [[], ["x"], [float("inf")]],
+    "state": ["x", [float("nan")], [0.0, 0.0]],
+    "box": [5, [["a", 1.0]], [[1.0]], [[1.0, -1.0]], [[0.0, 1.0], [0.0, 1.0]]],
+    "choice": ["nope", 5],
+    "text": [5, ["a"], ""],
+    "section": [5],
+    "model": [5],
+    "inline": [5],
+    "poly": [],
+}
+
+
+def _table_cases():
+    """(key, bad value) for every row of the config table: the kind's wrong
+    values, a value just past a number's bound, and an event component past p."""
+    for path, key in _TABLE.items():
+        yield from ((path, value) for value in _BAD_BY_KIND[key.kind.split()[0]])
+        if key.bound and key.kind in ("real", "whole"):
+            op, limit = key.bound
+            yield path, limit if op == ">" else limit - 1
+    yield from (("event.component", 5), ("rate.event.component", 5))
+
+
+@pytest.mark.parametrize("path, value", list(_table_cases()), ids=repr)
+def test_every_config_key_rejects_a_bad_value_by_name(
+    runner, tmp_path, monkeypatch, path, value
+):
+    """A value of the wrong kind, out of bounds, or an event component the
+    model does not have exits 2 with one line that names its key, before any
+    output directory exists, whichever subcommand reads the key."""
+    monkeypatch.chdir(tmp_path)
+    cfg = base_config(
+        tmp_path / "out",
+        simulate={}, poisson={}, average={}, delta={"eta": 0.5},
+        density={"method": "empirical", "T": 2.0, "burn_in": 1.0},
+        rate={"event": {"threshold": 0.5}, "mesh_size": 16},
+        event={"threshold": 0.5},
+        inequalities={"sampler": "stopped", "alpha": [1.0], "B": [1.0], "n_steps": 10},
+    )
+    if path.startswith("model.inline"):
+        cfg["model"] = {"inline": dict(OU_INLINE)}
+    if path == "rate.target":
+        del cfg["rate"]["event"]
+    *parents, last = path.split(".")
+    section = cfg
+    for name in parents:
+        section = section[name]
+    section[last] = value
+    subcommand = _TABLE[path.split(".")[0]].reader or "simulate"
+    result = runner.invoke(main, [subcommand, str(write_cfg(tmp_path, cfg))])
+    assert result.exit_code == 2, text_of(result)
+    assert result.stderr.startswith("config error: ") and result.stderr.count("\n") == 1
+    assert path in result.stderr
+    assert os.listdir(tmp_path) == ["exp.yaml"]
+
+
+def test_readme_config_schema_lists_every_key_with_its_default():
+    """The README's config schema block names exactly the table's keys, and
+    shows each default as the table gives it for the one-axis ou model."""
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as fh:
+        readme = fh.read()
+    block = readme.split("Config schema", 1)[1].split("```yaml\n", 1)[1].split("```", 1)[0]
+    documented = {}
+
+    def walk(mapping, prefix):
+        for name, value in mapping.items():
+            documented[prefix + name] = value
+            if isinstance(value, dict):
+                walk(value, f"{prefix}{name}.")
+
+    walk(yaml.safe_load(block), "")
+    assert sorted(documented) == sorted(_TABLE)
+    ou = fastslow.get_benchmark("ou")
+    for path, key in _TABLE.items():
+        if key.kind != "section" and key.default is not None and key.default != _REQUIRED:
+            default = key.default(ou) if callable(key.default) else key.default
+            assert documented[path] == default, path
+
+
 def _raising(exc):
     def callee(*args, **kwargs):
         raise exc
@@ -1061,9 +1145,9 @@ def test_two_d_experiment_preloads_sparse_only_when_asked(tmp_path):
         "import sys\n"
         "from fastslow.cli import Experiment\n"
         "if sys.argv[2] == 'rate':\n"
-        "    Experiment(sys.argv[1])\n"
+        "    Experiment(sys.argv[1], 'rate')\n"
         "else:\n"
-        "    Experiment(sys.argv[1], preload_sparse=False)\n"
+        "    Experiment(sys.argv[1], 'simulate')\n"
         "print('scipy.sparse.linalg' in sys.modules)\n"
     )
     cfg_path = write_cfg(tmp_path, cfg)
