@@ -10,7 +10,8 @@ bounds are config errors that name the key, raised before any work, because
 a silently ignored typo in ``kappa`` or ``epsilon`` would invalidate every
 scaling claim downstream.  The rules that tie keys together (one model
 source, the scale relation, one rate target, an event component below p, a
-rate level of at least 0) are checked in code.
+rate level of at least 0, a closed-form method only at d = 1, an empirical
+burn-in in [0, T)) are checked in code.
 
 Outputs are CSV files written only inside ``output_dir``, next to a
 ``manifest.json`` recording the artifact version, the config hash, the seed,
@@ -296,7 +297,7 @@ _TABLE = {
     "poisson.method": _Key("choice", "auto", ("auto", "closed_form_1d", "grid_solve")),
     "average": _Key("section", {}, None, "average"),
     "delta": _Key("section", {}, None, "delta"),
-    "delta.eta": _Key("real", 0.5),
+    "delta.eta": _Key("real", 0.5, (">", 0.0)),
     "rate": _Key("section", {}, None, "rate"),
     "rate.event": _Key("section"),
     "rate.event.functional": _Key("choice", "terminal_x", ("terminal_x",)),
@@ -440,6 +441,14 @@ class Experiment:
         for path in ("event.component", "rate.event.component"):
             if values.get(path, 0) >= spec.p:
                 raise ConfigError(f"{path}={values[path]} must be below p={spec.p}")
+        closed_forms = (("poisson.method", "closed_form_1d"), ("density.method", "closed_form"))
+        for path, method in closed_forms:
+            if values.get(path) == method and spec.d != 1:
+                raise ConfigError(f"{path}={method} needs d = 1, got d={spec.d}")
+        if values.get("density.method") == "empirical":
+            burn_in, T = values["density.burn_in"], values["density.T"]
+            if not 0.0 <= burn_in < T:
+                raise ConfigError(f"density.burn_in={burn_in!r} must lie in [0, density.T={T!r})")
         z_nodes, y_nodes = values["grids.z_nodes"], values["grids.y_nodes"]
         if min(z_nodes, y_nodes) < 3:
             # slow derivatives and gradients are second-order differences

@@ -31,7 +31,9 @@ An exponential-inequality grid (``exponential_inequality_grid``) is scored
 from one draw of Brownian paths, plain or stopped when the bracket reaches a
 cap, and every (alpha, B) cell is an integer hit count over those paths.  The
 paths step through the kernel's noise source with one normal per step
-(chunk 1), so path i is lane i % LANES of block i // LANES too, whatever N.
+(chunk 1), reading each step's increments as the one contiguous row
+``macro_chunk(k)[0]``, so path i is lane i % LANES of block i // LANES too,
+whatever N.
 They step in whole-block batches of ``DEFAULT_BATCH`` on the same worker pool
 as the sweeps and are concatenated in id order, so ``workers`` only changes
 wall time.
@@ -312,7 +314,7 @@ def _brownian_sup(N, seed, n_taken, sq_h, workers):
         M = np.zeros(len(ids))
         sup_abs = np.zeros(len(ids))
         for k in range(n_taken):
-            M = M + sq_h * noise.macro_chunk(k)[:, 0]
+            M = M + sq_h * noise.macro_chunk(k)[0]
             np.maximum(sup_abs, np.abs(M), out=sup_abs)
         return sup_abs
 

@@ -33,6 +33,13 @@ sample is.  Draws are made a window of macro steps at a time; chunked draws from
 a numpy Generator reproduce the unchunked stream, so the window size never
 changes the numbers, which the tests assert.
 
+Each macro step reaches the kernel as component-major (chunk, B) rows, which
+it scales without a path-major transpose: ``dB`` is a (B, n_sub, d) array whose
+micro slices ``dB[:, j]`` are C-contiguous (B, d) arrays, and ``dW`` is a
+C-contiguous (B, l) array.  The layout is part of the numbers: einsum's
+summation order follows its operands' layout, so at d >= 2 a strided view of
+the same increments can move a state in its last bit.
+
 Probes
 ------
 The kernel keeps only the current states.  Every other statistic of the
@@ -43,7 +50,8 @@ calls with the very states and increments it steps with:
     start(xi, Y, X)           the initial states, before the first step;
     macro(k, xi, Y, dB, dW)   macro step k: its left-endpoint states, its fast
                               increments dB (B, n_sub, d), which carry the
-                              micro mesh, and its slow ones dW (B, l);
+                              micro mesh and whose micro slices are
+                              C-contiguous, and its slow ones dW (B, l);
     micro(k, j, z, Y, dB_j)   micro step j of macro step k: the left-endpoint
                               fast state, the frozen Y and the increment;
     node(k, xi, Y, X)         macro node k >= 1, once its states are finite.
@@ -115,9 +123,12 @@ class _NoiseSource:
     each block draws exactly n_macro * chunk * LANES normals and neither the
     batch nor N changes path i.
 
-    ``macro_chunk(k)`` returns the (B, chunk) rows of macro step k in the
-    order of the ids: a slice when the ids run consecutively from a block
-    boundary (every Monte Carlo batch), a ``take`` otherwise.
+    ``macro_chunk(k)`` returns macro step k component-major, as (chunk, B)
+    rows: row c holds increment component c of every path, in the order of the
+    ids.  When the ids run consecutively from a block boundary (every Monte
+    Carlo batch) the rows are one copy of whole 256-lane runs of the buffer;
+    otherwise a ``take`` with a (chunk, B) index gathers them.  The kernel
+    scales these contiguous rows; it never needs a path-major transpose.
     """
 
     def __init__(self, seed, path_ids, n_macro, chunk):
@@ -137,7 +148,7 @@ class _NoiseSource:
         else:
             # flat buffer index of each id's first row at window offset 0
             lane = slot * self._buf[0].size + ids % LANES
-            self._gather = lane[:, None] + np.arange(chunk) * LANES
+            self._gather = np.arange(chunk)[:, None] * LANES + lane
 
     def macro_chunk(self, k):
         if self._base is None or not self._base <= k < self._base + self._window:
@@ -147,8 +158,8 @@ class _NoiseSource:
             self._base = k
         off = (k - self._base) * self.chunk
         if self._gather is None:
-            rows = self._buf[:, off : off + self.chunk].transpose(0, 2, 1)
-            return rows.reshape(-1, self.chunk)[: self._B]
+            rows = self._buf[:, off : off + self.chunk].transpose(1, 0, 2)
+            return rows.reshape(self.chunk, -1)[:, : self._B]
         return np.take(self._buf, self._gather + off * LANES)
 
 
@@ -314,9 +325,12 @@ def simulate_block(spec, T, h, seed, path_ids, *, probes=()):
         probe.start(xi, Y, X)
 
     for k in range(n_macro):
-        chunk = noise.macro_chunk(k)
-        dB = chunk[:, : n_sub * d].reshape(B, n_sub, d) * sq_sub
-        dW = chunk[:, n_sub * d :] * sq_h
+        rows = noise.macro_chunk(k)
+        # (B, n_sub, d) whose micro slices dB[:, j] are C-contiguous (B, d);
+        # neither copy below is made at d = l = 1
+        dB = (rows[: n_sub * d] * sq_sub).reshape(n_sub, d, B).transpose(0, 2, 1)
+        dB = np.ascontiguousarray(dB).transpose(1, 0, 2)
+        dW = np.ascontiguousarray((rows[n_sub * d :] * sq_h).T)
 
         # left-endpoint updates of the slow pair
         H_left = np.asarray(spec.H(xi, Y), float)

@@ -691,9 +691,11 @@ def test_slow_state_of_the_wrong_length_is_a_config_error(
         ("delta", "grids", "z_nodes", 2, "got 2 and 21"),
         ("delta", "grids", "y_nodes", 2, "got 201 and 2"),
         ("delta", "grids", "z_nodes", float("nan"), "grids.z_nodes must be a number, got nan"),
+        ("delta", "delta", "eta", -1.0, "delta.eta=-1.0 must be > 0.0"),
+        ("delta", "delta", "eta", 0.0, "delta.eta=0.0 must be > 0.0"),
     ],
     ids=["h-zero", "h-nan", "T-inf", "T-nan", "N-zero", "T-text", "z_nodes-2", "y_nodes-2",
-         "z_nodes-nan"],
+         "z_nodes-nan", "eta-negative", "eta-zero"],
 )
 def test_bad_run_and_grid_values_exit_2_with_one_line(
     runner, tmp_path, subcommand, section, key, value, message
@@ -754,6 +756,37 @@ def test_unknown_sampler(runner, tmp_path):
     result = runner.invoke(main, ["inequalities", str(write_cfg(tmp_path, cfg))])
     assert result.exit_code == 2
     assert "unknown sampler 'levy'" in text_of(result)
+
+
+@pytest.mark.parametrize(
+    "subcommand, block, two_d, message",
+    [
+        ("poisson", {"method": "closed_form_1d"}, True,
+         "poisson.method=closed_form_1d needs d = 1, got d=2"),
+        ("density", {"method": "closed_form"}, True,
+         "density.method=closed_form needs d = 1, got d=2"),
+        ("density", {"method": "empirical", "T": 1.0, "burn_in": 5.0}, False,
+         "density.burn_in=5.0 must lie in [0, density.T=1.0)"),
+        ("density", {"method": "empirical", "T": 1.0, "burn_in": -0.5}, False,
+         "density.burn_in=-0.5 must lie in [0, density.T=1.0)"),
+    ],
+    ids=["closed_form_1d-at-d2", "closed_form-at-d2", "burn_in-past-T", "burn_in-negative"],
+)
+def test_keys_that_contradict_each_other_exit_2_naming_the_key(
+    runner, tmp_path, subcommand, block, two_d, message
+):
+    """A closed-form method on a d = 2 model and an empirical burn-in outside
+    [0, T) are config errors naming the key, raised before any work, not
+    numerical failures (exit 3) from inside the solver."""
+    out = tmp_path / "out"
+    cfg = base_config(out, **{subcommand: block})
+    if two_d:
+        cfg["model"] = {"inline": OU_2D_INLINE}
+        cfg["grids"]["z_nodes"] = 21
+    result = runner.invoke(main, [subcommand, str(write_cfg(tmp_path, cfg))])
+    assert result.exit_code == 2, text_of(result)
+    assert result.stderr == f"config error: {message}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

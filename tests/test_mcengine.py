@@ -196,7 +196,7 @@ def _single_source_brownian(N, T, seed, n_steps):
     M = np.zeros(N)
     sup_abs = np.zeros(N)
     for k in range(n_steps):
-        M = M + sq_h * noise.macro_chunk(k)[:, 0]
+        M = M + sq_h * noise.macro_chunk(k)[0]
         np.maximum(sup_abs, np.abs(M), out=sup_abs)
     return sup_abs, np.full(N, T)
 
@@ -211,7 +211,7 @@ def _single_source_stopped(qv_cap, N, T, seed, n_steps):
     sup_abs = np.zeros(N)
     qv = np.zeros(N)
     for k in range(n_steps):
-        dW = sq_h * noise.macro_chunk(k)[:, 0]
+        dW = sq_h * noise.macro_chunk(k)[0]
         alive = qv < qv_cap
         M = M + np.where(alive, dW, 0.0)
         qv = qv + np.where(alive, h, 0.0)

@@ -12,6 +12,7 @@ from fastslow import (
     path_generator,
     simulate_block,
 )
+from fastslow.cli import _build_inline_model
 from fastslow.errors import ConfigError, SimulationBlowupError
 from fastslow.simulate import DefectIntegral, Recorder, SupX, SupXi, SupY
 from fastslow.stationary import frozen_model
@@ -256,6 +257,121 @@ def test_noise_window_size_does_not_change_draws(ou, monkeypatch):
         np.testing.assert_array_equal(before.X, after.X)
         assert len(drawn) == 2 * -(-n_macro // window)
         assert sum(drawn) == 2 * sim.LANES * n_macro * chunk
+
+
+def _coordinate(k):
+    """Power list of the k-th of three axes."""
+    return [1 if i == k else 0 for i in range(3)]
+
+
+# a d = l = p = 3 inline model whose sigma and G are dense, non-symmetric and
+# state dependent, so every einsum in the kernel sums three non-zero terms
+_S = [[1.0, 0.3, -0.2], [0.1, 0.9, 0.4], [-0.5, 0.2, 1.1]]
+_G = [[0.7, -0.4, 0.2], [0.3, 1.2, -0.1], [0.05, 0.6, 0.8]]
+DENSE_3D_INLINE = {
+    "d": 3,
+    "l": 3,
+    "p": 3,
+    "b": [[{"c": -1.0, "z": _coordinate(i)}, {"c": 0.3, "z": _coordinate((i + 1) % 3)}]
+          for i in range(3)],
+    "sigma": [[[{"c": _S[i][j]}, {"c": 0.05, "z": _coordinate(j)}] for j in range(3)]
+              for i in range(3)],
+    "F": [[{"c": -1.0, "y": _coordinate(i)}, {"c": 1.0, "z": _coordinate(i)}]
+          for i in range(3)],
+    "G": [[[{"c": _G[i][j]}, {"c": 0.05, "y": _coordinate(i)}] for j in range(3)]
+          for i in range(3)],
+    "H": [[{"c": 1.0, "z": _coordinate(i), "y": _coordinate((i + 1) % 3)}]
+          for i in range(3)],
+}
+
+
+def _path_major_kernel(spec, T, h, seed, ids, probes):
+    """Reference: the kernel stepped on path-major (B, chunk) rows, each path's
+    lane read off its block's (n_macro, chunk, LANES) stream, with the fast
+    increments cut as ``rows[:, :n_sub * d].reshape(B, n_sub, d)``."""
+    d, l, eps, kappa = spec.d, spec.l, spec.epsilon, spec.kappa
+    n_macro, n_sub = int(round(T / h)), micro_substeps(h, eps)
+    chunk, h_sub, B = n_sub * d + l, h / n_sub, len(ids)
+    streams = {
+        b: path_generator(seed, b).standard_normal((n_macro, chunk, sim.LANES))
+        for b in {pid // sim.LANES for pid in ids}
+    }
+    paths = np.stack([streams[pid // sim.LANES][:, :, pid % sim.LANES] for pid in ids])
+    sq_sub, sq_h = np.sqrt(h_sub), np.sqrt(h)
+    inv_eps, inv_sqeps = 1.0 / eps, 1.0 / np.sqrt(eps)
+    x_gain, y_gain = h * eps ** (-kappa), eps ** (0.5 - kappa)
+    xi = np.broadcast_to(spec.z0, (B, d)).copy()
+    Y = np.broadcast_to(spec.y0, (B, l)).copy()
+    X = np.zeros((B, spec.p))
+    for probe in probes:
+        probe.start(xi, Y, X)
+    for k in range(n_macro):
+        rows = np.ascontiguousarray(paths[:, k])
+        dB = rows[:, : n_sub * d].reshape(B, n_sub, d) * sq_sub
+        dW = rows[:, n_sub * d :] * sq_h
+        X_new = X + x_gain * np.asarray(spec.H(xi, Y), float)
+        Y_new = Y + h * np.asarray(spec.F(xi, Y), float) + y_gain * np.einsum(
+            "...ij,...j->...i", spec.G(xi, Y), dW
+        )
+        for probe in probes:
+            probe.macro(k, xi, Y, dB, dW)
+        z = xi
+        for j in range(n_sub):
+            for probe in probes:
+                probe.micro(k, j, z, Y, dB[:, j])
+            z = z + (h_sub * inv_eps) * np.asarray(spec.b(z, Y), float) + inv_sqeps * np.einsum(
+                "...ij,...j->...i", spec.sigma(z, Y), dB[:, j]
+            )
+        xi, Y, X = z, Y_new, X_new
+        for probe in probes:
+            probe.node(k + 1, xi, Y, X)
+    return xi, Y, X
+
+
+_LAYOUT_IDS = {"consecutive": list(range(600)), "gathered": [3, 900, 17, 511]}
+
+
+@pytest.mark.parametrize("ids", _LAYOUT_IDS.values(), ids=_LAYOUT_IDS.keys())
+@pytest.mark.parametrize("eps, n_sub", [(0.1, 1), (0.025, 4)])
+def test_row_layout_is_bitwise_the_path_major_kernel(ids, eps, n_sub):
+    """The kernel scales component-major (chunk, B) noise rows, and hands on
+    fast increments whose micro slices are C-contiguous: it gives the very
+    bits of the kernel stepped on path-major rows, at d = l = p = 3 where each
+    einsum's summation order follows its operands' layout."""
+    spec = _build_inline_model(DENSE_3D_INLINE, eps, 0.25, 1.0)
+    T, h, seed = 0.05, 0.01, 17
+    assert micro_substeps(h, eps) == n_sub
+    rec, sup = Recorder(), SupXi()
+    run = simulate_block(spec, T, h, seed, ids, probes=(rec, sup))
+    ref_rec, ref_sup = Recorder(), SupXi()
+    want = _path_major_kernel(spec, T, h, seed, ids, (ref_rec, ref_sup))
+    for got, ref in zip((run.xi, run.Y, run.X), want):
+        np.testing.assert_array_equal(got, ref)
+    for name in ("xi", "Y", "X", "dB", "dW"):
+        np.testing.assert_array_equal(getattr(rec, name), getattr(ref_rec, name))
+    np.testing.assert_array_equal(sup.value, ref_sup.value)
+
+
+@pytest.mark.parametrize("ids", _LAYOUT_IDS.values(), ids=_LAYOUT_IDS.keys())
+@pytest.mark.parametrize("eps", [0.1, 0.025])
+def test_probes_receive_c_contiguous_increments(ids, eps):
+    """Every micro increment dB_j (B, d) and every dW (B, l) handed to a probe
+    is C-contiguous, and dB_j holds the numbers of dB[:, j]."""
+    spec = _build_inline_model(DENSE_3D_INLINE, eps, 0.25, 1.0)
+    seen = []
+
+    class Layout(sim.Probe):
+        def macro(self, k, xi, Y, dB, dW):
+            self.dB = dB
+            assert dB.shape == (len(ids), micro_substeps(0.01, eps), 3)
+            seen.append(dW.flags.c_contiguous and dW.shape == (len(ids), 3))
+
+        def micro(self, k, j, z, Y, dB_j):
+            seen.append(dB_j.flags.c_contiguous and dB_j.shape == (len(ids), 3))
+            np.testing.assert_array_equal(dB_j, self.dB[:, j])
+
+    simulate_block(spec, 0.03, 0.01, 5, ids, probes=(Layout(),))
+    assert len(seen) == 3 * (1 + micro_substeps(0.01, eps)) and all(seen)
 
 
 def _micro_states(spec, h, path):
